@@ -39,6 +39,7 @@ from .sequences import (
     RecurrenceSpec,
     SecondOrderSpec,
     SeriesClass,
+    SeriesSource,
     ThirdOrderSpec,
     closed_form_numerator,
     engel_from_spec,
@@ -57,7 +58,6 @@ from .expansion import (
     EngelStream,
     StreamResult,
     PartialCF,
-    SeriesSource,
     StepIdentityReport,
     certified_decimal,
     enclosure,

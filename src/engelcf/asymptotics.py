@@ -28,12 +28,13 @@ from typing import Sequence
 from mpmath import mp, workdps
 
 from .exceptions import DegenerateRoot, InvalidSpec
-from .expansion import SeriesSource, SourceLike
 from .sequences import (
     BitBudget,
-    BudgetMeter,
     SecondOrderSpec,
+    SeriesSource,
+    SourceLike,
     ThirdOrderSpec,
+    as_store,
     generate_recurrence,
 )
 
@@ -89,8 +90,13 @@ def reconstruct_lambda_n(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    spec.validate()
-    xs = generate_recurrence(spec, max(n + 1, 2), budget)
+    return _lambda_n(spec, SeriesSource(spec, budget), n, dps)
+
+
+def _lambda_n(spec: SecondOrderSpec, store: SeriesSource, n: int, dps: int):
+    # The body of reconstruct_lambda_n, reading x_n from ``store``; for a
+    # second-order spec the Engel x_n is the raw x_n, and x_0 = 1.
+    xs = [1] + [store.x(k) for k in range(1, n + 1)]
     with workdps(dps + 10):
         lam = dominant_root(spec.d1, spec.d2, dps)
         lami = 1 / lam
@@ -123,28 +129,21 @@ def estimate_C(
     dropped tail is bounded by twice that term (the a_k are non-increasing
     and lam > 2, so the tail is dominated by a geometric series).
     """
-    spec.validate()
-    meter = BudgetMeter(budget)
+    return _estimate_C(spec, SeriesSource(spec, budget), dps, rel_cut, max_terms)
+
+
+def _estimate_C(spec: SecondOrderSpec, store: SeriesSource, dps: int,
+                rel_cut: float = 1e-15, max_terms: int = 60):
     with workdps(dps + 10):
         lam = dominant_root(spec.d1, spec.d2, dps)
         lami = 1 / lam
         denom = lam - lami
         c_value = mp.log(spec.c) / (spec.d1 + spec.d2 - 2) * (1 - lami) / denom
-        xs = [1, 1]
         k = 0
         while True:
             k += 1
-            while len(xs) <= k:
-                nxt = xs[-1] ** spec.d1 * spec.G(xs[-1]) // xs[-2]
-                meter.charge(nxt, f"x_{len(xs)}")
-                xs.append(nxt)
-            term = lami**k * _alpha(spec, xs[k]) / denom
-            c_value += term
-            while len(xs) <= k + 1:
-                nxt = xs[-1] ** spec.d1 * spec.G(xs[-1]) // xs[-2]
-                meter.charge(nxt, f"x_{len(xs)}")
-                xs.append(nxt)
-            next_term = lami ** (k + 1) * _alpha(spec, xs[k + 1]) / denom
+            c_value += lami**k * _alpha(spec, store.x(k)) / denom
+            next_term = lami ** (k + 1) * _alpha(spec, store.x(k + 1)) / denom
             if 2 * next_term < rel_cut * c_value or k >= max_terms:
                 return c_value, 2 * next_term
 
@@ -275,13 +274,13 @@ def full_report(
     """Aggregate diagnostics for a second-order spec up to index n_max."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    spec.validate()
+    store = SeriesSource(spec, budget)
     lam = dominant_root(spec.d1, spec.d2, dps)
-    c_value, c_bound = estimate_C(spec, dps, budget=budget)
-    xs = generate_recurrence(spec, n_max + 2, budget)
+    c_value, c_bound = _estimate_C(spec, store, dps)
+    xs = [1] + [store.x(k) for k in range(1, n_max + 2)]
     trues, exacts = [], []
     for n in range(0, n_max + 1):
-        exact, true = reconstruct_lambda_n(spec, n, dps, budget)
+        exact, true = _lambda_n(spec, store, n, dps)
         exacts.append(exact)
         trues.append(true)
     with workdps(dps):
@@ -289,7 +288,7 @@ def full_report(
             (n, log_big(xs[n + 1], dps) / log_big(xs[n], dps)) for n in range(2, n_max + 1)
         )
         alphas = tuple(_alpha(spec, xs[k]) for k in range(1, n_max))
-    roth = roth_exponents(spec, max(n_max - 1, 1), dps, budget)
+    roth = roth_exponents(store, max(n_max - 1, 1), dps)
     return AsymptoticsReport(
         lam=lam,
         c_lead=spec.c,
@@ -317,7 +316,7 @@ def roth_exponents(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    src = SeriesSource(source, budget)
+    src = as_store(source, budget)
     records = []
     with workdps(dps):
         log2 = mp.log(2)

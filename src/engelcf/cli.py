@@ -16,7 +16,7 @@ from mpmath import mp
 
 from . import catalog
 from .asymptotics import full_report
-from .cf import cf_text, expand_rational
+from .cf import cf_text, expand_rational, normalize_zeros
 from .exceptions import (
     BitBudgetExceeded,
     EngelError,
@@ -25,11 +25,12 @@ from .exceptions import (
     InvalidSpec,
     NegativeGap,
 )
-from .expansion import SeriesSource, partial_cf, stream
+from .expansion import partial_cf, stream
 from .sequences import (
     BitBudget,
     FactorSequence,
     SecondOrderSpec,
+    SeriesSource,
     ThirdOrderSpec,
     from_factors,
     generate_recurrence,
@@ -131,22 +132,15 @@ def cmd_gen(args) -> tuple[str, int]:
 
 
 def cmd_cf(args) -> tuple[str, int]:
-    source = _source_from_args(args)
-    budget = _budget(args)
-    part = partial_cf(source, args.n, budget)
-    code = 0
+    src = SeriesSource(_source_from_args(args), _budget(args))
+    part = partial_cf(src, args.n)
     if args.check == "oracle":
-        src = SeriesSource(source, budget)
-        value = src.partial_sum(args.n)
-        oracle = expand_rational(value)
-        if part.cf.is_canonical:
-            ok = part.cf.coeffs == oracle.coeffs
-        else:  # the u = 2 split representative: same value, length + 1
-            ok = (part.cf.coeffs[:-2] + (part.cf.coeffs[-2] + 1,) == oracle.coeffs)
-        if not ok:
+        # normalize_zeros merges the trailing unit of the u = 2 split
+        # representative, giving the canonical form the oracle produces.
+        oracle = expand_rational(src.partial_sum(args.n))
+        if normalize_zeros(part.cf.coeffs).coeffs != oracle.coeffs:
             raise IdentityViolation(f"partial expansion disagrees with the Euclidean oracle at n={args.n}")
     if args.json:
-        src = SeriesSource(source, budget)
         payload = {
             "n": part.n,
             "class": src.series_class.value,
@@ -154,8 +148,8 @@ def cmd_cf(args) -> tuple[str, int]:
             "coefficients": [str(a) for a in part.cf.coeffs],
             "length": part.length,
         }
-        return json.dumps(payload) + "\n", code
-    return cf_text(part.cf) + "\n", code
+        return json.dumps(payload) + "\n", 0
+    return cf_text(part.cf) + "\n", 0
 
 
 def cmd_stream(args) -> tuple[str, int]:

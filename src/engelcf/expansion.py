@@ -24,29 +24,18 @@ object (distinct streams are independent).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .cf import CFExpansion, convergents, expand_rational
-from .exceptions import (
-    ClassMismatch,
-    IdentityViolation,
-    InexactDivision,
-    InsufficientFactors,
-)
-from .sequences import (
+from .exceptions import ClassMismatch, IdentityViolation, InsufficientFactors
+from .sequences import (  # SeriesSource and SourceLike are re-exported from here
     BitBudget,
-    BudgetMeter,
-    EngelSequence,
     FactorSequence,
-    RecurrenceSpec,
-    SecondOrderSpec,
     SeriesClass,
-    ThirdOrderSpec,
-    factors_from_sequence,
+    SeriesSource,
+    SourceLike,
+    as_store,
     from_factors,
 )
-
-SourceLike = Union[FactorSequence, SecondOrderSpec, ThirdOrderSpec, EngelSequence, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -59,103 +48,6 @@ class PartialCF:
     @property
     def length(self) -> int:
         return len(self.cf)
-
-
-class SeriesSource:
-    """Uniform lazy access to terms x_n, factors z_j, and exact partial sums.
-
-    Accepts explicit factors, a recurrence spec (terms generated on demand
-    and re-indexed so x_1 = 1), or an already-built sequence. All growth is
-    charged against a bit budget.
-    """
-
-    def __init__(self, source: SourceLike, budget: BitBudget | None = None):
-        self._meter = BudgetMeter(budget)
-        self._xs: list[int] = [1]
-        self._nums: list[int] = [1]  # numerator of S_n over x_n
-        self._raw: list[int] | None = None
-        self._spec: RecurrenceSpec | None = None
-
-        if isinstance(source, EngelSequence):
-            source = factors_from_sequence(source.x)
-        elif isinstance(source, (list, tuple)):
-            source = factors_from_sequence(source)
-
-        if isinstance(source, FactorSequence):
-            self._factors = source
-            self.series_class = source.series_class
-        elif isinstance(source, (SecondOrderSpec, ThirdOrderSpec)):
-            source.validate()
-            self._factors = None
-            self._spec = source
-            self._raw = [1, 1] if isinstance(source, SecondOrderSpec) else [1, 1, 1]
-            g1 = source.g1 if isinstance(source, SecondOrderSpec) else source.h11
-            self.series_class = SeriesClass.GENERIC if g1 >= 3 else SeriesClass.Z2_EQUALS_2
-        else:
-            raise TypeError(f"cannot stream from {type(source).__name__}")
-
-    @property
-    def u(self) -> int:
-        """x_2, the base of a ones-tail series."""
-        return self.x(2)
-
-    def _grow_to(self, n: int):
-        while len(self._xs) < n:
-            k = len(self._xs) + 1  # next engel index
-            if self._factors is not None:
-                z = self._factors.factor(k)
-                if z is None:
-                    raise InsufficientFactors(f"source has no factor z_{k}")
-                nxt = z * self._xs[-1] ** 2
-            else:
-                lead = 2 if isinstance(self._spec, SecondOrderSpec) else 3
-                want_raw = lead + k - 1
-                while len(self._raw) < want_raw:
-                    self._extend_raw()
-                nxt = self._raw[want_raw - 1]
-            self._meter.charge(nxt, f"x_{k}")
-            self._xs.append(nxt)
-
-    def _extend_raw(self):
-        spec = self._spec
-        if isinstance(spec, SecondOrderSpec):
-            num = self._raw[-1] ** spec.d1 * spec.G(self._raw[-1])
-            q, r = divmod(num, self._raw[-2])
-        else:
-            num = self._raw[-2] ** spec.e1 * self._raw[-1] ** spec.e2 * spec.H(self._raw[-2], self._raw[-1])
-            q, r = divmod(num, self._raw[-3])
-        if r:
-            raise InexactDivision(len(self._raw))
-        self._raw.append(q)
-
-    def x(self, n: int) -> int:
-        if n < 1:
-            raise IndexError("terms start at n = 1")
-        self._grow_to(n)
-        return self._xs[n - 1]
-
-    def factor(self, j: int) -> int | None:
-        """z_j, or None when a finite factor list is exhausted."""
-        if self._factors is not None:
-            return self._factors.factor(j)
-        xj, xp = self.x(j), self.x(j - 1)
-        q, r = divmod(xj, xp**2)
-        if r:
-            raise IdentityViolation(f"recurrence terms lost square divisibility at {j}")
-        return q
-
-    def factors_through(self, j_max: int) -> list[int]:
-        return [self.factor(j) for j in range(2, j_max + 1)]
-
-    def partial_sum(self, n: int) -> Fraction:
-        """Exact S_n, maintained incrementally: the numerator over x_n obeys
-        N_n = N_{n-1} * y_n + 1 with y_n = x_n / x_{n-1}."""
-        self._grow_to(n)
-        while len(self._nums) < n:
-            i = len(self._nums)
-            y = self._xs[i] // self._xs[i - 1]
-            self._nums.append(self._nums[-1] * y + 1)
-        return Fraction(self._nums[n - 1], self._xs[n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +126,11 @@ def z2eq2_partial_cf(zs: FactorSequence, n: int) -> PartialCF:
     return PartialCF(n, CFExpansion(tuple(cur)))
 
 
-def _split_trailing(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    # The other representative of the same rational: [..., a] -> [..., a-1, 1].
-    return coeffs[:-1] + (coeffs[-1] - 1, 1)
+def _split_representative(src: SeriesSource, n: int) -> bool:
+    # The ones-tail base u = 2 reports S_n, n >= 4, in the other
+    # representative of the same rational, one coefficient longer:
+    # [..., a] -> [..., a-1, 1].
+    return src.series_class is SeriesClass.ONES_TAIL and src.u == 2 and n >= 4
 
 
 def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> PartialCF:
@@ -251,7 +145,7 @@ def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> P
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    src = SeriesSource(source, budget)
+    src = as_store(source, budget)
     if n == 1:
         return PartialCF(1, CFExpansion((1,)))
     if n == 2:
@@ -265,22 +159,17 @@ def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> P
             return PartialCF(3, CFExpansion((1, 1, 1, zs.factor(3) - 1, 2)))
         return z2eq2_partial_cf(zs, n)
     cf = expand_rational(src.partial_sum(n))
-    if klass is SeriesClass.ONES_TAIL and src.u == 2 and n >= 4:
-        cf = CFExpansion(_split_trailing(cf.coeffs))
+    if _split_representative(src, n):
+        cf = CFExpansion(cf.coeffs[:-1] + (cf.coeffs[-1] - 1, 1))
     return PartialCF(n, cf)
 
 
 def partial_lengths(source: SourceLike, n_max: int, budget: BitBudget | None = None) -> list[int]:
     """Lengths of the partial-sum expansions for n = 1..n_max, computed from
     the Euclidean oracle (plus the u = 2 representative convention)."""
-    src = SeriesSource(source, budget)
-    out = []
-    for n in range(1, n_max + 1):
-        length = len(expand_rational(src.partial_sum(n)))
-        if src.series_class is SeriesClass.ONES_TAIL and src.u == 2 and n >= 4:
-            length += 1
-        out.append(length)
-    return out
+    src = as_store(source, budget)
+    return [len(expand_rational(src.partial_sum(n))) + _split_representative(src, n)
+            for n in range(1, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +208,7 @@ class EngelStream:
 
     def __init__(self, source: SourceLike, budget: BitBudget | None = None,
                  force_oracle: bool = False):
-        self._src = SeriesSource(source, budget)
+        self._src = as_store(source, budget)
         self.series_class = self._src.series_class
         self._oracle = force_oracle or self.series_class in (
             SeriesClass.ONES_TAIL,
@@ -362,11 +251,6 @@ class EngelStream:
             self._advance_generic()
         else:
             self._advance_z2()
-
-    def _conventional_length(self, n: int, euclid_len: int) -> int:
-        if self.series_class is SeriesClass.ONES_TAIL and self._src.u == 2 and n >= 4:
-            return euclid_len + 1
-        return euclid_len
 
     def _need_factor(self, j: int) -> int:
         z = self._src.factor(j)
@@ -418,7 +302,7 @@ class EngelStream:
                 break
             shared += 1
         certified = list(a[: max(shared - 1, 0)])
-        self.lengths.append(self._conventional_length(n, len(a)))
+        self.lengths.append(len(a) + _split_representative(self._src, n))
         self.n_used = n
         self._set_emitted(certified)
 
@@ -488,7 +372,7 @@ def enclosure(source: SourceLike, max_width: Fraction,
     2/x_{n+1}."""
     if max_width <= 0:
         raise ValueError("max_width must be positive")
-    src = SeriesSource(source, budget)
+    src = as_store(source, budget)
     n = 2
     while True:
         x_next = src.x(n + 1)

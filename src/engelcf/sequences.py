@@ -157,18 +157,7 @@ class EngelSequence:
 
 def from_factors(zs: FactorSequence, n: int, budget: BitBudget | None = None) -> EngelSequence:
     """Build x_1..x_n from factors: x_1 = 1, x_{k+1} = z_{k+1} * x_k^2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    meter = BudgetMeter(budget)
-    xs = [1]
-    for k in range(2, n + 1):
-        z = zs.factor(k)
-        if z is None:
-            raise InsufficientFactors(f"need z_{k} but only {zs.known_count()} factors given")
-        nxt = z * xs[-1] ** 2
-        meter.charge(nxt, f"x_{k}")
-        xs.append(nxt)
-    return EngelSequence(tuple(xs))
+    return SeriesSource(zs, budget).sequence(n)
 
 
 def strip_leading_ones(raw: Sequence[int]) -> tuple[int, ...]:
@@ -342,6 +331,141 @@ def lift_spec(spec2: SecondOrderSpec) -> ThirdOrderSpec:
     return ThirdOrderSpec(spec2.d1 - 1, spec2.d1 - 1, terms).validate()
 
 
+# ---------------------------------------------------------------------------
+# The term store
+# ---------------------------------------------------------------------------
+
+
+def _factor_step(zs: FactorSequence, xs: list[int]) -> int:
+    # x_{k+1} = z_{k+1} * x_k^2, where xs holds x_1..x_k.
+    z = zs.factor(len(xs) + 1)
+    if z is None:
+        raise InsufficientFactors(f"need z_{len(xs) + 1} but only {zs.known_count()} factors given")
+    return z * xs[-1] ** 2
+
+
+def _second_order_step(spec: SecondOrderSpec, xs: list[int]) -> int:
+    # x_{n+2} = x_{n+1}^d1 G(x_{n+1}) / x_n, the division checked exact.
+    q, r = divmod(xs[-1] ** spec.d1 * spec.G(xs[-1]), xs[-2])
+    if r:
+        raise InexactDivision(len(xs))
+    return q
+
+
+def _third_order_step(spec: ThirdOrderSpec, xs: list[int]) -> int:
+    # X_{n+3} = X_{n+1}^e1 X_{n+2}^e2 H(X_{n+1}, X_{n+2}) / X_n, checked exact.
+    q, r = divmod(xs[-2] ** spec.e1 * xs[-1] ** spec.e2 * spec.H(xs[-2], xs[-1]), xs[-3])
+    if r:
+        raise InexactDivision(len(xs))
+    return q
+
+
+class SeriesSource:
+    """The memoized term store: lazy terms x_n, factors z_j and exact
+    partial sums S_n of one series.
+
+    Accepts explicit factors, a recurrence spec (terms re-indexed so that
+    x_1 = 1), or an already-built sequence. Each term is generated, and
+    charged against the bit budget, once; functions that accept a
+    ``SourceLike`` share the terms of a store passed to them.
+    """
+
+    def __init__(self, source: "SourceLike", budget: BitBudget | None = None):
+        if isinstance(source, (SecondOrderSpec, ThirdOrderSpec)):
+            source.validate()
+        self._open(source, budget)
+
+    def _open(self, source, budget: BitBudget | None):
+        self._meter = BudgetMeter(budget)
+        self._nums: list[int] = [1]  # numerator of S_n over x_n
+        self._zs: dict[int, int] = {}  # z_j of a spec source, by j
+        if isinstance(source, EngelSequence):
+            source = factors_from_sequence(source.x)
+        elif isinstance(source, (list, tuple)):
+            source = factors_from_sequence(source)
+        self._rule = source
+        # _terms is the raw sequence: a spec's all-ones initial data, then
+        # x_2, x_3, ...; x_n sits at _terms[n - 1 + _pad].
+        if isinstance(source, FactorSequence):
+            self.series_class = source.series_class
+            self._step, self._terms = _factor_step, [1]
+        elif isinstance(source, (SecondOrderSpec, ThirdOrderSpec)):
+            second = isinstance(source, SecondOrderSpec)
+            g1 = source.g1 if second else source.h11
+            self.series_class = SeriesClass.GENERIC if g1 >= 3 else SeriesClass.Z2_EQUALS_2
+            self._step = _second_order_step if second else _third_order_step
+            self._terms = [1, 1] if second else [1, 1, 1]
+        else:
+            raise TypeError(f"cannot stream from {type(source).__name__}")
+        self._pad = len(self._terms) - 1
+
+    @property
+    def u(self) -> int:
+        """x_2, the base of a ones-tail series."""
+        return self.x(2)
+
+    def _grow(self, count: int):
+        terms = self._terms
+        while len(terms) < count:
+            nxt = self._step(self._rule, terms)
+            self._meter.charge(nxt, f"x_{len(terms) + 1 - self._pad}")
+            terms.append(nxt)
+
+    def x(self, n: int) -> int:
+        if n < 1:
+            raise IndexError("terms start at n = 1")
+        self._grow(n + self._pad)
+        return self._terms[n - 1 + self._pad]
+
+    def sequence(self, n: int) -> EngelSequence:
+        """x_1..x_n."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self._grow(n + self._pad)
+        return EngelSequence(tuple(self._terms[self._pad:n + self._pad]))
+
+    def factor(self, j: int) -> int | None:
+        """z_j, or None when a finite factor list is exhausted."""
+        if isinstance(self._rule, FactorSequence):
+            return self._rule.factor(j)
+        z = self._zs.get(j)
+        if z is None:
+            z, r = divmod(self.x(j), self.x(j - 1) ** 2)
+            if r:
+                raise IdentityViolation(f"recurrence terms lost square divisibility at {j}")
+            self._zs[j] = z
+        return z
+
+    def factors_through(self, j_max: int) -> list[int]:
+        """z_2..z_{j_max}; raises InsufficientFactors past a finite list."""
+        out = []
+        for j in range(2, j_max + 1):
+            z = self.factor(j)
+            if z is None:
+                raise InsufficientFactors(f"need z_{j} but the factor list ends earlier")
+            out.append(z)
+        return out
+
+    def partial_sum(self, n: int) -> Fraction:
+        """Exact S_n, maintained incrementally: the numerator over x_n obeys
+        N_n = N_{n-1} * y_n + 1 with y_n = x_n / x_{n-1} = z_n * x_{n-1}."""
+        self._grow(n + self._pad)
+        while len(self._nums) < n:
+            i = len(self._nums) + 1
+            self._nums.append(self._nums[-1] * self.factor(i) * self._terms[i - 2 + self._pad] + 1)
+        return Fraction(self._nums[n - 1], self._terms[n - 1 + self._pad])
+
+
+SourceLike = Union[SeriesSource, FactorSequence, SecondOrderSpec, ThirdOrderSpec,
+                   EngelSequence, Sequence[int]]
+
+
+def as_store(source: SourceLike, budget: BitBudget | None = None) -> SeriesSource:
+    """``source`` as a term store. A SeriesSource passes through unchanged
+    and keeps charging its own budget; anything else gets a fresh store."""
+    return source if isinstance(source, SeriesSource) else SeriesSource(source, budget)
+
+
 def generate_recurrence(
     spec: RecurrenceSpec,
     n: int,
@@ -359,36 +483,15 @@ def generate_recurrence(
         raise ValueError("n must be >= 1")
     if validate:
         spec.validate()
-    meter = BudgetMeter(budget)
-    if isinstance(spec, SecondOrderSpec):
-        xs = [1, 1]
-        while len(xs) < n:
-            num = xs[-1] ** spec.d1 * spec.G(xs[-1])
-            q, r = divmod(num, xs[-2])
-            if r:
-                raise InexactDivision(len(xs))
-            meter.charge(q, f"x_{len(xs)}")
-            xs.append(q)
-        return xs[:n]
-    xs = [1, 1, 1]
-    while len(xs) < n:
-        num = xs[-2] ** spec.e1 * xs[-1] ** spec.e2 * spec.H(xs[-2], xs[-1])
-        q, r = divmod(num, xs[-3])
-        if r:
-            raise InexactDivision(len(xs))
-        meter.charge(q, f"X_{len(xs)}")
-        xs.append(q)
-    return xs[:n]
+    store = SeriesSource.__new__(SeriesSource)  # the spec is validated above, or deliberately not
+    store._open(spec, budget)
+    store._grow(n)
+    return store._terms[:n]
 
 
 def engel_from_spec(spec: RecurrenceSpec, n: int, budget: BitBudget | None = None) -> EngelSequence:
-    """x_1..x_n in the Engel indexing (leading 1s collapsed to one).
-
-    n counts Engel terms; the raw recurrence is generated just far enough.
-    """
-    lead = 2 if isinstance(spec, SecondOrderSpec) else 3
-    raw = generate_recurrence(spec, n + lead - 1, budget)
-    return EngelSequence(strip_leading_ones(raw)[: n])
+    """x_1..x_n in the Engel indexing (leading 1s collapsed to one)."""
+    return SeriesSource(spec, budget).sequence(n)
 
 
 # ---------------------------------------------------------------------------

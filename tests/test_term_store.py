@@ -1,0 +1,131 @@
+"""The memoized term store: agreement with an independent dividing stepper,
+sharing between calls, and one budget charge per term."""
+
+from fractions import Fraction
+
+import pytest
+
+from engelcf.asymptotics import full_report, roth_exponents
+from engelcf.cli import main
+from engelcf.expansion import enclosure, partial_cf, stream
+from engelcf.sequences import (
+    BitBudget,
+    BudgetMeter,
+    SecondOrderSpec,
+    SeriesSource,
+    ThirdOrderSpec,
+    as_store,
+    engel_from_spec,
+    factors_from_sequence,
+    from_factors,
+    generate_recurrence,
+    lift_spec,
+)
+
+AFFINE = SecondOrderSpec(3, (1, 2))
+
+SPECS = [
+    AFFINE,
+    SecondOrderSpec(4, (1, 1, 1)),
+    SecondOrderSpec(5, (1, 3)),
+    SecondOrderSpec(3, (1, 1)),
+    lift_spec(AFFINE),
+    ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))),
+]
+
+
+def reference_raw(spec, count: int) -> list[int]:
+    """The dividing recurrence from the all-ones initial data, in raw
+    indexing, with every division checked exact. It evaluates G and H
+    itself and shares no code with the library's stepper."""
+    if isinstance(spec, SecondOrderSpec):
+        xs = [1, 1]
+        while len(xs) < count:
+            x = xs[-1]
+            g = sum(c * x**i for i, c in enumerate(spec.g))
+            q, r = divmod(x**spec.d1 * g, xs[-2])
+            assert r == 0
+            xs.append(q)
+    else:
+        xs = [1, 1, 1]
+        while len(xs) < count:
+            a, b = xs[-2], xs[-1]
+            h = sum(c * a**i * b**j for i, j, c in spec.h)
+            q, r = divmod(a**spec.e1 * b**spec.e2 * h, xs[-3])
+            assert r == 0
+            xs.append(q)
+    return xs
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+def test_store_agrees_with_reference_stepper(spec):
+    raw = reference_raw(spec, 8)
+    engel = [1] + [v for v in raw if v > 1]
+    n = len(engel)
+    zs = []
+    for j in range(2, n + 1):
+        z, r = divmod(engel[j - 1], engel[j - 2] ** 2)
+        assert r == 0
+        zs.append(z)
+    sums = [sum(Fraction(1, v) for v in engel[:k]) for k in range(1, n + 1)]
+
+    assert generate_recurrence(spec, len(raw)) == raw
+    assert engel_from_spec(spec, n).x == tuple(engel)
+    assert from_factors(factors_from_sequence(raw), n).x == tuple(engel)
+
+    store = SeriesSource(spec)
+    assert [store.x(k) for k in range(1, n + 1)] == engel
+    assert [store.factor(j) for j in range(2, n + 1)] == zs
+    assert [store.partial_sum(k) for k in range(1, n + 1)] == sums
+
+    # The same values when partial sums are asked for first.
+    store = SeriesSource(spec)
+    assert store.partial_sum(n) == sums[-1]
+    assert store.factors_through(n) == zs
+
+
+def _record_charges(monkeypatch) -> list[int]:
+    charged = []
+    original = BudgetMeter.charge
+
+    def charge(self, value, what="term"):
+        charged.append(value)
+        return original(self, value, what)
+
+    monkeypatch.setattr(BudgetMeter, "charge", charge)
+    return charged
+
+
+def test_full_report_charges_each_term_once(monkeypatch):
+    charged = _record_charges(monkeypatch)
+    full_report(AFFINE, 8)
+    assert charged
+    assert len(charged) == len(set(charged))
+
+
+def test_cf_command_charges_each_term_once(monkeypatch, capsys):
+    charged = _record_charges(monkeypatch)
+    argv = ["cf", "--d1", "3", "--G", "1,2", "--n", "8", "--check", "oracle", "--json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert charged
+    assert len(charged) == len(set(charged))
+
+
+def test_a_store_is_shared_between_calls(monkeypatch):
+    store = SeriesSource(AFFINE)
+    assert as_store(store, BitBudget(single=1, total=1)) is store
+    assert partial_cf(store, 6) == partial_cf(AFFINE, 6)
+    assert stream(store, 40) == stream(AFFINE, 40)
+    assert enclosure(store, Fraction(1, 10**12)) == enclosure(AFFINE, Fraction(1, 10**12))
+    assert roth_exponents(store, 5) == roth_exponents(AFFINE, 5)
+    # Everything above is already stored: nothing is generated again.
+    charged = _record_charges(monkeypatch)
+    partial_cf(store, 6)
+    roth_exponents(store, 5)
+    assert charged == []
+
+
+def test_cf_past_a_finite_factor_list_is_a_validation_error(capsys):
+    assert main(["cf", "--z", "3,9", "--n", "5"]) == 2
+    assert "z_4" in capsys.readouterr().err
