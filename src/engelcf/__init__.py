@@ -8,7 +8,6 @@ effective-irrationality diagnostics.
 """
 
 from .cf import (
-    BigRational,
     CFExpansion,
     ConvergentTable,
     cf_text,

@@ -207,16 +207,12 @@ CHECKS = {
     "kempner-u2": ("u-power series, u = 2", check_kempner2),
 }
 
-# Historical aliases kept for command-line convenience.
-ALIASES = {"ex1": "cubic3", "nex": "affine", "nexlift": "lift", "mrec": "degenerate"}
-
 
 def run_examples(only: str | None = None) -> list[CheckResult]:
     if only is not None:
-        tag = ALIASES.get(only, only)
-        if tag not in CHECKS:
+        if only not in CHECKS:
             raise ValueError(f"unknown example tag {only!r}; choose from {sorted(CHECKS)}")
-        tags = [tag]
+        tags = [only]
     else:
         tags = list(CHECKS)
     results = []

@@ -20,11 +20,6 @@ from typing import Sequence, Union
 
 from .exceptions import TrailingZero, ZeroCoefficient
 
-# Exact rational values are plain stdlib fractions: always in lowest terms,
-# denominator positive, arbitrary precision.
-BigRational = Fraction
-
-
 @dataclass(frozen=True)
 class CFExpansion:
     """A finite continued fraction [a_0; a_1, ..., a_m] with no zero entries
@@ -95,35 +90,16 @@ class ConvergentTable:
 CFLike = Union[CFExpansion, Sequence[int]]
 
 
-def _coeff_list(cf: CFLike) -> list[int]:
-    if isinstance(cf, CFExpansion):
-        return list(cf.coeffs)
-    out = [int(a) for a in cf]
-    if not out:
-        raise ValueError("empty continued fraction")
-    return out
-
-
-def _check_no_zeros(coeffs: Sequence[int]):
-    for j, a in enumerate(coeffs):
-        if j >= 1 and a == 0:
-            raise ZeroCoefficient(f"a_{j} = 0")
-        if a < 0:
-            raise ValueError(f"negative coefficient a_{j} = {a}")
-
-
 def convergents(cf: CFLike) -> ConvergentTable:
     """Convergent table of a normalized continued fraction.
 
     Row j is the top row of the product of the first j+1 matrices
     [[a_i, 1], [1, 0]]; the final row gives the exact value.
     """
-    coeffs = _coeff_list(cf)
-    _check_no_zeros(coeffs)
     rows = []
     p_prev, q_prev = 1, 0
     p_prev2, q_prev2 = 0, 1
-    for a in coeffs:
+    for a in CFExpansion(tuple(cf)).coeffs:
         p = a * p_prev + p_prev2
         q = a * q_prev + q_prev2
         rows.append((p, q))
@@ -137,9 +113,7 @@ def evaluate(cf: CFLike) -> Fraction:
     Accepts non-canonical input (e.g. a trailing 1, or a_0 = 0); only zeros
     in positions >= 1 are rejected.
     """
-    coeffs = _coeff_list(cf)
-    _check_no_zeros(coeffs)
-    return _fold_value(coeffs)
+    return _fold_value(CFExpansion(tuple(cf)).coeffs)
 
 
 def _fold_value(coeffs: Sequence[int]) -> Fraction:
@@ -209,8 +183,11 @@ def normalize_zeros(raw: Sequence[int]) -> CFExpansion:
 
 
 def cf_text(cf: CFLike) -> str:
-    """Render in the bracket grammar: ``[a0;a1,a2,...]``, no whitespace."""
-    coeffs = _coeff_list(cf)
+    """Render in the bracket grammar: ``[a0;a1,a2,...]``, no whitespace.
+    Raw coefficient lists are rendered as given, zeros included."""
+    coeffs = tuple(cf)
+    if not coeffs:
+        raise ValueError("empty continued fraction")
     if len(coeffs) == 1:
         return f"[{coeffs[0]}]"
     return "[{};{}]".format(coeffs[0], ",".join(str(a) for a in coeffs[1:]))

@@ -23,10 +23,11 @@ object (distinct streams are independent).
 """
 
 from dataclasses import dataclass
+from typing import Callable
 from fractions import Fraction
 
 from .cf import CFExpansion, convergents, expand_rational
-from .exceptions import ClassMismatch, IdentityViolation, InsufficientFactors
+from .exceptions import ClassMismatch, IdentityViolation
 from .sequences import (  # SeriesSource and SourceLike are re-exported from here
     BitBudget,
     FactorSequence,
@@ -34,7 +35,6 @@ from .sequences import (  # SeriesSource and SourceLike are re-exported from her
     SeriesSource,
     SourceLike,
     as_store,
-    from_factors,
 )
 
 
@@ -67,14 +67,45 @@ def _z2_step(cur: list[int], z_next: int) -> list[int]:
     return cur[:-1] + [1, 1, z_next - 1] + cur[-1:2:-1] + [2]
 
 
-def _require_factors(zs: FactorSequence, n: int) -> list[int]:
-    out = []
-    for j in range(2, n + 1):
-        z = zs.factor(j)
-        if z is None:
-            raise InsufficientFactors(f"need z_{j} but the factor list ends earlier")
-        out.append(z)
-    return out
+@dataclass(frozen=True)
+class _Doubling:
+    """One class's doubling recursion. ``seed`` maps [z_2, ..., z_start] to
+    the expansion of S_start; ``step`` maps the expansion of S_n and z_{n+1}
+    to that of S_{n+1}, rewriting the last ``mutable`` coefficients of S_n
+    and keeping the rest; ``bonus`` lists the coefficients that follow the
+    kept prefix and that z_{n+1} alone already fixes."""
+
+    start: int
+    seed: Callable[[list[int]], list[int]]
+    step: Callable[[list[int], int], list[int]]
+    mutable: int
+    bonus: Callable[[int], list[int]]
+
+
+_DOUBLING = {
+    SeriesClass.GENERIC: _Doubling(
+        start=3,
+        seed=lambda z: [1, z[0] - 1, 1, z[1] - 1, z[0]],
+        step=_generic_step,
+        mutable=0,
+        bonus=lambda z_next: [z_next - 1],
+    ),
+    SeriesClass.Z2_EQUALS_2: _Doubling(
+        start=4,
+        seed=lambda z: [1, 1, 1, z[1] - 1, 2, z[2] - 1, 1, 1, z[1] - 1, 2],
+        step=_z2_step,
+        mutable=1,
+        bonus=lambda z_next: [1, 1, z_next - 1],
+    ),
+}
+
+
+def _unfold(d: _Doubling, z: list[int]) -> list[int]:
+    # The expansion of S_n from z = [z_2, ..., z_n], n >= d.start.
+    cur = d.seed(z)
+    for z_next in z[d.start - 1:]:
+        cur = d.step(cur, z_next)
+    return cur
 
 
 def generic_recursion_raw(zs: FactorSequence, n: int) -> list[int]:
@@ -85,11 +116,7 @@ def generic_recursion_raw(zs: FactorSequence, n: int) -> list[int]:
     """
     if n < 3:
         raise ValueError("raw recursion starts at n = 3")
-    z = _require_factors(zs, n)
-    cur = [1, z[0] - 1, 1, z[1] - 1, z[0]]
-    for m in range(3, n):
-        cur = _generic_step(cur, z[m - 1])
-    return cur
+    return _unfold(_DOUBLING[SeriesClass.GENERIC], SeriesSource(zs).factors_through(n))
 
 
 def generic_partial_cf(zs: FactorSequence, n: int) -> PartialCF:
@@ -118,12 +145,9 @@ def z2eq2_partial_cf(zs: FactorSequence, n: int) -> PartialCF:
         raise ClassMismatch(f"need a z_2 = 2 factor sequence, got {zs.series_class.value}")
     if n < 4:
         raise ValueError("the z_2 = 2 recursion starts at n = 4")
-    z = _require_factors(zs, n)
-    cur = [1, 1, 1, z[1] - 1, 2, z[2] - 1, 1, 1, z[1] - 1, 2]
-    for m in range(4, n):
-        cur = _z2_step(cur, z[m - 1])
-    assert len(cur) == 5 * 2 ** (n - 3)
-    return PartialCF(n, CFExpansion(tuple(cur)))
+    coeffs = _unfold(_DOUBLING[SeriesClass.Z2_EQUALS_2], SeriesSource(zs).factors_through(n))
+    assert len(coeffs) == 5 * 2 ** (n - 3)
+    return PartialCF(n, CFExpansion(tuple(coeffs)))
 
 
 def _split_representative(src: SeriesSource, n: int) -> bool:
@@ -136,8 +160,9 @@ def _split_representative(src: SeriesSource, n: int) -> bool:
 def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> PartialCF:
     """Expansion of S_n for any source, dispatching on its class.
 
-    Generic and z_2 = 2 sources use their recursions; ones-tail and mixed
-    sources fall back to the Euclidean expansion of the exact partial sum.
+    Generic and z_2 = 2 sources use their doubling recursions from the
+    recursion's start index on; below it, and for ones-tail and mixed
+    sources, the Euclidean expansion of the exact partial sum is used.
     For the ones-tail base u = 2 and n >= 4 the expansion is reported with
     the final quotient split ([..., a] -> [..., a-1, 1]), the representative
     whose lengths follow the 2^(n-3) + 3 doubling pattern; the value is
@@ -146,18 +171,9 @@ def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> P
     if n < 1:
         raise ValueError("n must be >= 1")
     src = as_store(source, budget)
-    if n == 1:
-        return PartialCF(1, CFExpansion((1,)))
-    if n == 2:
-        return PartialCF(2, CFExpansion((1, src.x(2))))
-    klass = src.series_class
-    if klass is SeriesClass.GENERIC:
-        return generic_partial_cf(FactorSequence(tuple(src.factors_through(n))), n)
-    if klass is SeriesClass.Z2_EQUALS_2:
-        zs = FactorSequence(tuple(src.factors_through(n)))
-        if n == 3:
-            return PartialCF(3, CFExpansion((1, 1, 1, zs.factor(3) - 1, 2)))
-        return z2eq2_partial_cf(zs, n)
+    d = _DOUBLING.get(src.series_class)
+    if d is not None and n >= d.start:
+        return PartialCF(n, CFExpansion(tuple(_unfold(d, src.factors_through(n)))))
     cf = expand_rational(src.partial_sum(n))
     if _split_representative(src, n):
         cf = CFExpansion(cf.coeffs[:-1] + (cf.coeffs[-1] - 1, 1))
@@ -199,10 +215,11 @@ class StreamResult:
 class EngelStream:
     """Single-consumer stream of certified coefficients of the limit S.
 
-    Recursion-backed classes extend their partial expansion and additionally
-    emit the one coefficient the next step pins down from the next factor
-    alone (z_{n+1}-1, preceded by the forced 1, 1 in the z_2 = 2 class).
-    Oracle-backed classes emit the interval oracle's common prefix. Emitted
+    Classes with a doubling recursion extend their partial expansion, hold
+    back the trailing coefficients the next step rewrites, and additionally
+    emit what the next factor alone pins down (z_{n+1}-1, preceded by the
+    forced 1, 1 in the z_2 = 2 class). Every other class, and any stream
+    with ``force_oracle``, emits the interval oracle's common prefix. Emitted
     coefficients never change; that is asserted on every advance.
     """
 
@@ -210,10 +227,7 @@ class EngelStream:
                  force_oracle: bool = False):
         self._src = as_store(source, budget)
         self.series_class = self._src.series_class
-        self._oracle = force_oracle or self.series_class in (
-            SeriesClass.ONES_TAIL,
-            SeriesClass.MIXED,
-        )
+        self._doubling = None if force_oracle else _DOUBLING.get(self.series_class)
         self.emitted: list[int] = []
         self.lengths: list[int] = []
         self.n_used = 0
@@ -245,48 +259,21 @@ class EngelStream:
         self.emitted = coeffs
 
     def _advance(self):
-        if self._oracle:
+        d = self._doubling
+        if d is None:
             self._advance_oracle()
-        elif self.series_class is SeriesClass.GENERIC:
-            self._advance_generic()
-        else:
-            self._advance_z2()
-
-    def _need_factor(self, j: int) -> int:
-        z = self._src.factor(j)
-        if z is None:
-            raise InsufficientFactors(f"certification needs z_{j}; the factor list ends earlier")
-        return z
-
-    def _advance_generic(self):
+            return
         if self._cur is None:
-            z2, z3 = self._need_factor(2), self._need_factor(3)
-            self._cur = [1, z2 - 1, 1, z3 - 1, z2]
-            self._n = 3
+            self._n = d.start
+            self._cur = d.seed(self._src.factors_through(d.start))
         else:
-            self._cur = _generic_step(self._cur, self._need_factor(self._n + 1))
             self._n += 1
+            self._cur = d.step(self._cur, self._src.factors_through(self._n)[-1])
         self.lengths.append(len(self._cur))
         self.n_used = self._n
         z_next = self._src.factor(self._n + 1)
-        bonus = [z_next - 1] if z_next is not None else []
-        self._set_emitted(self._cur + bonus)
-
-    def _advance_z2(self):
-        if self._cur is None:
-            z3, z4 = self._need_factor(3), self._need_factor(4)
-            self._cur = [1, 1, 1, z3 - 1, 2, z4 - 1, 1, 1, z3 - 1, 2]
-            self._n = 4
-        else:
-            self._cur = _z2_step(self._cur, self._need_factor(self._n + 1))
-            self._n += 1
-        self.lengths.append(len(self._cur))
-        self.n_used = self._n
-        z_next = self._src.factor(self._n + 1)
-        # Only the final coefficient of the partial is still mutable; the
-        # next step replaces it by 1, 1, z_{n+1}-1.
-        bonus = [1, 1, z_next - 1] if z_next is not None else []
-        self._set_emitted(self._cur[:-1] + bonus)
+        bonus = d.bonus(z_next) if z_next is not None else []
+        self._set_emitted(self._cur[:len(self._cur) - d.mutable] + bonus)
 
     def _advance_oracle(self):
         n = max(self._n + 1, 2)
@@ -359,7 +346,7 @@ def verify_step_identities(zs: FactorSequence, n: int) -> StepIdentityReport:
     z_next = zs.factor(n + 1)
     if pt != z_next * q * p + 1:
         raise IdentityViolation(f"numerator identity failed at step {n}")
-    x_next = from_factors(zs, n + 1).x[n]
+    x_next = SeriesSource(zs).x(n + 1)
     if qt != z_next * q * q or qt != x_next:
         raise IdentityViolation(f"denominator identity failed at step {n}")
     return StepIdentityReport(n, here.length, there.length, det, p, q, pt, qt, x_next)

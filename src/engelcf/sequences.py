@@ -129,6 +129,19 @@ def ones_tail(u: int) -> FactorSequence:
     return FactorSequence((u,), tail_ones=True)
 
 
+def _factor_walk(xs: Sequence[int]) -> list[int]:
+    # z_i = x_i / x_{i-1}^2 for i = 2..len(xs), each division checked exact.
+    z = []
+    for i in range(1, len(xs)):
+        if xs[i] <= 0:
+            raise ValueError(f"non-positive term at position {i + 1}")
+        q, r = divmod(xs[i], xs[i - 1] ** 2)
+        if r:
+            raise DivisibilityViolation(i + 1)
+        z.append(q)
+    return z
+
+
 @dataclass(frozen=True)
 class EngelSequence:
     """Terms x_1 = 1 < x_2 <= x_3 ... with x_n^2 | x_{n+1}, plus the derived
@@ -142,13 +155,7 @@ class EngelSequence:
         object.__setattr__(self, "x", xs)
         if not xs or xs[0] != 1:
             raise ValueError("sequence must start with x_1 = 1")
-        ys = [1]
-        for i in range(1, len(xs)):
-            if xs[i] <= 0:
-                raise ValueError(f"non-positive term at position {i + 1}")
-            if xs[i] % (xs[i - 1] ** 2):
-                raise DivisibilityViolation(i + 1)
-            ys.append(xs[i] // xs[i - 1])
+        ys = [1] + [z * x for z, x in zip(_factor_walk(xs), xs)]
         object.__setattr__(self, "y", tuple(ys))
 
     def __len__(self):
@@ -178,20 +185,14 @@ def strip_leading_ones(raw: Sequence[int]) -> tuple[int, ...]:
 def factors_from_sequence(raw: Sequence[int]) -> FactorSequence:
     """Invert a sequence to its factors z_n = x_n / x_{n-1}^2 exactly.
 
-    Leading 1s beyond a single one are stripped first. Raises
-    DivisibilityViolation at the first index where the square fails to
-    divide.
+    Leading 1s beyond a single one are stripped first. Raises ValueError
+    at the first non-positive term and DivisibilityViolation at the first
+    index where the square fails to divide.
     """
     xs = strip_leading_ones(raw)
     if len(xs) < 2:
         raise ValueError("need at least one term beyond the leading 1")
-    z = []
-    for i in range(1, len(xs)):
-        q, r = divmod(xs[i], xs[i - 1] ** 2)
-        if r:
-            raise DivisibilityViolation(i + 1)
-        z.append(q)
-    return FactorSequence(tuple(z))
+    return FactorSequence(tuple(_factor_walk(xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +526,12 @@ def closed_form_numerator(z: Sequence[int], n: int) -> int:
     return total
 
 
-def partial_sum(x: EngelSequence | Sequence[int], n: int, check_closed_form: bool = True) -> Fraction:
+def partial_sum(x: EngelSequence | Sequence[int], n: int) -> Fraction:
     """Exact S_n = sum_{j=1}^{n} 1/x_j.
 
     The reduced denominator equals x_n: the closed-form numerator is
-    congruent to 1 modulo every prime dividing x_n. With
-    ``check_closed_form`` the naive summation is cross-checked against the
-    closed form, which shares no code with it.
+    congruent to 1 modulo every prime dividing x_n. The naive summation is
+    cross-checked against the closed form, which shares no code with it.
     """
     xs = x.x if isinstance(x, EngelSequence) else tuple(int(v) for v in x)
     if not 1 <= n <= len(xs):
@@ -539,17 +539,10 @@ def partial_sum(x: EngelSequence | Sequence[int], n: int, check_closed_form: boo
     naive = Fraction(0)
     for v in xs[:n]:
         naive += Fraction(1, v)
-    if check_closed_form:
-        if naive.denominator != xs[n - 1]:
-            raise IdentityViolation(f"reduced denominator {naive.denominator} != x_{n}")
-        z = []
-        for i in range(1, n):
-            q, r = divmod(xs[i], xs[i - 1] ** 2)
-            if r:
-                raise DivisibilityViolation(i + 1)
-            z.append(q)
-        if closed_form_numerator(z, n) != naive.numerator:
-            raise IdentityViolation(f"closed-form numerator mismatch at n = {n}")
+    if naive.denominator != xs[n - 1]:
+        raise IdentityViolation(f"reduced denominator {naive.denominator} != x_{n}")
+    if closed_form_numerator(_factor_walk(xs[:n]), n) != naive.numerator:
+        raise IdentityViolation(f"closed-form numerator mismatch at n = {n}")
     return naive
 
 

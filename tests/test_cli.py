@@ -134,7 +134,7 @@ def test_paper_examples_all_pass(capsys):
 
 
 def test_paper_examples_only(capsys):
-    code, out, _ = run(capsys, "paper-examples", "--only", "nex")
+    code, out, _ = run(capsys, "paper-examples", "--only", "affine")
     assert code == 0
     body = out.splitlines()[:-1]
     assert body and all("affine" in line for line in body)

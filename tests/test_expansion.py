@@ -132,6 +132,19 @@ def test_stream_finite_generic_exhaustion():
         stream(zs, 12)
 
 
+def test_stream_finite_z2_exhaustion():
+    zs = FactorSequence((2, 3, 4))
+    got = stream(zs, 9)
+    # S_4's final coefficient is rewritten by the next step, and z_5 is
+    # missing, so only the first 9 of its 10 coefficients are certified.
+    assert got.certified == z2eq2_partial_cf(zs, 4).cf.coeffs[:-1]
+    with pytest.raises(InsufficientFactors):
+        stream(zs, 10)
+    # With z_5 known, the held-back tail is followed by 1, 1, z_5 - 1.
+    got = stream(FactorSequence((2, 3, 4, 5)), 12)
+    assert got.certified == z2eq2_partial_cf(zs, 4).cf.coeffs[:-1] + (1, 1, 4)
+
+
 def test_third_order_general_stream_matches_oracle():
     from engelcf.sequences import ThirdOrderSpec
 
@@ -215,6 +228,10 @@ def test_partial_cf_dispatch():
     assert partial_cf(FactorSequence((3, 2)), 1).cf.coeffs == (1,)
     assert partial_cf(FactorSequence((5,)), 2).cf.coeffs == (1, 5)
     assert partial_cf(FactorSequence((2, 4)), 3).cf.coeffs == (1, 1, 1, 3, 2)
+    # Below a recursion's start index the Euclidean expansion is used.
+    assert partial_cf(FactorSequence((2, 4)), 1).cf.coeffs == (1,)
+    assert partial_cf(FactorSequence((2, 4)), 2).cf.coeffs == (1, 2)
+    assert partial_cf(AFFINE, 2).cf.coeffs == (1, 3)
     assert partial_cf(AFFINE, 4).cf.coeffs == generic_partial_cf(
         FactorSequence((3, 21, 23877)), 4
     ).cf.coeffs

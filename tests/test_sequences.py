@@ -74,6 +74,9 @@ def test_factors_from_sequence_examples():
     with pytest.raises(DivisibilityViolation) as err:
         factors_from_sequence([1, 2, 6])
     assert err.value.index == 3
+    # A zero term is rejected before it can become a divisor.
+    with pytest.raises(ValueError, match="non-positive term at position 2"):
+        factors_from_sequence([1, 0, 5])
 
 
 def test_classification():
