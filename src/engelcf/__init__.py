@@ -24,7 +24,6 @@ from .exceptions import (
     DivisibilityViolation,
     EngelError,
     IdentityViolation,
-    InexactDivision,
     InsufficientFactors,
     InvalidSpec,
     NegativeGap,

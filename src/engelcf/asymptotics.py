@@ -22,6 +22,7 @@ All functions take the working precision (decimal digits) as a parameter;
 nothing here keeps ambient mutable state.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,6 +77,11 @@ def _alpha(spec: SecondOrderSpec, x_k: int):
     return mp.log1p(mp.mpf(num) / mp.mpf(den))
 
 
+def _alphas(spec: SecondOrderSpec, store: SeriesSource):
+    # a_k by k, each computed once; every caller asks at dps + 10.
+    return functools.cache(lambda k: _alpha(spec, store.x(k)))
+
+
 def reconstruct_lambda_n(
     spec: SecondOrderSpec,
     n: int,
@@ -90,15 +96,16 @@ def reconstruct_lambda_n(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _lambda_n(spec, SeriesSource(spec, budget), n, dps)
+    store = SeriesSource(spec, budget)
+    lam = dominant_root(spec.d1, spec.d2, dps)
+    # For a second-order spec the Engel x_n is the raw x_n, and x_0 = 1.
+    true = log_big(store.x(n) if n else 1, dps)
+    return _lambda_exact(spec, lam, _alphas(spec, store), n, dps), true
 
 
-def _lambda_n(spec: SecondOrderSpec, store: SeriesSource, n: int, dps: int):
-    # The body of reconstruct_lambda_n, reading x_n from ``store``; for a
-    # second-order spec the Engel x_n is the raw x_n, and x_0 = 1.
-    xs = [1] + [store.x(k) for k in range(1, n + 1)]
+def _lambda_exact(spec: SecondOrderSpec, lam, alpha, n: int, dps: int):
+    # The closed-form L_n from the root and alpha(k) = a_k, k = 1..n-1.
     with workdps(dps + 10):
-        lam = dominant_root(spec.d1, spec.d2, dps)
         lami = 1 / lam
         denom = lam - lami
         # Particular solution K = -log(c)/(d1+d2-2) for the constant forcing
@@ -107,9 +114,8 @@ def _lambda_n(spec: SecondOrderSpec, store: SeriesSource, n: int, dps: int):
         bracket = ((1 - lami) * lam**n - (1 - lam) * lami**n) / denom - 1
         exact = bracket * mp.log(spec.c) / (spec.d1 + spec.d2 - 2)
         for k in range(1, n):
-            exact += (lam ** (n - k) - lam ** (k - n)) / denom * _alpha(spec, xs[k])
-        true = log_big(xs[n], dps)
-    return exact, true
+            exact += (lam ** (n - k) - lam ** (k - n)) / denom * alpha(k)
+        return exact
 
 
 def estimate_C(
@@ -129,21 +135,21 @@ def estimate_C(
     dropped tail is bounded by twice that term (the a_k are non-increasing
     and lam > 2, so the tail is dominated by a geometric series).
     """
-    return _estimate_C(spec, SeriesSource(spec, budget), dps, rel_cut, max_terms)
+    alpha = _alphas(spec, SeriesSource(spec, budget))
+    return _estimate_C(spec, dominant_root(spec.d1, spec.d2, dps), alpha, dps, rel_cut, max_terms)
 
 
-def _estimate_C(spec: SecondOrderSpec, store: SeriesSource, dps: int,
+def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int,
                 rel_cut: float = 1e-15, max_terms: int = 60):
     with workdps(dps + 10):
-        lam = dominant_root(spec.d1, spec.d2, dps)
         lami = 1 / lam
         denom = lam - lami
         c_value = mp.log(spec.c) / (spec.d1 + spec.d2 - 2) * (1 - lami) / denom
         k = 0
         while True:
             k += 1
-            c_value += lami**k * _alpha(spec, store.x(k)) / denom
-            next_term = lami ** (k + 1) * _alpha(spec, store.x(k + 1)) / denom
+            c_value += lami**k * alpha(k) / denom
+            next_term = lami ** (k + 1) * alpha(k + 1) / denom
             if 2 * next_term < rel_cut * c_value or k >= max_terms:
                 return c_value, 2 * next_term
 
@@ -254,52 +260,44 @@ class AsymptoticsReport:
 
     lam: object
     c_lead: int
-    alphas: tuple            # a_k for k = 1..n_max-1
+    alphas: tuple            # a_k for k = 1..n_max-1, at dps + 10 digits
     C: object
     C_bound: object
     lambda_n_true: tuple     # log x_n for n = 0..n_max
     lambda_n_exact: tuple    # formula reconstruction, same indices
     growth_exponents: tuple  # (n, log x_{n+1} / log x_n) for n = 2..n_max
-    epsilon: float
     roth: "RothReport"
 
 
 def full_report(
     spec: SecondOrderSpec,
     n_max: int = 10,
-    epsilon: float = 0.1,
     dps: int = DEFAULT_DPS,
     budget: BitBudget | None = None,
 ) -> AsymptoticsReport:
-    """Aggregate diagnostics for a second-order spec up to index n_max."""
+    """Aggregate diagnostics for a second-order spec up to index n_max;
+    the root, each a_k and each log x_n are computed once."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     store = SeriesSource(spec, budget)
     lam = dominant_root(spec.d1, spec.d2, dps)
-    c_value, c_bound = _estimate_C(spec, store, dps)
+    alpha = _alphas(spec, store)
+    c_value, c_bound = _estimate_C(spec, lam, alpha, dps)
     xs = [1] + [store.x(k) for k in range(1, n_max + 2)]
-    trues, exacts = [], []
-    for n in range(0, n_max + 1):
-        exact, true = _lambda_n(spec, store, n, dps)
-        exacts.append(exact)
-        trues.append(true)
+    logs = [log_big(x, dps) for x in xs]
+    exacts = tuple(_lambda_exact(spec, lam, alpha, n, dps) for n in range(n_max + 1))
     with workdps(dps):
-        growth = tuple(
-            (n, log_big(xs[n + 1], dps) / log_big(xs[n], dps)) for n in range(2, n_max + 1)
-        )
-        alphas = tuple(_alpha(spec, xs[k]) for k in range(1, n_max))
-    roth = roth_exponents(store, max(n_max - 1, 1), dps)
+        growth = tuple((n, logs[n + 1] / logs[n]) for n in range(2, n_max + 1))
     return AsymptoticsReport(
         lam=lam,
         c_lead=spec.c,
-        alphas=alphas,
+        alphas=tuple(alpha(k) for k in range(1, n_max)),
         C=c_value,
         C_bound=c_bound,
-        lambda_n_true=tuple(trues),
-        lambda_n_exact=tuple(exacts),
+        lambda_n_true=tuple(logs[:n_max + 1]),
+        lambda_n_exact=exacts,
         growth_exponents=growth,
-        epsilon=float(epsilon),
-        roth=roth,
+        roth=_roth(xs, logs, n_max - 1, dps),
     )
 
 
@@ -317,16 +315,19 @@ def roth_exponents(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     src = as_store(source, budget)
+    xs = [1] + [src.x(n) for n in range(1, depth + 3)]
+    return _roth(xs, [log_big(x, dps) for x in xs], depth, dps)
+
+
+def _roth(xs, logs, depth: int, dps: int) -> RothReport:
+    # The body of roth_exponents from xs[n] = x_n and logs[n] = log x_n.
     records = []
     with workdps(dps):
         log2 = mp.log(2)
         for n in range(2, depth + 2):
-            q = src.x(n)
-            x_next = src.x(n + 1)
-            log_q = log_big(q, dps)
-            log_next = log_big(x_next, dps)
+            log_q, log_next = logs[n], logs[n + 1]
             records.append(
-                RothRecord(n, q.bit_length(), (log_next - log2) / log_q, log_next / log_q)
+                RothRecord(n, xs[n].bit_length(), (log_next - log2) / log_q, log_next / log_q)
             )
     delta = min(r.lower for r in records) - 2
     return RothReport(tuple(records), delta)

@@ -21,9 +21,7 @@ from .exceptions import (
     BitBudgetExceeded,
     EngelError,
     IdentityViolation,
-    InsufficientFactors,
     InvalidSpec,
-    NegativeGap,
 )
 from .expansion import partial_cf, stream
 from .sequences import (
@@ -63,8 +61,6 @@ def _add_source(parser: argparse.ArgumentParser):
     parser.add_argument("--e2", type=int, default=None, help="third-order exponent e2")
     parser.add_argument("--H", type=str, default=None, help="H terms i,j,coeff separated by ';'")
     parser.add_argument("--u", type=int, default=None, help="power-sum base (factors u,1,1,...)")
-    parser.add_argument("--pow2", action="store_true",
-                        help="with --u: the exponent doubling series sum u^(-2^k)")
     parser.add_argument("--spec-file", type=str, default=None,
                         help="read a one-line recurrence spec from this file")
 
@@ -84,11 +80,7 @@ def _source_from_args(args):
         terms = tuple(tuple(int(v) for v in chunk.split(",")) for chunk in args.H.split(";"))
         picked.append(ThirdOrderSpec(args.e1, args.e2, terms).validate())
     if args.u is not None:
-        # --pow2 names the classical doubling exponents; --u alone already
-        # denotes the same ones-tail source.
         picked.append(ones_tail(args.u))
-    elif args.pow2:
-        raise InvalidSpec("--pow2 requires --u")
     if args.spec_file is not None:
         with open(args.spec_file, "r", encoding="ascii") as fh:
             picked.append(parse_spec_line(fh.read().strip()))
@@ -171,7 +163,7 @@ def cmd_asymp(args) -> tuple[str, int]:
         raise InvalidSpec("asymp reports need a second-order spec (--d1/--G)")
     if args.n < 3:
         raise InvalidSpec("--n must be >= 3")
-    report = full_report(source, args.n, args.eps, args.digits, _budget(args))
+    report = full_report(source, args.n, args.digits, _budget(args))
     rows = []
     growth = dict(report.growth_exponents)
     roth = {r.n: r for r in report.roth.records}
@@ -276,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     _add_common(p)
     p.add_argument("--n", type=int, default=10, help="largest index in the report")
-    p.add_argument("--eps", type=float, default=0.1, help="margin in the growth check")
     p.set_defaults(handler=cmd_asymp)
 
     p = sub.add_parser("verify", help="run a randomized invariant suite")
@@ -308,7 +299,7 @@ def main(argv=None) -> int:
     except IdentityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (InvalidSpec, NegativeGap, InsufficientFactors, EngelError, ValueError, OSError) as exc:
+    except (EngelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -25,14 +25,6 @@ class DivisibilityViolation(EngelError, ArithmeticError):
         super().__init__(message or f"square of term {index - 1} does not divide term {index}")
 
 
-class InexactDivision(EngelError, ArithmeticError):
-    """A recurrence step produced a non-integer term (invalid spec)."""
-
-    def __init__(self, index: int, message: str = ""):
-        self.index = index
-        super().__init__(message or f"recurrence division inexact at index {index}")
-
-
 class NegativeGap(EngelError, ValueError):
     """Exponent gap d_k = c_{k+1} - 2*c_k is negative; no factor sequence exists."""
 

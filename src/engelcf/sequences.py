@@ -10,6 +10,11 @@ recurrences whose all-ones initial data force integrality, and from
 power-sum exponent lists; it also inverts a sequence back to its factors
 and computes exact partial sums of the reciprocals.
 
+Every source supplies z_{k+1} and the term store forms x_{k+1}. A
+recurrence supplies it by step identities that write z_{k+1} as a product
+of integer powers, so nothing is divided; the tests keep the dividing
+recurrence as the oracle.
+
 Terms grow doubly exponentially, so every generator charges an explicit
 bit budget instead of letting memory blow up silently.
 """
@@ -23,7 +28,6 @@ from .exceptions import (
     BitBudgetExceeded,
     DivisibilityViolation,
     IdentityViolation,
-    InexactDivision,
     InsufficientFactors,
     InvalidSpec,
     NegativeGap,
@@ -337,28 +341,26 @@ def lift_spec(spec2: SecondOrderSpec) -> ThirdOrderSpec:
 # ---------------------------------------------------------------------------
 
 
-def _factor_step(zs: FactorSequence, xs: list[int]) -> int:
-    # x_{k+1} = z_{k+1} * x_k^2, where xs holds x_1..x_k.
-    z = zs.factor(len(xs) + 1)
+def _factor_step(factors: FactorSequence, xs: list[int], _: list[int]) -> int:
+    # z_{k+1} from the list, where xs holds x_1..x_k.
+    z = factors.factor(len(xs) + 1)
     if z is None:
-        raise InsufficientFactors(f"need z_{len(xs) + 1} but only {zs.known_count()} factors given")
-    return z * xs[-1] ** 2
+        count = factors.known_count()
+        raise InsufficientFactors(f"need z_{len(xs) + 1} but only {count} factors given")
+    return z
 
 
-def _second_order_step(spec: SecondOrderSpec, xs: list[int]) -> int:
-    # x_{n+2} = x_{n+1}^d1 G(x_{n+1}) / x_n, the division checked exact.
-    q, r = divmod(xs[-1] ** spec.d1 * spec.G(xs[-1]), xs[-2])
-    if r:
-        raise InexactDivision(len(xs))
-    return q
+def _second_order_step(spec: SecondOrderSpec, xs: list[int], zs: list[int]) -> int:
+    # x_{m+1} x_{m-1} = x_m^d1 G(x_m) and x_m = z_m x_{m-1}^2 give
+    # z_{m+1} = z_m^(d1-2) x_{m-1}^(2 d1-5) G(x_m), integral as d1 >= 3.
+    return zs[-1] ** (spec.d1 - 2) * xs[-2] ** (2 * spec.d1 - 5) * spec.G(xs[-1])
 
 
-def _third_order_step(spec: ThirdOrderSpec, xs: list[int]) -> int:
-    # X_{n+3} = X_{n+1}^e1 X_{n+2}^e2 H(X_{n+1}, X_{n+2}) / X_n, checked exact.
-    q, r = divmod(xs[-2] ** spec.e1 * xs[-1] ** spec.e2 * spec.H(xs[-2], xs[-1]), xs[-3])
-    if r:
-        raise InexactDivision(len(xs))
-    return q
+def _third_order_step(spec: ThirdOrderSpec, xs: list[int], zs: list[int]) -> int:
+    # The recurrence and X_{n+1} = Z_{n+1} X_n^2 give Z_{n+3} = Z_{n+1}^e1
+    # X_n^(2 e1-1) X_{n+2}^(e2-2) H(X_{n+1}, X_{n+2}), integral as e1 >= 1, e2 >= 2.
+    return (zs[-2] ** spec.e1 * xs[-3] ** (2 * spec.e1 - 1) * xs[-1] ** (spec.e2 - 2)
+            * spec.H(xs[-2], xs[-1]))
 
 
 class SeriesSource:
@@ -372,25 +374,22 @@ class SeriesSource:
     """
 
     def __init__(self, source: "SourceLike", budget: BitBudget | None = None):
-        if isinstance(source, (SecondOrderSpec, ThirdOrderSpec)):
-            source.validate()
-        self._open(source, budget)
-
-    def _open(self, source, budget: BitBudget | None):
         self._meter = BudgetMeter(budget)
         self._nums: list[int] = [1]  # numerator of S_n over x_n
-        self._zs: dict[int, int] = {}  # z_j of a spec source, by j
         if isinstance(source, EngelSequence):
             source = factors_from_sequence(source.x)
         elif isinstance(source, (list, tuple)):
             source = factors_from_sequence(source)
         self._rule = source
         # _terms is the raw sequence: a spec's all-ones initial data, then
-        # x_2, x_3, ...; x_n sits at _terms[n - 1 + _pad].
+        # x_2, x_3, ...; x_n sits at _terms[n - 1 + _pad] and z_n at the
+        # same index of _factors (1 for each initial 1).
         if isinstance(source, FactorSequence):
             self.series_class = source.series_class
             self._step, self._terms = _factor_step, [1]
         elif isinstance(source, (SecondOrderSpec, ThirdOrderSpec)):
+            # The step identities hold only for a valid spec.
+            source.validate()
             second = isinstance(source, SecondOrderSpec)
             g1 = source.g1 if second else source.h11
             self.series_class = SeriesClass.GENERIC if g1 >= 3 else SeriesClass.Z2_EQUALS_2
@@ -398,6 +397,7 @@ class SeriesSource:
             self._terms = [1, 1] if second else [1, 1, 1]
         else:
             raise TypeError(f"cannot stream from {type(source).__name__}")
+        self._factors = [1] * len(self._terms)
         self._pad = len(self._terms) - 1
 
     @property
@@ -406,11 +406,13 @@ class SeriesSource:
         return self.x(2)
 
     def _grow(self, count: int):
-        terms = self._terms
+        terms, zs = self._terms, self._factors
         while len(terms) < count:
-            nxt = self._step(self._rule, terms)
+            z = self._step(self._rule, terms, zs)
+            nxt = z * terms[-1] ** 2
             self._meter.charge(nxt, f"x_{len(terms) + 1 - self._pad}")
             terms.append(nxt)
+            zs.append(z)
 
     def x(self, n: int) -> int:
         if n < 1:
@@ -429,13 +431,8 @@ class SeriesSource:
         """z_j, or None when a finite factor list is exhausted."""
         if isinstance(self._rule, FactorSequence):
             return self._rule.factor(j)
-        z = self._zs.get(j)
-        if z is None:
-            z, r = divmod(self.x(j), self.x(j - 1) ** 2)
-            if r:
-                raise IdentityViolation(f"recurrence terms lost square divisibility at {j}")
-            self._zs[j] = z
-        return z
+        self.x(j)
+        return self._factors[j - 1 + self._pad]
 
     def factors_through(self, j_max: int) -> list[int]:
         """z_2..z_{j_max}; raises InsufficientFactors past a finite list."""
@@ -451,10 +448,11 @@ class SeriesSource:
         """Exact S_n, maintained incrementally: the numerator over x_n obeys
         N_n = N_{n-1} * y_n + 1 with y_n = x_n / x_{n-1} = z_n * x_{n-1}."""
         self._grow(n + self._pad)
+        terms, zs, pad = self._terms, self._factors, self._pad
         while len(self._nums) < n:
-            i = len(self._nums) + 1
-            self._nums.append(self._nums[-1] * self.factor(i) * self._terms[i - 2 + self._pad] + 1)
-        return Fraction(self._nums[n - 1], self._terms[n - 1 + self._pad])
+            i = len(self._nums) + pad
+            self._nums.append(self._nums[-1] * zs[i] * terms[i - 1] + 1)
+        return Fraction(self._nums[n - 1], terms[n - 1 + pad])
 
 
 SourceLike = Union[SeriesSource, FactorSequence, SecondOrderSpec, ThirdOrderSpec,
@@ -467,25 +465,17 @@ def as_store(source: SourceLike, budget: BitBudget | None = None) -> SeriesSourc
     return source if isinstance(source, SeriesSource) else SeriesSource(source, budget)
 
 
-def generate_recurrence(
-    spec: RecurrenceSpec,
-    n: int,
-    budget: BitBudget | None = None,
-    validate: bool = True,
-) -> list[int]:
+def generate_recurrence(spec: RecurrenceSpec, n: int, budget: BitBudget | None = None) -> list[int]:
     """First n terms of the recurrence, starting from the all-ones initial
     data (x_0 = x_1 = 1, or X_0 = X_1 = X_2 = 1).
 
-    Every division is checked exact: the all-ones data make each term an
-    integer for a valid spec, so an inexact division is a spec bug and
-    raises InexactDivision rather than truncating.
+    Nothing is divided: the term store's step identities build each term
+    of a valid spec from integer powers. The tests check the result against
+    the dividing recurrence with every division checked exact.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if validate:
-        spec.validate()
-    store = SeriesSource.__new__(SeriesSource)  # the spec is validated above, or deliberately not
-    store._open(spec, budget)
+    store = SeriesSource(spec, budget)
     store._grow(n)
     return store._terms[:n]
 

@@ -187,4 +187,3 @@ def test_full_report_shape():
             assert abs(report.lambda_n_true[n] - report.lambda_n_exact[n]) < mp.mpf("1e-9")
         assert len(report.alphas) == 5
         assert abs(report.alphas[0] - mp.log(mp.mpf(3) / 2)) < mp.mpf("1e-30")
-    assert report.epsilon == 0.1

@@ -71,7 +71,7 @@ def test_cf_json(capsys):
 
 
 def test_stream_examples(capsys):
-    code, out, _ = run(capsys, "stream", "--u", "2", "--pow2", "--K", "19")
+    code, out, _ = run(capsys, "stream", "--u", "2", "--K", "19")
     assert (code, out) == (0, "[1;1,4,2,4,4,6,4,2,4,6,2,4,6,4,4,2,4,6]\n")
     code, out, _ = run(capsys, "stream", "--d1", "3", "--G", "1,2", "--K", "11")
     assert (code, out) == (0, "[1;2,1,20,3,23876,1,2,20,1,2]\n")
@@ -89,11 +89,6 @@ def test_stream_json_record(capsys):
     assert record["certified"] == ["1", "1", "1", "5", "2", "299", "1", "1", "5"]
     assert all(isinstance(v, str) for v in record["certified"])
     assert record["lengths"] == [10]
-
-
-def test_stream_pow2_requires_u(capsys):
-    code, _, err = run(capsys, "stream", "--pow2", "--K", "5")
-    assert code == 2
 
 
 def test_asymp_report(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from engelcf.exceptions import (
     BitBudgetExceeded,
     DivisibilityViolation,
-    InexactDivision,
     InsufficientFactors,
     InvalidSpec,
     NegativeGap,
@@ -212,9 +211,10 @@ def test_spec_validation():
 
 
 def test_inexact_division_signals_bad_spec():
+    # The step identities need a valid spec; an invalid one never reaches them.
     bad = SecondOrderSpec(0, (3, 1))
-    with pytest.raises(InexactDivision):
-        generate_recurrence(bad, 6, validate=False)
+    with pytest.raises(InvalidSpec):
+        generate_recurrence(bad, 6)
 
 
 def test_bit_budget():

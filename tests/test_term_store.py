@@ -4,9 +4,12 @@ sharing between calls, and one budget charge per term."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from engelcf.asymptotics import full_report, roth_exponents
 from engelcf.cli import main
+from engelcf.exceptions import InvalidSpec
 from engelcf.expansion import enclosure, partial_cf, stream
 from engelcf.sequences import (
     BitBudget,
@@ -31,6 +34,10 @@ SPECS = [
     SecondOrderSpec(3, (1, 1)),
     lift_spec(AFFINE),
     ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))),
+    # Shapes at the exponent edges of the step identities.
+    SecondOrderSpec(6, (1, 0, 2, 1)),
+    ThirdOrderSpec(3, 4, ((0, 1, 1), (1, 0, 2), (2, 2, 1))),
+    ThirdOrderSpec(1, 2, ((0, 0, 2),)),
 ]
 
 
@@ -57,22 +64,21 @@ def reference_raw(spec, count: int) -> list[int]:
     return xs
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=repr)
-def test_store_agrees_with_reference_stepper(spec):
-    raw = reference_raw(spec, 8)
+def reference_engel(raw: list[int]):
+    """x_1..x_n in the Engel indexing, z_2..z_n and S_1..S_n, from raw
+    recurrence output."""
     engel = [1] + [v for v in raw if v > 1]
-    n = len(engel)
     zs = []
-    for j in range(2, n + 1):
+    for j in range(2, len(engel) + 1):
         z, r = divmod(engel[j - 1], engel[j - 2] ** 2)
         assert r == 0
         zs.append(z)
-    sums = [sum(Fraction(1, v) for v in engel[:k]) for k in range(1, n + 1)]
+    sums = [sum(Fraction(1, v) for v in engel[:k]) for k in range(1, len(engel) + 1)]
+    return engel, zs, sums
 
-    assert generate_recurrence(spec, len(raw)) == raw
-    assert engel_from_spec(spec, n).x == tuple(engel)
-    assert from_factors(factors_from_sequence(raw), n).x == tuple(engel)
 
+def check_store(spec, engel, zs, sums):
+    n = len(engel)
     store = SeriesSource(spec)
     assert [store.x(k) for k in range(1, n + 1)] == engel
     assert [store.factor(j) for j in range(2, n + 1)] == zs
@@ -82,6 +88,54 @@ def test_store_agrees_with_reference_stepper(spec):
     store = SeriesSource(spec)
     assert store.partial_sum(n) == sums[-1]
     assert store.factors_through(n) == zs
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+def test_store_agrees_with_reference_stepper(spec):
+    raw = reference_raw(spec, 8)
+    engel, zs, sums = reference_engel(raw)
+    n = len(engel)
+
+    assert generate_recurrence(spec, len(raw)) == raw
+    assert engel_from_spec(spec, n).x == tuple(engel)
+    assert from_factors(factors_from_sequence(raw), n).x == tuple(engel)
+    check_store(spec, engel, zs, sums)
+
+
+def _valid(spec) -> bool:
+    try:
+        spec.validate()
+    except InvalidSpec:
+        return False
+    return True
+
+
+SECOND_ORDER = st.builds(
+    SecondOrderSpec,
+    st.integers(3, 5),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple),
+).filter(_valid)
+
+
+@st.composite
+def third_order_specs(draw):
+    # One term free of each argument, so H is divisible by neither.
+    terms = {(0, draw(st.integers(0, 2))): draw(st.integers(1, 3)),
+             (draw(st.integers(0, 2)), 0): draw(st.integers(1, 3))}
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                           st.integers(1, 3)), max_size=2)):
+        terms[i, j] = c
+    h = tuple((i, j, c) for (i, j), c in terms.items())
+    return ThirdOrderSpec(draw(st.integers(1, 3)), draw(st.integers(2, 3)), h)
+
+
+@given(st.one_of(SECOND_ORDER, third_order_specs().filter(_valid)))
+@settings(max_examples=60, deadline=None)
+def test_step_identities_on_random_specs(spec):
+    # Seven Engel terms: the raw data carry one (second order) or two
+    # (third order) extra leading ones.
+    pad = 1 if isinstance(spec, SecondOrderSpec) else 2
+    check_store(spec, *reference_engel(reference_raw(spec, 7 + pad)))
 
 
 def _record_charges(monkeypatch) -> list[int]:
