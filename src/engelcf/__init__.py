@@ -40,7 +40,6 @@ from .sequences import (
     SeriesSource,
     ThirdOrderSpec,
     closed_form_numerator,
-    engel_from_spec,
     factors_from_sequence,
     from_factors,
     generate_recurrence,

@@ -30,7 +30,6 @@ from .sequences import (
     SecondOrderSpec,
     SeriesSource,
     ThirdOrderSpec,
-    from_factors,
     generate_recurrence,
     ones_tail,
     parse_spec_line,
@@ -44,25 +43,29 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--bits", type=int, default=1 << 26,
-                        help="total bit budget for generated terms (default 67108864)")
-    parser.add_argument("--digits", type=int, default=50,
-                        help="working precision in decimal digits (default 50)")
+def _add_output(parser: argparse.ArgumentParser, with_json: bool = True):
+    if with_json:
+        parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--out", type=str, default=None, help="write output to this path")
 
 
-def _add_source(parser: argparse.ArgumentParser):
+def _add_suite_inputs(parser: argparse.ArgumentParser):
+    # The source flags the verify suites read; every source subcommand takes them too.
     parser.add_argument("--z", type=str, default=None, help="factor list z2,z3,...")
     parser.add_argument("--d1", type=int, default=None, help="second-order exponent d1")
     parser.add_argument("--G", type=str, default=None, help="G coefficients, constant term first")
+
+
+def _add_source(parser: argparse.ArgumentParser):
+    _add_suite_inputs(parser)
     parser.add_argument("--e1", type=int, default=None, help="third-order exponent e1")
     parser.add_argument("--e2", type=int, default=None, help="third-order exponent e2")
     parser.add_argument("--H", type=str, default=None, help="H terms i,j,coeff separated by ';'")
     parser.add_argument("--u", type=int, default=None, help="power-sum base (factors u,1,1,...)")
     parser.add_argument("--spec-file", type=str, default=None,
                         help="read a one-line recurrence spec from this file")
+    parser.add_argument("--bits", type=int, default=1 << 26,
+                        help="total bit budget for generated terms (default 67108864)")
 
 
 def _source_from_args(args):
@@ -104,13 +107,8 @@ def cmd_gen(args) -> tuple[str, int]:
     source = _source_from_args(args)
     if args.n < 1:
         raise InvalidSpec("--n must be >= 1")
-    budget = _budget(args)
-    if isinstance(source, FactorSequence):
-        terms = list(from_factors(source, args.n, budget).x)
-        z_comment = ",".join(str(v) for v in source.z)
-    else:
-        terms = generate_recurrence(source, args.n, budget)
-        z_comment = None
+    terms = generate_recurrence(source, args.n, _budget(args))
+    z_comment = ",".join(str(v) for v in source.z) if isinstance(source, FactorSequence) else None
     if args.json:
         payload = {"x": [str(v) for v in terms]}
         if z_comment is not None:
@@ -186,30 +184,31 @@ def cmd_asymp(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    lines = []
     if args.suite == "generic":
         checked = run_generic_suite(args.trials, args.maxn, args.seed)
-        lines.append(f"ok generic: {args.trials} trials, {checked} expansions checked")
+        line = f"ok generic: {args.trials} trials, {checked} expansions checked"
     elif args.suite == "z2":
         checked = run_z2_suite(args.trials, args.maxn, args.seed)
-        lines.append(f"ok z2: {args.trials} trials, {checked} expansions checked")
+        line = f"ok z2: {args.trials} trials, {checked} expansions checked"
     elif args.suite == "lift":
         if args.d1 is None or args.G is None:
             raise InvalidSpec("--suite lift needs --d1/--G")
         spec = SecondOrderSpec(args.d1, _csv_ints(args.G)).validate()
         checked = run_lift_suite(spec, args.n)
-        lines.append(f"ok lift: factorization identity holds for {checked} terms")
+        line = f"ok lift: factorization identity holds for {checked} terms"
     elif args.suite == "identities":
         if args.z is None:
             raise InvalidSpec("--suite identities needs --z")
         zs = FactorSequence(_csv_ints(args.z))
         checked = run_identities_suite(zs, args.n)
-        lines.append(f"ok identities: {checked} doubling steps verified")
+        line = f"ok identities: {checked} doubling steps verified"
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidSpec(f"unknown suite {args.suite}")
+    if checked == 0:
+        raise InvalidSpec(f"--suite {args.suite} checked nothing; give larger sizes or more factors")
     if args.json:
-        return json.dumps({"ok": True, "detail": lines}) + "\n", 0
-    return "\n".join(lines) + "\n", 0
+        return json.dumps({"ok": True, "detail": [line]}) + "\n", 0
+    return line + "\n", 0
 
 
 def cmd_paper_examples(args) -> tuple[str, int]:
@@ -246,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate sequence terms")
     _add_source(p)
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--n", type=int, required=True, help="number of terms")
     p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("cf", help="continued fraction of the n-th partial sum")
     _add_source(p)
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--n", type=int, required=True, help="partial sum index")
     p.add_argument("--check", choices=["oracle"], default=None,
                    help="cross-check against the Euclidean expansion")
@@ -260,19 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stream", help="certified prefix of the limit expansion")
     _add_source(p)
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--K", type=int, required=True, help="number of certified coefficients")
     p.set_defaults(handler=cmd_stream)
 
-    p = sub.add_parser("asymp", help="growth and irrationality report")
+    p = sub.add_parser("asymp", help="growth and irrationality report (always JSON)")
     _add_source(p)
-    _add_common(p)
+    _add_output(p, with_json=False)
+    p.add_argument("--digits", type=int, default=50,
+                   help="working precision in decimal digits (default 50)")
     p.add_argument("--n", type=int, default=10, help="largest index in the report")
     p.set_defaults(handler=cmd_asymp)
 
     p = sub.add_parser("verify", help="run a randomized invariant suite")
-    _add_source(p)
-    _add_common(p)
+    _add_suite_inputs(p)
+    _add_output(p)
     p.add_argument("--suite", choices=["generic", "z2", "lift", "identities"], required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--maxn", type=int, default=7)
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("paper-examples", help="re-derive the bundled worked examples")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--only", type=str, default=None, help="run a single example tag")
     p.set_defaults(handler=cmd_paper_examples)
 
@@ -291,6 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Terms outgrow CPython's int/str digit guard (3.10.7 on) on valid input,
+    # so the guard is lifted for the handler and the caller's value restored.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         text, code = args.handler(args)
     except BitBudgetExceeded as exc:
@@ -302,6 +308,9 @@ def main(argv=None) -> int:
     except (EngelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -166,9 +166,9 @@ class EngelSequence:
         return len(self.x)
 
 
-def from_factors(zs: FactorSequence, n: int, budget: BitBudget | None = None) -> EngelSequence:
-    """Build x_1..x_n from factors: x_1 = 1, x_{k+1} = z_{k+1} * x_k^2."""
-    return SeriesSource(zs, budget).sequence(n)
+def from_factors(source: "SourceLike", n: int, budget: BitBudget | None = None) -> EngelSequence:
+    """x_1..x_n of any source in the Engel indexing (leading 1s collapsed)."""
+    return SeriesSource(source, budget).sequence(n)
 
 
 def strip_leading_ones(raw: Sequence[int]) -> tuple[int, ...]:
@@ -465,9 +465,9 @@ def as_store(source: SourceLike, budget: BitBudget | None = None) -> SeriesSourc
     return source if isinstance(source, SeriesSource) else SeriesSource(source, budget)
 
 
-def generate_recurrence(spec: RecurrenceSpec, n: int, budget: BitBudget | None = None) -> list[int]:
-    """First n terms of the recurrence, starting from the all-ones initial
-    data (x_0 = x_1 = 1, or X_0 = X_1 = X_2 = 1).
+def generate_recurrence(source: SourceLike, n: int, budget: BitBudget | None = None) -> list[int]:
+    """First n raw terms of any source: x_1..x_n for factors, and for a
+    recurrence from its all-ones initial data (x_0 = x_1 = 1, or X_0 = X_1 = X_2 = 1).
 
     Nothing is divided: the term store's step identities build each term
     of a valid spec from integer powers. The tests check the result against
@@ -475,14 +475,9 @@ def generate_recurrence(spec: RecurrenceSpec, n: int, budget: BitBudget | None =
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    store = SeriesSource(spec, budget)
+    store = SeriesSource(source, budget)
     store._grow(n)
     return store._terms[:n]
-
-
-def engel_from_spec(spec: RecurrenceSpec, n: int, budget: BitBudget | None = None) -> EngelSequence:
-    """x_1..x_n in the Engel indexing (leading 1s collapsed to one)."""
-    return SeriesSource(spec, budget).sequence(n)
 
 
 # ---------------------------------------------------------------------------

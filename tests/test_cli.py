@@ -1,6 +1,16 @@
+import argparse
 import json
+import sys
 
-from engelcf.cli import main
+import pytest
+
+from engelcf.cf import parse_cf_text
+from engelcf.cli import build_parser, main
+from engelcf.expansion import stream
+from engelcf.sequences import SecondOrderSpec, generate_recurrence
+
+AFFINE = SecondOrderSpec(3, (1, 2))
+SOURCE_FLAGS = {"--z", "--d1", "--G", "--e1", "--e2", "--H", "--u", "--spec-file", "--bits"}
 
 
 def run(capsys, *argv):
@@ -161,3 +171,71 @@ def test_byte_identical_runs(capsys):
     third = run(capsys, "asymp", "--d1", "3", "--G", "1,1", "--n", "5")
     fourth = run(capsys, "asymp", "--d1", "3", "--G", "1,1", "--n", "5")
     assert third == fourth
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert flags == {
+        "gen": SOURCE_FLAGS | {"--json", "--out", "--n"},
+        "cf": SOURCE_FLAGS | {"--json", "--out", "--n", "--check"},
+        "stream": SOURCE_FLAGS | {"--json", "--out", "--K"},
+        "asymp": SOURCE_FLAGS | {"--out", "--digits", "--n"},
+        "verify": {"--json", "--out", "--z", "--d1", "--G", "--suite", "--trials", "--maxn",
+                   "--seed", "--n"},
+        "paper-examples": {"--json", "--out", "--only"},
+    }
+    assert sum(len(v) for v in flags.values()) == 62
+
+
+@pytest.mark.parametrize("argv", [
+    ["stream", "--u", "3", "--K", "5", "--digits", "9"],
+    ["asymp", "--d1", "3", "--G", "1,2", "--n", "5", "--json"],
+    ["verify", "--suite", "lift", "--d1", "3", "--G", "1,2", "--u", "3"],
+])
+def test_unread_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "identities", "--z", "3,2", "--n", "5"],
+    ["--suite", "generic", "--maxn", "2"],
+    ["--suite", "z2", "--maxn", "3"],
+    ["--suite", "generic", "--trials", "0"],
+])
+def test_verify_checking_nothing_is_a_validation_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert "checked nothing" in err
+
+
+@pytest.fixture
+def default_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_terms_past_the_digit_limit_print(capsys, default_digit_limit):
+    code, gen_out, _ = run(capsys, "gen", "--d1", "3", "--G", "1,2", "--n", "10")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == default_digit_limit
+    code, stream_out, _ = run(capsys, "stream", "--d1", "3", "--G", "1,2", "--K", "400")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == default_digit_limit
+    code, _, err = run(capsys, "gen", "--d1", "2", "--G", "1,2", "--n", "4")
+    assert code == 2 and "d1" in err
+    assert sys.get_int_max_str_digits() == default_digit_limit
+
+    sys.set_int_max_str_digits(0)
+    assert gen_out.splitlines()[1:] == [str(v) for v in generate_recurrence(AFFINE, 10)]
+    assert parse_cf_text(stream_out).coeffs == tuple(stream(AFFINE, 400).certified[:400])

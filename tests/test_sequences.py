@@ -20,7 +20,6 @@ from engelcf.sequences import (
     SeriesClass,
     ThirdOrderSpec,
     closed_form_numerator,
-    engel_from_spec,
     factors_from_sequence,
     from_factors,
     generate_recurrence,
@@ -183,9 +182,9 @@ def test_lift_identity_random_specs(spec):
 
 
 def test_engel_from_spec():
-    assert engel_from_spec(AFFINE, 4).x == (1, 3, 189, 852910317)
-    assert engel_from_spec(lift_spec(AFFINE), 4).x == (1, 3, 63, 13538259)
-    assert engel_from_spec(AFFINE, 1).x == (1,)
+    assert from_factors(AFFINE, 4).x == (1, 3, 189, 852910317)
+    assert from_factors(lift_spec(AFFINE), 4).x == (1, 3, 63, 13538259)
+    assert from_factors(AFFINE, 1).x == (1,)
 
 
 def test_spec_validation():

@@ -18,7 +18,6 @@ from engelcf.sequences import (
     SeriesSource,
     ThirdOrderSpec,
     as_store,
-    engel_from_spec,
     factors_from_sequence,
     from_factors,
     generate_recurrence,
@@ -97,7 +96,7 @@ def test_store_agrees_with_reference_stepper(spec):
     n = len(engel)
 
     assert generate_recurrence(spec, len(raw)) == raw
-    assert engel_from_spec(spec, n).x == tuple(engel)
+    assert from_factors(spec, n).x == tuple(engel)
     assert from_factors(factors_from_sequence(raw), n).x == tuple(engel)
     check_store(spec, engel, zs, sums)
 
