@@ -4,6 +4,13 @@ Convergents by 2x2 integer matrix products, exact evaluation, the canonical
 Euclidean expansion of a non-negative rational, and the zero-removal rule
 [..., a, 0, b, ...] -> [..., a+b, ...] for repairing degenerate expansions.
 
+The Euclidean expansion batches its quotients on large operands (Lehmer,
+1938): Euclid on the leading bits proposes many quotients at once, four
+multiplies apply them to the full pair, and the batch is kept only when the
+new remainders satisfy 0 < B < A. A continued fraction whose tail exceeds 1
+has those coefficients as its integer parts, so a kept batch is exactly
+Euclid's; otherwise one divmod step is taken. See expand_rational.
+
 Everything here is a pure function of immutable values and safe to call
 concurrently.
 
@@ -89,6 +96,10 @@ class ConvergentTable:
 
 CFLike = Union[CFExpansion, Sequence[int]]
 
+# Bits of the small pair's window in expand_rational, which batches
+# quotients while the divisor has more than 4 * _WINDOW_BITS bits.
+_WINDOW_BITS = 256
+
 
 def convergents(cf: CFLike) -> ConvergentTable:
     """Convergent table of a normalized continued fraction.
@@ -135,13 +146,47 @@ def expand_rational(r) -> CFExpansion:
     the final coefficient is >= 2 whenever the expansion has length > 1.
     This is the independent oracle the recursive constructions are tested
     against.
+
+    While the divisor has more than 4*_WINDOW_BITS bits, quotients come in
+    batches (Lehmer, "Euclid's algorithm for large numbers", 1938): plain
+    Euclid on the top 2*_WINDOW_BITS bits of p > q gives quotients
+    a_1..a_k, stopping while the small remainder still has more than
+    _WINDOW_BITS bits, and their cosequence matrix gives the pair (A, B)
+    with p/q = [a_1; ..., a_k, A/B] from the full integers in four
+    multiplies. That identity holds for any a_i; the batch is kept only if
+    0 < B < A. Then the tail A/B exceeds 1 and every a_i >= 1, so each
+    partial value [a_i; ..., a_k, A/B] has integer part a_i and a fractional
+    part in (0, 1): a_1..a_k are Euclid's next quotients and (A, B) its
+    remainder pair. A rejected or empty batch (a quotient too large for the
+    window) takes one divmod step instead, so the output is Euclid's
+    exactly.
     """
     r = Fraction(r)
     if r < 0:
         raise ValueError(f"negative rational {r}")
     p, q = r.numerator, r.denominator
     coeffs = []
+    w = _WINDOW_BITS
     while q:
+        # Past a_0, p > q: each proposed quotient is >= 1.
+        if coeffs and q.bit_length() > 4 * w:
+            shift = p.bit_length() - 2 * w
+            x, y = p >> shift, q >> shift
+            u0, v0, u1, v1 = 1, 0, 0, 1
+            batch = []
+            while y >> w:
+                a, z = divmod(x, y)
+                if not z >> w:
+                    break
+                batch.append(a)
+                x, y = y, z
+                u0, v0, u1, v1 = u1, v1, u0 - a * u1, v0 - a * v1
+            if batch:
+                big_a, big_b = u0 * p + v0 * q, u1 * p + v1 * q
+                if 0 < big_b < big_a:
+                    coeffs += batch
+                    p, q = big_a, big_b
+                    continue
         a, rem = divmod(p, q)
         coeffs.append(a)
         p, q = q, rem

@@ -161,6 +161,8 @@ def cmd_asymp(args) -> tuple[str, int]:
         raise InvalidSpec("asymp reports need a second-order spec (--d1/--G)")
     if args.n < 3:
         raise InvalidSpec("--n must be >= 3")
+    if args.digits < 1:
+        raise InvalidSpec("--digits must be >= 1")
     report = full_report(source, args.n, args.digits, _budget(args))
     rows = []
     growth = dict(report.growth_exponents)

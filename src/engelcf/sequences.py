@@ -121,6 +121,13 @@ class FactorSequence:
             return self.z[idx]
         return 1 if self.tail_ones else None
 
+    def require(self, j: int) -> int:
+        """z_j; raises InsufficientFactors when the finite list is exhausted."""
+        z = self.factor(j)
+        if z is None:
+            raise InsufficientFactors(f"need z_{j} but only {len(self.z)} factors given")
+        return z
+
     def known_count(self) -> int | None:
         """Number of available factors; None means unbounded."""
         return None if self.tail_ones else len(self.z)
@@ -343,11 +350,7 @@ def lift_spec(spec2: SecondOrderSpec) -> ThirdOrderSpec:
 
 def _factor_step(factors: FactorSequence, xs: list[int], _: list[int]) -> int:
     # z_{k+1} from the list, where xs holds x_1..x_k.
-    z = factors.factor(len(xs) + 1)
-    if z is None:
-        count = factors.known_count()
-        raise InsufficientFactors(f"need z_{len(xs) + 1} but only {count} factors given")
-    return z
+    return factors.require(len(xs) + 1)
 
 
 def _second_order_step(spec: SecondOrderSpec, xs: list[int], zs: list[int]) -> int:
@@ -436,13 +439,9 @@ class SeriesSource:
 
     def factors_through(self, j_max: int) -> list[int]:
         """z_2..z_{j_max}; raises InsufficientFactors past a finite list."""
-        out = []
-        for j in range(2, j_max + 1):
-            z = self.factor(j)
-            if z is None:
-                raise InsufficientFactors(f"need z_{j} but the factor list ends earlier")
-            out.append(z)
-        return out
+        if isinstance(self._rule, FactorSequence):
+            return [self._rule.require(j) for j in range(2, j_max + 1)]
+        return [self.factor(j) for j in range(2, j_max + 1)]
 
     def partial_sum(self, n: int) -> Fraction:
         """Exact S_n, maintained incrementally: the numerator over x_n obeys

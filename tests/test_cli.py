@@ -119,6 +119,21 @@ def test_asymp_rejects_other_sources(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("digits", ["0", "-3"])
+def test_asymp_rejects_non_positive_digits(capsys, digits):
+    code, out, err = run(capsys, "asymp", "--d1", "3", "--G", "1,2", "--n", "5", "--digits", digits)
+    assert (code, out) == (2, "")
+    assert "--digits must be >= 1" in err
+
+
+def test_exhausted_factor_list_reads_the_same_everywhere(capsys):
+    gen = run(capsys, "gen", "--z", "3,9", "--n", "5")
+    cf = run(capsys, "cf", "--z", "3,9", "--n", "5")
+    assert gen == cf == (2, "", "error: need z_4 but only 2 factors given\n")
+    code, _, err = run(capsys, "stream", "--z", "3,1,2,1,5", "--K", "40")
+    assert (code, err) == (2, "error: need z_7 but only 5 factors given\n")
+
+
 def test_verify_suites(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "generic", "--trials", "5", "--maxn", "6")
     assert code == 0 and out.startswith("ok generic")
