@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark the working tree against a base commit and write a record.
 
-    python3 scripts/bench.py --out BENCH_6.json [--base HEAD] [--pairs 10] [--seconds 8]
+    python3 scripts/bench.py --base HEAD~1 --out BENCH_6.json
 
-The base commit (default HEAD, the commit the uncommitted change sits on;
-pass HEAD~1 once the change is committed) is exported with ``git archive``
-into a temporary directory, so an interrupted run leaves nothing in the
-repository. For every workload of the working tree's BENCHMARK.json, the
-script runs ``perfbench/run.py --trace 0`` of each side in ``--pairs``
-pairs, alternating which side goes first, and then one ``--trace 1`` run
-per side. Each side measures its own ``src/`` with its own perfbench.
+The base commit (``HEAD`` while the change is uncommitted, ``HEAD~1`` once
+it is committed) is exported with ``git archive`` into a temporary
+directory, so an interrupted run leaves nothing in the repository. The
+script stops if the base's files equal the working tree's. For every
+workload of the working tree's BENCHMARK.json, it runs
+``perfbench/run.py --trace 0`` of each side in 10 pairs, alternating
+which side goes first, and then one ``--trace 1`` run per side; every run
+lasts the ``run_seconds`` of that BENCHMARK.json. Each side measures its
+own ``src/`` with its own perfbench.
 
 The record holds the interpreter, every run's end-to-end metrics, each
 side's median and quartiles per metric, how many pairs the working tree
@@ -28,6 +30,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10  # a gain claim needs a win in at least 9 of 10 pairs
 
 
 def export(rev: str, dest: str) -> str:
@@ -91,27 +94,27 @@ def compare(workload: str, sides: dict, pairs: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="path of the JSON record to write")
-    ap.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=8.0,
-                    help="timed-loop length of each perfbench run")
+    ap.add_argument("--base", required=True, help="commit to compare against")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be >= 2")
+    if subprocess.run(["git", "diff", "--quiet", args.base, "--"], cwd=ROOT).returncode == 0:
+        ap.error(f"the working tree's tracked files equal {args.base}'s; "
+                 "pass the commit the change sits on")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="engelcf-base-") as base_dir:
         base_sha = export(args.base, base_dir)
         sides = {"base": base_dir, "tree": ROOT}
-        results = {w: compare(w, sides, args.pairs, args.seconds) for w in workloads}
+        results = {w: compare(w, sides, PAIRS, seconds) for w in workloads}
     record = {
         "python": sys.version,
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
         "nproc": len(os.sched_getaffinity(0)),
         "base": base_sha,
-        "pairs": args.pairs,
-        "seconds_per_run": args.seconds,
+        "pairs": PAIRS,
+        "seconds_per_run": seconds,
         "workloads": results,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -120,7 +123,7 @@ def main(argv=None) -> int:
     for w, res in results.items():
         b, t = res["summary"]["base"]["wall_s"], res["summary"]["tree"]["wall_s"]
         print(f"{w}: wall_s median {b['median']:.4f} -> {t['median']:.4f} s, "
-              f"tree won {res['wins']['wall_s']}/{args.pairs}")
+              f"tree won {res['wins']['wall_s']}/{PAIRS}")
     return 0
 
 
