@@ -19,7 +19,6 @@ from .cf import (
 )
 from .exceptions import (
     BitBudgetExceeded,
-    ClassMismatch,
     DegenerateRoot,
     DivisibilityViolation,
     EngelError,
@@ -58,13 +57,10 @@ from .expansion import (
     StepIdentityReport,
     certified_decimal,
     enclosure,
-    generic_partial_cf,
-    generic_recursion_raw,
     partial_cf,
     partial_lengths,
     stream,
     verify_step_identities,
-    z2eq2_partial_cf,
 )
 from .asymptotics import (
     AsymptoticsReport,

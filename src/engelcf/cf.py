@@ -38,9 +38,11 @@ class CFExpansion:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("empty continued fraction")
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
         if self.coeffs[0] < 0:
             raise ValueError(f"a_0 must be non-negative, got {self.coeffs[0]}")
+        if min(self.coeffs[1:], default=1) > 0:
+            return
         for j, a in enumerate(self.coeffs[1:], start=1):
             if a == 0:
                 raise ZeroCoefficient(f"a_{j} = 0")
@@ -205,21 +207,18 @@ def normalize_zeros(raw: Sequence[int]) -> CFExpansion:
     Left-to-right order is fixed for determinism; for the inputs arising
     here the fixed point does not depend on it.
     """
-    coeffs = [int(a) for a in raw]
+    coeffs = list(map(int, raw))
     if not coeffs:
         raise ValueError("empty continued fraction")
     if coeffs[-1] == 0 and len(coeffs) > 1:
         raise TrailingZero("zero in final position cannot be removed")
     j = 1
-    while j < len(coeffs) - 1:
-        if coeffs[j] == 0:
-            merged = coeffs[j - 1] + coeffs[j + 1]
-            coeffs[j - 1:j + 2] = [merged]
-            # The merge can expose a new zero at the merged position's
-            # neighborhood; step back one slot instead of rescanning.
-            j = max(j - 1, 1)
-        else:
-            j += 1
+    while 0 in coeffs[j:-1]:
+        j = coeffs.index(0, j)
+        coeffs[j - 1:j + 2] = [coeffs[j - 1] + coeffs[j + 1]]
+        # The merge can expose a new zero at the merged position's
+        # neighborhood; step back one slot instead of rescanning.
+        j = max(j - 1, 1)
     if coeffs[-1] == 0 and len(coeffs) > 1:
         raise TrailingZero("zero migrated to final position; irreducible input")
     if len(coeffs) > 1 and coeffs[-1] == 1:

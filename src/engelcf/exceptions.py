@@ -29,10 +29,6 @@ class NegativeGap(EngelError, ValueError):
     """Exponent gap d_k = c_{k+1} - 2*c_k is negative; no factor sequence exists."""
 
 
-class ClassMismatch(EngelError, ValueError):
-    """A construction was asked to run on a factor sequence of the wrong class."""
-
-
 class IdentityViolation(EngelError, RuntimeError):
     """A matrix/convergent identity failed; signals an implementation bug."""
 

@@ -1,17 +1,23 @@
 """Continued fractions of the partial sums S_n = sum 1/x_j and of the limit.
 
-Two mechanisms produce certified coefficients of the infinite expansion:
+Two mechanisms produce the coefficients:
 
-  * the doubling recursions. For a generic factor sequence (z_2 >= 3,
-    z_j >= 2) the expansion of S_{n+1} copies that of S_n, appends
-    z_{n+1}-1, 1, a-1 (a the last coefficient of S_n), then replays the
-    interior of S_n reversed; lengths follow l_n = 3*2^(n-2) - 1. When
-    z_2 = 2 a parallel recursion starting from the 10-coefficient S_4 keeps
-    lengths at 5*2^(n-3). Both preserve the emitted prefix, which is what
-    certifies finality.
+  * the folding rule. S_{n+1} = S_n + 1/(z_{n+1} x_n^2), and x_n is the
+    final convergent denominator of S_n, so when [a_0; a_1, ..., a_l] is
+    the odd-length representative of S_n (det M = -1),
 
-  * the interval oracle. For the remaining (degenerate or mixed) factor
-    sequences: S lies strictly between S_n and S_n + 2/x_{n+1}, because
+        [a_0; a_1, ..., a_l, z_{n+1}-1, 1, a_l-1, a_{l-1}, ..., a_1]
+
+    is S_{n+1} (the folding lemma; Mendes France 1973, van der Poorten and
+    Shallit 1992). A factor z = 1 or a final a_l = 1 leaves zeros at the
+    junction, which [a, 0, b] -> [a+b] removes. Seeded from
+    S_2 = [1; z_2-1, 1], it gives every partial sum of every class without
+    Euclid; generic lengths follow l_n = 3*2^(n-2) - 1 and z_2 = 2 lengths
+    5*2^(n-3). For factors z_j >= 2 a fold keeps the representative it
+    starts from, which is why the stream can certify it.
+
+  * the interval oracle, which streams ones-tail and mixed factor lists:
+    S lies strictly between S_n and S_n + 2/x_{n+1}, because
     x_{j+1} >= x_j^2 and x_{n+1} >= 2 bound the tail by a geometric sum.
     Expanding both endpoints and keeping their common prefix, minus its
     final coefficient as the standard safety margin, certifies coefficients
@@ -23,11 +29,10 @@ object (distinct streams are independent).
 """
 
 from dataclasses import dataclass
-from typing import Callable
 from fractions import Fraction
 
-from .cf import CFExpansion, convergents, expand_rational
-from .exceptions import ClassMismatch, IdentityViolation
+from .cf import CFExpansion, convergents, expand_rational, normalize_zeros
+from .exceptions import IdentityViolation, InvalidSpec
 from .sequences import (  # SeriesSource and SourceLike are re-exported from here
     BitBudget,
     FactorSequence,
@@ -51,103 +56,25 @@ class PartialCF:
 
 
 # ---------------------------------------------------------------------------
-# Doubling recursions
+# The folding rule
 # ---------------------------------------------------------------------------
 
 
-def _generic_step(cur: list[int], z_next: int) -> list[int]:
-    # Copy, append z-1, 1, (last-1), then the interior reversed: indices
-    # l-2 down to 1. Grows l to 2l+1.
-    return cur + [z_next - 1, 1, cur[-1] - 1] + cur[-2:0:-1]
+def _fold(cur: list[int], z: int) -> list[int]:
+    # The odd-length representative of S_n to that of S_{n+1}: fold, remove
+    # the junction's zeros, and split a canonical result of even length.
+    out = list(normalize_zeros(cur + [z - 1, 1, cur[-1] - 1] + cur[-2:0:-1]).coeffs)
+    if len(out) % 2 == 0:
+        out[-1:] = [out[-1] - 1, 1]
+    return out
 
 
-def _z2_step(cur: list[int], z_next: int) -> list[int]:
-    # z_2 = 2 variant: the final coefficient 2 is replaced by 1, 1, then
-    # z-1, the block a_{l-1}..a_3 reversed, and a closing 2. Grows l to 2l.
-    return cur[:-1] + [1, 1, z_next - 1] + cur[-1:2:-1] + [2]
-
-
-@dataclass(frozen=True)
-class _Doubling:
-    """One class's doubling recursion. ``seed`` maps [z_2, ..., z_start] to
-    the expansion of S_start; ``step`` maps the expansion of S_n and z_{n+1}
-    to that of S_{n+1}, rewriting the last ``mutable`` coefficients of S_n
-    and keeping the rest; ``bonus`` lists the coefficients that follow the
-    kept prefix and that z_{n+1} alone already fixes."""
-
-    start: int
-    seed: Callable[[list[int]], list[int]]
-    step: Callable[[list[int], int], list[int]]
-    mutable: int
-    bonus: Callable[[int], list[int]]
-
-
-_DOUBLING = {
-    SeriesClass.GENERIC: _Doubling(
-        start=3,
-        seed=lambda z: [1, z[0] - 1, 1, z[1] - 1, z[0]],
-        step=_generic_step,
-        mutable=0,
-        bonus=lambda z_next: [z_next - 1],
-    ),
-    SeriesClass.Z2_EQUALS_2: _Doubling(
-        start=4,
-        seed=lambda z: [1, 1, 1, z[1] - 1, 2, z[2] - 1, 1, 1, z[1] - 1, 2],
-        step=_z2_step,
-        mutable=1,
-        bonus=lambda z_next: [1, 1, z_next - 1],
-    ),
-}
-
-
-def _unfold(d: _Doubling, z: list[int]) -> list[int]:
-    # The expansion of S_n from z = [z_2, ..., z_n], n >= d.start.
-    cur = d.seed(z)
-    for z_next in z[d.start - 1:]:
-        cur = d.step(cur, z_next)
+def _folded(z: list[int]) -> list[int]:
+    # The odd-length representative of S_n from z = [z_2, ..., z_n], n >= 2.
+    cur = [1, z[0] - 1, 1]
+    for z_next in z[1:]:
+        cur = _fold(cur, z_next)
     return cur
-
-
-def generic_recursion_raw(zs: FactorSequence, n: int) -> list[int]:
-    """The generic doubling recursion run formally, with no class guard.
-
-    For z_2 = 2 or unit factors the output contains zero coefficients; it is
-    the raw material the zero-removal rule is checked against.
-    """
-    if n < 3:
-        raise ValueError("raw recursion starts at n = 3")
-    return _unfold(_DOUBLING[SeriesClass.GENERIC], SeriesSource(zs).factors_through(n))
-
-
-def generic_partial_cf(zs: FactorSequence, n: int) -> PartialCF:
-    """Expansion of S_n for a generic factor sequence (z_2 >= 3, z_j >= 2).
-
-    Length is 3*2^(n-2) - 1 counting a_0; the final convergent denominator
-    equals x_n.
-    """
-    if zs.series_class is not SeriesClass.GENERIC:
-        raise ClassMismatch(f"need a generic factor sequence, got {zs.series_class.value}")
-    if n < 3:
-        raise ValueError("the recursion starts at n = 3")
-    coeffs = generic_recursion_raw(zs, n)
-    assert len(coeffs) == 3 * 2 ** (n - 2) - 1
-    return PartialCF(n, CFExpansion(tuple(coeffs)))
-
-
-def z2eq2_partial_cf(zs: FactorSequence, n: int) -> PartialCF:
-    """Expansion of S_n when z_2 = 2 and z_j >= 2 for j >= 3.
-
-    Starts from the 10-coefficient S_4 and doubles: length 5*2^(n-3), final
-    coefficient always 2. Equals the raw generic recursion after zero
-    removal and the trailing-unit merge.
-    """
-    if zs.series_class is not SeriesClass.Z2_EQUALS_2:
-        raise ClassMismatch(f"need a z_2 = 2 factor sequence, got {zs.series_class.value}")
-    if n < 4:
-        raise ValueError("the z_2 = 2 recursion starts at n = 4")
-    coeffs = _unfold(_DOUBLING[SeriesClass.Z2_EQUALS_2], SeriesSource(zs).factors_through(n))
-    assert len(coeffs) == 5 * 2 ** (n - 3)
-    return PartialCF(n, CFExpansion(tuple(coeffs)))
 
 
 def _split_representative(src: SeriesSource, n: int) -> bool:
@@ -158,26 +85,24 @@ def _split_representative(src: SeriesSource, n: int) -> bool:
 
 
 def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> PartialCF:
-    """Expansion of S_n for any source, dispatching on its class.
+    """Expansion of S_n for any source, by the folding rule.
 
-    Generic and z_2 = 2 sources use their doubling recursions from the
-    recursion's start index on; below it, and for ones-tail and mixed
-    sources, the Euclidean expansion of the exact partial sum is used.
-    For the ones-tail base u = 2 and n >= 4 the expansion is reported with
-    the final quotient split ([..., a] -> [..., a-1, 1]), the representative
-    whose lengths follow the 2^(n-3) + 3 doubling pattern; the value is
-    unchanged.
+    The result is the canonical form, except for the ones-tail base u = 2
+    and n >= 4, which is reported with the final quotient split
+    ([..., a] -> [..., a-1, 1]), the representative whose lengths follow
+    the 2^(n-3) + 3 doubling pattern; the value is unchanged. The final
+    convergent denominator is x_n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     src = as_store(source, budget)
-    d = _DOUBLING.get(src.series_class)
-    if d is not None and n >= d.start:
-        return PartialCF(n, CFExpansion(tuple(_unfold(d, src.factors_through(n)))))
-    cf = expand_rational(src.partial_sum(n))
+    src.x(n)  # charging x_n caps the fold too: its length is below 2^n <= 4*bits(x_n)
+    if n == 1:
+        return PartialCF(1, CFExpansion((1,)))
+    cur = _folded(src.factors_through(n))
     if _split_representative(src, n):
-        cf = CFExpansion(cf.coeffs[:-1] + (cf.coeffs[-1] - 1, 1))
-    return PartialCF(n, cf)
+        return PartialCF(n, CFExpansion(tuple(cur)))
+    return PartialCF(n, normalize_zeros(cur))
 
 
 def partial_lengths(source: SourceLike, n_max: int, budget: BitBudget | None = None) -> list[int]:
@@ -215,19 +140,21 @@ class StreamResult:
 class EngelStream:
     """Single-consumer stream of certified coefficients of the limit S.
 
-    Classes with a doubling recursion extend their partial expansion, hold
-    back the trailing coefficients the next step rewrites, and additionally
-    emit what the next factor alone pins down (z_{n+1}-1, preceded by the
-    forced 1, 1 in the z_2 = 2 class). Every other class, and any stream
-    with ``force_oracle``, emits the interval oracle's common prefix. Emitted
-    coefficients never change; that is asserted on every advance.
+    The generic and z_2 = 2 classes fold their partial expansion from
+    n = 3 on and emit its odd-length representative followed by z_{n+1}-1,
+    which every later fold keeps. When z_{n+1} is unknown they emit the
+    representative, less a split final 1 and the coefficient before it.
+    Every other class, and any stream with ``force_oracle``, emits the
+    interval oracle's common prefix. Emitted coefficients never change;
+    that is asserted on every advance.
     """
 
     def __init__(self, source: SourceLike, budget: BitBudget | None = None,
                  force_oracle: bool = False):
         self._src = as_store(source, budget)
         self.series_class = self._src.series_class
-        self._doubling = None if force_oracle else _DOUBLING.get(self.series_class)
+        self._folds = not force_oracle and self.series_class in (
+            SeriesClass.GENERIC, SeriesClass.Z2_EQUALS_2)
         self.emitted: list[int] = []
         self.lengths: list[int] = []
         self.n_used = 0
@@ -259,21 +186,23 @@ class EngelStream:
         self.emitted = coeffs
 
     def _advance(self):
-        d = self._doubling
-        if d is None:
+        if not self._folds:
             self._advance_oracle()
             return
         if self._cur is None:
-            self._n = d.start
-            self._cur = d.seed(self._src.factors_through(d.start))
+            self._n, self._cur = 3, _folded(self._src.factors_through(3))
         else:
             self._n += 1
-            self._cur = d.step(self._cur, self._src.factors_through(self._n)[-1])
-        self.lengths.append(len(self._cur))
+            self._cur = _fold(self._cur, self._src.factors_through(self._n)[-1])
+        cur = self._cur
+        split = cur[-1] == 1  # the canonical form of S_n is one shorter
+        self.lengths.append(len(cur) - split)
         self.n_used = self._n
         z_next = self._src.factor(self._n + 1)
-        bonus = d.bonus(z_next) if z_next is not None else []
-        self._set_emitted(self._cur[:len(self._cur) - d.mutable] + bonus)
+        if z_next is not None:
+            self._set_emitted(cur + [z_next - 1])
+        else:
+            self._set_emitted(cur[:-2] if split else cur)
 
     def _advance_oracle(self):
         n = max(self._n + 1, 2)
@@ -323,7 +252,8 @@ class StepIdentityReport:
 
 
 def verify_step_identities(zs: FactorSequence, n: int) -> StepIdentityReport:
-    """Check, exactly, the convergent relations of one doubling step:
+    """Check, exactly, the convergent relations of one fold of a generic
+    factor sequence:
 
         p~ = z_{n+1} * q * p + 1,   q~ = z_{n+1} * q^2 = x_{n+1},
 
@@ -333,8 +263,11 @@ def verify_step_identities(zs: FactorSequence, n: int) -> StepIdentityReport:
     """
     if n < 3:
         raise ValueError("steps start at n = 3")
-    here = generic_partial_cf(zs, n)
-    there = generic_partial_cf(zs, n + 1)
+    if zs.series_class is not SeriesClass.GENERIC:
+        raise InvalidSpec(f"need a generic factor sequence, got {zs.series_class.value}")
+    src = SeriesSource(zs)
+    here = partial_cf(src, n)
+    there = partial_cf(src, n + 1)
     t_here = convergents(here.cf)
     t_there = convergents(there.cf)
     p, q = t_here.final
@@ -346,7 +279,7 @@ def verify_step_identities(zs: FactorSequence, n: int) -> StepIdentityReport:
     z_next = zs.factor(n + 1)
     if pt != z_next * q * p + 1:
         raise IdentityViolation(f"numerator identity failed at step {n}")
-    x_next = SeriesSource(zs).x(n + 1)
+    x_next = src.x(n + 1)
     if qt != z_next * q * q or qt != x_next:
         raise IdentityViolation(f"denominator identity failed at step {n}")
     return StepIdentityReport(n, here.length, there.length, det, p, q, pt, qt, x_next)

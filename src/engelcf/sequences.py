@@ -20,7 +20,7 @@ bit budget instead of letting memory blow up silently.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -155,19 +155,16 @@ def _factor_walk(xs: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class EngelSequence:
-    """Terms x_1 = 1 < x_2 <= x_3 ... with x_n^2 | x_{n+1}, plus the derived
-    quotients y_1 = x_1, y_{n+1} = x_{n+1} / x_n."""
+    """Terms x_1 = 1 < x_2 <= x_3 ... with x_n^2 | x_{n+1}."""
 
     x: tuple[int, ...]
-    y: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         xs = tuple(int(v) for v in self.x)
         object.__setattr__(self, "x", xs)
         if not xs or xs[0] != 1:
             raise ValueError("sequence must start with x_1 = 1")
-        ys = [1] + [z * x for z, x in zip(_factor_walk(xs), xs)]
-        object.__setattr__(self, "y", tuple(ys))
+        _factor_walk(xs)
 
     def __len__(self):
         return len(self.x)

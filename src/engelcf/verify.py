@@ -11,15 +11,13 @@ runs are reproducible.
 import random
 
 from .cf import convergents, expand_rational
-from .exceptions import IdentityViolation
-from .expansion import (
-    generic_partial_cf,
-    verify_step_identities,
-    z2eq2_partial_cf,
-)
+from .exceptions import IdentityViolation, InvalidSpec
+from .expansion import partial_cf, verify_step_identities
 from .sequences import (
     FactorSequence,
     SecondOrderSpec,
+    SeriesClass,
+    SeriesSource,
     from_factors,
     generate_recurrence,
     lift_spec,
@@ -39,47 +37,31 @@ def _fail(message: str):
     raise IdentityViolation(message)
 
 
-def check_generic_instance(zs: FactorSequence, n_max: int) -> int:
-    """All generic-class invariants for one factor list; returns the number
-    of expansions checked."""
+def check_instance(zs: FactorSequence, n_max: int) -> int:
+    """All invariants of a generic or z_2 = 2 factor list, from n = 3 or 4
+    on; returns the number of expansions checked."""
+    z2 = zs.series_class is SeriesClass.Z2_EQUALS_2
+    if not z2 and zs.series_class is not SeriesClass.GENERIC:
+        raise InvalidSpec(f"need a generic or z_2 = 2 factor sequence, got {zs.series_class.value}")
+    src = SeriesSource(zs)
     checked = 0
-    for n in range(3, n_max + 1):
-        rec = generic_partial_cf(zs, n)
+    for n in range(4 if z2 else 3, n_max + 1):
+        rec = partial_cf(src, n)
         xs = from_factors(zs, n)
         oracle = expand_rational(partial_sum(xs, n))
         if rec.cf.coeffs != oracle.coeffs:
-            _fail(f"recursion != Euclid oracle at n={n}, z={zs.z}")
-        if rec.length != 3 * 2 ** (n - 2) - 1:
-            _fail(f"length {rec.length} at n={n}")
+            _fail(f"fold != Euclid oracle at n={n}, z={zs.z}")
+        if rec.length != (5 * 2 ** (n - 3) if z2 else 3 * 2 ** (n - 2) - 1):
+            _fail(f"length {rec.length} at n={n}, z={zs.z}")
+        if z2 and rec.cf.coeffs[-1] != 2:
+            _fail(f"z2 final coefficient != 2 at n={n}, z={zs.z}")
         table = convergents(rec.cf)
         if table.final[1] != xs.x[n - 1]:
             _fail(f"final denominator != x_{n} for z={zs.z}")
         if not table.determinant_ok():
             _fail(f"determinant identity failed at n={n}, z={zs.z}")
-        if not set(rec.cf.coeffs) <= generic_alphabet(zs.z[: n - 1]):
+        if not z2 and not set(rec.cf.coeffs) <= generic_alphabet(zs.z[: n - 1]):
             _fail(f"alphabet violation at n={n}, z={zs.z}")
-        checked += 1
-    return checked
-
-
-def check_z2_instance(zs: FactorSequence, n_max: int) -> int:
-    """All z_2 = 2 invariants for one factor list."""
-    checked = 0
-    for n in range(4, n_max + 1):
-        rec = z2eq2_partial_cf(zs, n)
-        xs = from_factors(zs, n)
-        oracle = expand_rational(partial_sum(xs, n))
-        if rec.cf.coeffs != oracle.coeffs:
-            _fail(f"z2 recursion != Euclid oracle at n={n}, z={zs.z}")
-        if rec.length != 5 * 2 ** (n - 3):
-            _fail(f"z2 length {rec.length} at n={n}")
-        if rec.cf.coeffs[-1] != 2:
-            _fail(f"z2 final coefficient != 2 at n={n}")
-        table = convergents(rec.cf)
-        if table.final[1] != xs.x[n - 1]:
-            _fail(f"z2 final denominator != x_{n} for z={zs.z}")
-        if not table.determinant_ok():
-            _fail(f"z2 determinant identity failed at n={n}")
         checked += 1
     return checked
 
@@ -89,7 +71,7 @@ def run_generic_suite(trials: int = 100, n_max: int = 7, seed: int = 0) -> int:
     checked = 0
     for _ in range(trials):
         z = (rng.randint(3, 20),) + tuple(rng.randint(2, 20) for _ in range(n_max - 2))
-        checked += check_generic_instance(FactorSequence(z), n_max)
+        checked += check_instance(FactorSequence(z), n_max)
     return checked
 
 
@@ -98,7 +80,7 @@ def run_z2_suite(trials: int = 100, n_max: int = 7, seed: int = 0) -> int:
     checked = 0
     for _ in range(trials):
         z = (2,) + tuple(rng.randint(2, 20) for _ in range(n_max - 2))
-        checked += check_z2_instance(FactorSequence(z), n_max)
+        checked += check_instance(FactorSequence(z), n_max)
     return checked
 
 
@@ -114,7 +96,7 @@ def run_lift_suite(spec2: SecondOrderSpec, n: int = 7) -> int:
 
 
 def run_identities_suite(zs: FactorSequence, n_through: int) -> int:
-    """Step identities for every feasible doubling step 3..n_through-1;
+    """Step identities for every feasible fold 3..n_through-1;
     returns how many were checked (0 when none is feasible)."""
     count = zs.known_count()
     top = n_through - 1 if count is None else min(n_through - 1, count)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from engelcf import expansion
 from engelcf.cf import parse_cf_text
 from engelcf.cli import build_parser, main
 from engelcf.expansion import stream
@@ -98,7 +99,7 @@ def test_stream_json_record(capsys):
     assert record["n_used"] == 4
     assert record["certified"] == ["1", "1", "1", "5", "2", "299", "1", "1", "5"]
     assert all(isinstance(v, str) for v in record["certified"])
-    assert record["lengths"] == [10]
+    assert record["lengths"] == [5, 10]
 
 
 def test_asymp_report(capsys):
@@ -254,3 +255,35 @@ def test_terms_past_the_digit_limit_print(capsys, default_digit_limit):
     sys.set_int_max_str_digits(0)
     assert gen_out.splitlines()[1:] == [str(v) for v in generate_recurrence(AFFINE, 10)]
     assert parse_cf_text(stream_out).coeffs == tuple(stream(AFFINE, 400).certified[:400])
+
+
+@pytest.mark.parametrize("source", [["--u", "3", "--n", "8"], ["--z", "5,1,2,1", "--n", "5"]])
+def test_cf_oracle_check_catches_a_bad_fold(capsys, monkeypatch, source):
+    # Ones-tail and mixed sources fold, so the Euclidean oracle is an
+    # independent check on them: one corrupted coefficient must exit 4.
+    code, _, _ = run(capsys, "cf", *source, "--check", "oracle")
+    assert code == 0
+    fold = expansion._fold
+
+    def bad_fold(cur, z):
+        out = fold(cur, z)
+        out[1] += 1
+        return out
+
+    monkeypatch.setattr(expansion, "_fold", bad_fold)
+    code, out, err = run(capsys, "cf", *source, "--check", "oracle")
+    assert (code, out) == (4, "")
+    assert "disagrees with the Euclidean oracle" in err
+
+
+def test_identities_suite_needs_a_generic_list(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "identities", "--z", "2,3,4", "--n", "5")
+    assert (code, out, err) == (2, "", "error: need a generic factor sequence, got z2_equals_2\n")
+
+
+def test_z2_stream_certifies_s3_without_z4(capsys):
+    # Like the generic `stream --z 3,2 --K 5`, S_3 is certified with z_4 unknown.
+    code, out, _ = run(capsys, "stream", "--z", "2,6", "--K", "3")
+    assert (code, out) == (0, "[1;1,1]\n")
+    code, out, _ = run(capsys, "stream", "--z", "3,2", "--K", "5")
+    assert (code, out) == (0, "[1;2,1,1,3]\n")

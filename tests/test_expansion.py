@@ -6,19 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engelcf.cf import convergents, evaluate, expand_rational, normalize_zeros
-from engelcf.exceptions import ClassMismatch, InsufficientFactors
+from engelcf.exceptions import InsufficientFactors
 from engelcf.expansion import (
     EngelStream,
     SeriesSource,
+    _fold,
     certified_decimal,
     enclosure,
-    generic_partial_cf,
-    generic_recursion_raw,
     partial_cf,
     partial_lengths,
     stream,
     verify_step_identities,
-    z2eq2_partial_cf,
 )
 from engelcf.sequences import (
     FactorSequence,
@@ -28,75 +26,93 @@ from engelcf.sequences import (
     ones_tail,
     partial_sum,
 )
-from engelcf.verify import check_generic_instance, check_z2_instance, generic_alphabet
+from engelcf.verify import check_instance, generic_alphabet
 
 AFFINE = SecondOrderSpec(3, (1, 2))
 
 
 def test_generic_partial_examples():
-    assert generic_partial_cf(FactorSequence((3, 2, 2)), 4).cf.coeffs == (
+    assert partial_cf(FactorSequence((3, 2, 2)), 4).cf.coeffs == (
         1, 2, 1, 1, 3, 1, 1, 2, 1, 1, 2,
     )
-    assert generic_partial_cf(FactorSequence((3, 9, 81)), 4).cf.coeffs == (
+    assert partial_cf(FactorSequence((3, 9, 81)), 4).cf.coeffs == (
         1, 2, 1, 8, 3, 80, 1, 2, 8, 1, 2,
     )
-    assert generic_partial_cf(FactorSequence((3, 2)), 3).cf.coeffs == (1, 2, 1, 1, 3)
+    assert partial_cf(FactorSequence((3, 2)), 3).cf.coeffs == (1, 2, 1, 1, 3)
 
 
 def test_generic_partial_is_partial_sum():
     zs = FactorSequence((4, 3, 2, 5, 2))
     for n in range(3, 7):
-        part = generic_partial_cf(zs, n)
+        part = partial_cf(zs, n)
         assert evaluate(part.cf) == partial_sum(from_factors(zs, n), n)
         assert part.length == 3 * 2 ** (n - 2) - 1
-
-
-def test_generic_class_guard():
-    with pytest.raises(ClassMismatch):
-        generic_partial_cf(FactorSequence((2, 3, 4)), 4)
-    with pytest.raises(ClassMismatch):
-        z2eq2_partial_cf(FactorSequence((3, 3, 3)), 4)
 
 
 def test_z2eq2_partial_examples():
     # Symbolic n = 5 display instantiated at z = (2, z3, z4, z5).
     z3, z4, z5 = 3, 4, 5
-    got = z2eq2_partial_cf(FactorSequence((2, z3, z4, z5)), 5).cf.coeffs
+    got = partial_cf(FactorSequence((2, z3, z4, z5)), 5).cf.coeffs
     assert got == (
         1, 1, 1, z3 - 1, 2, z4 - 1, 1, 1, z3 - 1, 1, 1,
         z5 - 1, 2, z3 - 1, 1, 1, z4 - 1, 2, z3 - 1, 2,
     )
-    assert z2eq2_partial_cf(FactorSequence((2, 6, 300)), 4).cf.coeffs == (
+    assert partial_cf(FactorSequence((2, 6, 300)), 4).cf.coeffs == (
         1, 1, 1, 5, 2, 299, 1, 1, 5, 2,
     )
-    assert z2eq2_partial_cf(FactorSequence((2, 2, 2)), 4).cf.coeffs == (
+    assert partial_cf(FactorSequence((2, 2, 2)), 4).cf.coeffs == (
         1, 1, 1, 1, 2, 1, 1, 1, 1, 2,
     )
 
 
 def test_z2eq2_equals_normalized_raw_recursion():
-    # The raw doubling recursion run with z_2 = 2 develops zeros; removing
-    # them (and merging the trailing unit) must land on the z_2 = 2 form.
-    zs = FactorSequence((2, 3, 4, 5, 6))
-    for n in range(4, 7):
-        raw = generic_recursion_raw(zs, n)
-        assert normalize_zeros(raw).coeffs == z2eq2_partial_cf(zs, n).cf.coeffs
-    raw5 = generic_recursion_raw(FactorSequence((2, 3, 4, 5)), 5)
-    assert len(raw5) == 23 and len(normalize_zeros(raw5)) == 20
+    # The generic doubling recursion run formally on z = (2, 3, 4, 5) gives
+    # this raw S_5 with one interior zero; removing it and merging the
+    # trailing unit lands on the 20-coefficient z_2 = 2 form.
+    raw5 = [1, 1, 1, 2, 2, 3, 1, 1, 2, 1, 1, 4, 1, 0, 1, 2, 1, 1, 3, 2, 2, 1, 1]
+    assert normalize_zeros(raw5).coeffs == partial_cf(FactorSequence((2, 3, 4, 5)), 5).cf.coeffs
+    assert len(normalize_zeros(raw5)) == 20
 
 
 def test_oracle_equivalence_small():
-    check_generic_instance(FactorSequence((3, 2, 2, 2, 2, 2)), 7)
-    check_generic_instance(FactorSequence((20, 20, 20, 20, 20, 20)), 7)
-    check_z2_instance(FactorSequence((2, 2, 2, 2, 2, 2)), 7)
-    check_z2_instance(FactorSequence((2, 20, 2, 20, 2, 20)), 7)
+    check_instance(FactorSequence((3, 2, 2, 2, 2, 2)), 7)
+    check_instance(FactorSequence((20, 20, 20, 20, 20, 20)), 7)
+    check_instance(FactorSequence((2, 2, 2, 2, 2, 2)), 7)
+    check_instance(FactorSequence((2, 20, 2, 20, 2, 20)), 7)
 
 
 @given(st.integers(3, 20), st.lists(st.integers(2, 20), min_size=4, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_oracle_equivalence_hypothesis(z2, rest):
-    check_generic_instance(FactorSequence((z2, *rest)), 6)
-    check_z2_instance(FactorSequence((2, *rest)), 6)
+    check_instance(FactorSequence((z2, *rest)), 6)
+    check_instance(FactorSequence((2, *rest)), 6)
+
+
+_FOLD_SOURCES = st.one_of(
+    st.builds(lambda z2, rest: FactorSequence((z2, *rest)),
+              st.integers(3, 20), st.lists(st.integers(2, 20), min_size=7, max_size=7)),
+    st.builds(lambda rest: FactorSequence((2, *rest)),
+              st.lists(st.integers(2, 20), min_size=7, max_size=7)),
+    st.builds(ones_tail, st.integers(2, 12)),
+    st.builds(lambda z2, rest: FactorSequence((z2, *rest)),
+              st.integers(2, 20),
+              st.lists(st.one_of(st.just(1), st.integers(2, 20)), min_size=7, max_size=7)),
+)
+
+
+@given(_FOLD_SOURCES)
+@settings(max_examples=80, deadline=None)
+def test_fold_matches_euclid_on_every_class(zs):
+    # Canonical forms agree with Euclid; every fold returns an odd length.
+    src = SeriesSource(zs)
+    for n in range(1, 9):
+        got = normalize_zeros(partial_cf(src, n).cf.coeffs).coeffs
+        assert got == expand_rational(src.partial_sum(n)).coeffs, (zs, n)
+    z = src.factors_through(8)
+    cur = [1, z[0] - 1, 1]
+    for z_next in z[1:]:
+        cur = _fold(cur, z_next)
+        assert len(cur) % 2 == 1
 
 
 def test_stream_examples():
@@ -137,12 +153,12 @@ def test_stream_finite_z2_exhaustion():
     got = stream(zs, 9)
     # S_4's final coefficient is rewritten by the next step, and z_5 is
     # missing, so only the first 9 of its 10 coefficients are certified.
-    assert got.certified == z2eq2_partial_cf(zs, 4).cf.coeffs[:-1]
+    assert got.certified == partial_cf(zs, 4).cf.coeffs[:-1]
     with pytest.raises(InsufficientFactors):
         stream(zs, 10)
     # With z_5 known, the held-back tail is followed by 1, 1, z_5 - 1.
     got = stream(FactorSequence((2, 3, 4, 5)), 12)
-    assert got.certified == z2eq2_partial_cf(zs, 4).cf.coeffs[:-1] + (1, 1, 4)
+    assert got.certified == partial_cf(zs, 4).cf.coeffs[:-1] + (1, 1, 4)
 
 
 def test_third_order_general_stream_matches_oracle():
@@ -170,12 +186,12 @@ def test_stream_is_prefix_of_partials():
     zs = FactorSequence((4, 3, 2, 5, 2, 7))
     first = stream(zs, 12).certified
     for n in range(5, 8):
-        part = generic_partial_cf(zs, n)
+        part = partial_cf(zs, n)
         assert part.cf.coeffs[: len(first)] == first
 
     z2 = FactorSequence((2, 3, 4, 5, 6))
     first = stream(z2, 10).certified
-    part = z2eq2_partial_cf(z2, 6)
+    part = partial_cf(z2, 6)
     assert part.cf.coeffs[: len(first)] == first
 
 
@@ -228,14 +244,14 @@ def test_partial_cf_dispatch():
     assert partial_cf(FactorSequence((3, 2)), 1).cf.coeffs == (1,)
     assert partial_cf(FactorSequence((5,)), 2).cf.coeffs == (1, 5)
     assert partial_cf(FactorSequence((2, 4)), 3).cf.coeffs == (1, 1, 1, 3, 2)
-    # Below a recursion's start index the Euclidean expansion is used.
+    # S_1 and S_2 come before the first fold.
     assert partial_cf(FactorSequence((2, 4)), 1).cf.coeffs == (1,)
     assert partial_cf(FactorSequence((2, 4)), 2).cf.coeffs == (1, 2)
     assert partial_cf(AFFINE, 2).cf.coeffs == (1, 3)
-    assert partial_cf(AFFINE, 4).cf.coeffs == generic_partial_cf(
+    assert partial_cf(AFFINE, 4).cf.coeffs == partial_cf(
         FactorSequence((3, 21, 23877)), 4
     ).cf.coeffs
-    # Mixed class goes through the Euclidean oracle.
+    # Mixed factor lists fold too.
     mixed = FactorSequence((5, 1, 2, 1))
     part = partial_cf(mixed, 4)
     assert evaluate(part.cf) == partial_sum(from_factors(mixed, 4), 4)
@@ -268,7 +284,7 @@ def test_verify_step_identities():
 
 def test_convergent_table_shares_rows_with_step_identities():
     zs = FactorSequence((3, 2, 2, 2))
-    part = generic_partial_cf(zs, 4)
+    part = partial_cf(zs, 4)
     table = convergents(part.cf)
     # l_n odd makes det of the full product -1.
     p, q = table.final
