@@ -44,10 +44,11 @@ class InvalidSpec(EngelError, ValueError):
 class BitBudgetExceeded(EngelError, RuntimeError):
     """Doubly-exponential growth passed the configured bit cap."""
 
-    def __init__(self, bits: int, cap: int, what: str = "term"):
+    def __init__(self, bits: int, cap: int, what: str = "term", at_least: bool = False):
         self.bits = bits
         self.cap = cap
-        super().__init__(f"{what} needs {bits} bits, cap is {cap}")
+        need = "at least " if at_least else ""
+        super().__init__(f"{what} needs {need}{bits} bits, cap is {cap}")
 
 
 class InsufficientFactors(EngelError, ValueError):

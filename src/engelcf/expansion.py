@@ -19,10 +19,24 @@ Two mechanisms produce the coefficients:
   * the interval oracle, which streams ones-tail and mixed factor lists:
     S lies strictly between S_n and S_n + 2/x_{n+1}, because
     x_{j+1} >= x_j^2 and x_{n+1} >= 2 bound the tail by a geometric sum.
-    Expanding both endpoints and keeping their common prefix, minus its
-    final coefficient as the standard safety margin, certifies coefficients
-    with no structural knowledge at all. The bound is crude but rigorous,
-    chosen over tighter ones for auditability.
+    The common prefix of both endpoints' expansions, minus its final
+    coefficient as the standard safety margin, is certified with no
+    structural knowledge at all. The bound is crude but rigorous, chosen
+    over tighter ones for auditability.
+
+    The intervals nest, so each advance resumes where the last one
+    stopped (Gosper, HAKMEM item 101, 1972). The stream keeps the product
+    M of the matrices [[a, 1], [1, 0]] of the c emitted coefficients, with
+    det M = (-1)^c, and maps both endpoints, as integer pairs with no gcd,
+    through M^-1. A mapped pair (A, B) with A > B > 0 proves that the
+    endpoint expands as the emitted prefix followed by the expansion of
+    A/B. Euclid then expands only the lower endpoint's tail; the upper
+    endpoint is followed, not expanded: blocks of the lower tail's
+    quotients from a product tree are applied to its pair and kept while
+    the pair stays ordered (cf.ProductTree.follow). M grows by the product
+    of the newly certified block. When a check fails, that advance starts
+    again from a_0 with M the identity, and a changed emitted coefficient
+    raises IdentityViolation.
 
 Partial-sum constructions are pure; a stream is a stateful single-consumer
 object (distinct streams are independent).
@@ -31,7 +45,14 @@ object (distinct streams are independent).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import CFExpansion, convergents, expand_rational, normalize_zeros
+from .cf import (
+    CFExpansion,
+    ProductTree,
+    convergents,
+    expand_rational,
+    matrix_mul,
+    normalize_zeros,
+)
 from .exceptions import IdentityViolation, InvalidSpec
 from .sequences import (  # SeriesSource and SourceLike are re-exported from here
     BitBudget,
@@ -41,6 +62,9 @@ from .sequences import (  # SeriesSource and SourceLike are re-exported from her
     SourceLike,
     as_store,
 )
+
+
+_IDENTITY = (1, 0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -63,9 +87,22 @@ class PartialCF:
 def _fold(cur: list[int], z: int) -> list[int]:
     # The odd-length representative of S_n to that of S_{n+1}: fold, remove
     # the junction's zeros, and split a canonical result of even length.
-    out = list(normalize_zeros(cur + [z - 1, 1, cur[-1] - 1] + cur[-2:0:-1]).coeffs)
+    # Only z-1 and a_l-1 can be 0, and [a, 0, b] -> [a+b] never forms a 0,
+    # so the repair stays inside the window [a_l, z-1, 1, a_l-1, a_{l-1}].
+    window = [cur[-1], z - 1, 1, cur[-1] - 1, cur[-2]]
+    while 0 in window:
+        j = window.index(0)
+        window[j - 1:j + 2] = [window[j - 1] + window[j + 1]]
+    out = cur[:-1]
+    out += window
+    out += cur[-3:0:-1]
     if len(out) % 2 == 0:
-        out[-1:] = [out[-1] - 1, 1]
+        # The other representative of the same value: merge a final 1,
+        # or split a final a >= 2 into a-1, 1.
+        if out[-1] == 1:
+            out[-2:] = [out[-2] + 1]
+        else:
+            out[-1:] = [out[-1] - 1, 1]
     return out
 
 
@@ -145,8 +182,12 @@ class EngelStream:
     which every later fold keeps. When z_{n+1} is unknown they emit the
     representative, less a split final 1 and the coefficient before it.
     Every other class, and any stream with ``force_oracle``, emits the
-    interval oracle's common prefix. Emitted coefficients never change;
-    that is asserted on every advance.
+    interval oracle's common prefix. The oracle resumes from the matrix of
+    the emitted prefix: it expands only the tail of S_n past that prefix
+    and checks the upper endpoint's tail against those quotients. Should
+    either endpoint's mapped tail fail its check, the advance expands from
+    a_0 instead. Emitted coefficients never change; that is proved by the
+    tail checks on a resumed advance and asserted on a restarted one.
     """
 
     def __init__(self, source: SourceLike, budget: BitBudget | None = None,
@@ -160,6 +201,9 @@ class EngelStream:
         self.n_used = 0
         self._cur: list[int] | None = None
         self._n = 1
+        # The oracle's resume state: the product of the matrices
+        # [[a, 1], [1, 0]] of the first _m_len emitted coefficients.
+        self._m, self._m_len = _IDENTITY, 0
 
     @property
     def certified_through(self) -> int:
@@ -207,20 +251,47 @@ class EngelStream:
     def _advance_oracle(self):
         n = max(self._n + 1, 2)
         self._n = n
-        x_next = self._src.x(n + 1)  # raises when the factor list ends
-        lo = self._src.partial_sum(n)
-        hi = lo + Fraction(2, x_next)
-        a = expand_rational(lo).coeffs
-        b = expand_rational(hi).coeffs
-        shared = 0
-        for va, vb in zip(a, b):
-            if va != vb:
-                break
-            shared += 1
-        certified = list(a[: max(shared - 1, 0)])
-        self.lengths.append(len(a) + _split_representative(self._src, n))
+        src = self._src
+        x_next = src.x(n + 1)  # raises when the factor list ends
+        # lo = S_n and hi = S_n + 2/x_{n+1} = S_{n+1} + 1/x_{n+1}, as pairs.
+        lo = (src.numerator(n), src.x(n))
+        hi = (src.numerator(n + 1) + 1, x_next)
+        tails = self._tails(lo, hi)
+        restart = tails is None
+        if restart:  # start again from a_0
+            self._m, self._m_len = _IDENTITY, 0
+            tails = (lo, hi)
+        (lo_p, lo_q), (hi_p, hi_q) = tails
+        c = self._m_len
+        tail = expand_rational(lo_p, lo_q).coeffs
+        tree = ProductTree(tail)
+        shared = tree.follow(hi_p, hi_q)
+        self.lengths.append(c + len(tail) + _split_representative(src, n))
         self.n_used = n
-        self._set_emitted(certified)
+        if shared > 1:
+            self._set_emitted(self.emitted[:c] + list(tail[:shared - 1]))
+        new = len(self.emitted) - c
+        if new:
+            # After a restart the emitted prefix may be longer than this one.
+            block = ProductTree(self.emitted).product() if restart else tree.product(new)
+            self._m, self._m_len = matrix_mul(self._m, block), len(self.emitted)
+
+    def _tails(self, lo, hi):
+        # M^-1 of each endpoint, M = [[p, p'], [q, q']] the product of the
+        # emitted coefficients' matrices, or None when a check fails. A pair
+        # (A, B) with A > B > 0 is a tail above 1, which proves the endpoint
+        # expands as the emitted prefix followed by the expansion of A/B.
+        p, p2, q, q2 = self._m
+        det = -1 if self._m_len % 2 else 1
+        if p * q2 - p2 * q != det:
+            return None
+        out = []
+        for num, den in (lo, hi):
+            a, b = det * (q2 * num - p2 * den), det * (p * den - q * num)
+            if not 0 < b < a:
+                return None
+            out.append((a, b))
+        return out
 
 
 def stream(source: SourceLike, count: int, budget: BitBudget | None = None,

@@ -56,6 +56,15 @@ class BudgetMeter:
         self.budget = budget or BitBudget()
         self.total_bits = 0
 
+    def check_bound(self, bits: int, what: str = "term"):
+        """Raise before forming a value known to have at least ``bits`` bits
+        when charging it would fail."""
+        if bits > self.budget.single:
+            raise BitBudgetExceeded(bits, self.budget.single, what, at_least=True)
+        if self.total_bits + bits > self.budget.total:
+            raise BitBudgetExceeded(self.total_bits + bits, self.budget.total,
+                                    "cumulative size", at_least=True)
+
     def charge(self, value: int, what: str = "term"):
         bits = value.bit_length()
         if bits > self.budget.single:
@@ -87,12 +96,12 @@ class FactorSequence:
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(int(v) for v in self.z))
         if not self.z:
-            raise ValueError("need at least the first factor z_2")
+            raise InvalidSpec("need at least the first factor z_2")
         if self.z[0] < 2:
-            raise ValueError(f"z_2 must be >= 2, got {self.z[0]}")
+            raise InvalidSpec(f"z_2 must be >= 2, got {self.z[0]}")
         for j, v in enumerate(self.z[1:], start=3):
             if v < 1:
-                raise ValueError(f"z_{j} must be positive, got {v}")
+                raise InvalidSpec(f"z_{j} must be positive, got {v}")
 
     @property
     def series_class(self) -> SeriesClass:
@@ -136,7 +145,7 @@ class FactorSequence:
 def ones_tail(u: int) -> FactorSequence:
     """The unbounded source z = (u, 1, 1, ...), i.e. x_n = u^(2^(n-2))."""
     if u < 2:
-        raise ValueError("u must be >= 2")
+        raise InvalidSpec("u must be >= 2")
     return FactorSequence((u,), tail_ones=True)
 
 
@@ -145,7 +154,7 @@ def _factor_walk(xs: Sequence[int]) -> list[int]:
     z = []
     for i in range(1, len(xs)):
         if xs[i] <= 0:
-            raise ValueError(f"non-positive term at position {i + 1}")
+            raise InvalidSpec(f"non-positive term at position {i + 1}")
         q, r = divmod(xs[i], xs[i - 1] ** 2)
         if r:
             raise DivisibilityViolation(i + 1)
@@ -163,7 +172,7 @@ class EngelSequence:
         xs = tuple(int(v) for v in self.x)
         object.__setattr__(self, "x", xs)
         if not xs or xs[0] != 1:
-            raise ValueError("sequence must start with x_1 = 1")
+            raise InvalidSpec("sequence must start with x_1 = 1")
         _factor_walk(xs)
 
     def __len__(self):
@@ -183,7 +192,7 @@ def strip_leading_ones(raw: Sequence[int]) -> tuple[int, ...]:
     """
     terms = [int(v) for v in raw]
     if not terms or terms[0] != 1:
-        raise ValueError("sequence must start with 1")
+        raise InvalidSpec("sequence must start with 1")
     i = 0
     while i < len(terms) and terms[i] == 1:
         i += 1
@@ -193,13 +202,13 @@ def strip_leading_ones(raw: Sequence[int]) -> tuple[int, ...]:
 def factors_from_sequence(raw: Sequence[int]) -> FactorSequence:
     """Invert a sequence to its factors z_n = x_n / x_{n-1}^2 exactly.
 
-    Leading 1s beyond a single one are stripped first. Raises ValueError
+    Leading 1s beyond a single one are stripped first. Raises InvalidSpec
     at the first non-positive term and DivisibilityViolation at the first
     index where the square fails to divide.
     """
     xs = strip_leading_ones(raw)
     if len(xs) < 2:
-        raise ValueError("need at least one term beyond the leading 1")
+        raise InvalidSpec("need at least one term beyond the leading 1")
     return FactorSequence(tuple(_factor_walk(xs)))
 
 
@@ -409,8 +418,11 @@ class SeriesSource:
         terms, zs = self._terms, self._factors
         while len(terms) < count:
             z = self._step(self._rule, terms, zs)
+            what = f"x_{len(terms) + 1 - self._pad}"
+            # z * x_k^2 has at least this many bits: refuse before multiplying.
+            self._meter.check_bound(z.bit_length() + 2 * terms[-1].bit_length() - 2, what)
             nxt = z * terms[-1] ** 2
-            self._meter.charge(nxt, f"x_{len(terms) + 1 - self._pad}")
+            self._meter.charge(nxt, what)
             terms.append(nxt)
             zs.append(z)
 
@@ -440,15 +452,20 @@ class SeriesSource:
             return [self._rule.require(j) for j in range(2, j_max + 1)]
         return [self.factor(j) for j in range(2, j_max + 1)]
 
-    def partial_sum(self, n: int) -> Fraction:
-        """Exact S_n, maintained incrementally: the numerator over x_n obeys
-        N_n = N_{n-1} * y_n + 1 with y_n = x_n / x_{n-1} = z_n * x_{n-1}."""
+    def numerator(self, n: int) -> int:
+        """N_n with S_n = N_n / x_n, maintained incrementally:
+        N_n = N_{n-1} * y_n + 1 with y_n = x_n / x_{n-1} = z_n * x_{n-1}.
+        The paper's congruence makes it coprime to x_n, so no gcd is taken."""
         self._grow(n + self._pad)
         terms, zs, pad = self._terms, self._factors, self._pad
         while len(self._nums) < n:
             i = len(self._nums) + pad
             self._nums.append(self._nums[-1] * zs[i] * terms[i - 1] + 1)
-        return Fraction(self._nums[n - 1], terms[n - 1 + pad])
+        return self._nums[n - 1]
+
+    def partial_sum(self, n: int) -> Fraction:
+        """Exact S_n as a reduced Fraction."""
+        return Fraction(self.numerator(n), self.x(n))
 
 
 SourceLike = Union[SeriesSource, FactorSequence, SecondOrderSpec, ThirdOrderSpec,

@@ -42,6 +42,11 @@ def test_gen_validation_exit_code(capsys):
     assert "d1" in err
 
 
+def test_invalid_factor_list_exit_code(capsys):
+    code, out, err = run(capsys, "gen", "--z", "1,2", "--n", "3")
+    assert (code, out, err) == (2, "", "error: z_2 must be >= 2, got 1\n")
+
+
 def test_gen_budget_exit_code(capsys):
     code, _, err = run(capsys, "gen", "--d1", "3", "--G", "3", "--n", "30", "--bits", "4096")
     assert code == 3

@@ -1,10 +1,12 @@
-"""expand_rational's batched Euclid against a plain divmod loop.
+"""expand_rational's batched Euclid, and ProductTree's checked quotients,
+against a plain divmod loop.
 
-Each test runs at the module's window and again at a 16-bit window, where
-inputs past 64 bits already take accepted batches, rejected batches and
-single-step fallbacks.
+Each expand_rational test runs at the module's window and again at a
+16-bit window, where inputs past 64 bits already take accepted batches,
+rejected batches and single-step fallbacks.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engelcf.cf as cf
-from engelcf.cf import convergents, expand_rational
+from engelcf.cf import ProductTree, convergents, expand_rational
 from engelcf.expansion import SeriesSource
 from engelcf.sequences import ones_tail
 
@@ -102,3 +104,65 @@ def test_ones_tail_oracle_endpoints(window):
     assert (lo.denominator.bit_length(), hi.denominator.bit_length()) == (25969, 51937)
     check(lo, window)
     check(hi, window)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_expansion_needs_no_gcd(data):
+    r = data.draw(rationals_around_threshold(cf._WINDOW_BITS))
+    g = data.draw(st.integers(1, 1 << 100))
+    p, q = r.numerator * g, r.denominator * g
+    assert expand_rational(p, q).coeffs == euclid_reference(p, q) == expand_rational(r).coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(expansions())
+def test_product_tree_gives_the_convergents(coeffs):
+    rows = convergents(coeffs).rows
+    (p, q), (p2, q2) = rows[-1], rows[-2] if len(rows) > 1 else (1, 0)
+    tree = ProductTree(coeffs)
+    assert tree.product() == (p, p2, q, q2)
+    for k in {0, 1, len(coeffs) // 3, len(coeffs) - 1}:
+        assert tree.product(k) == ProductTree(coeffs[:k]).product()
+
+
+@st.composite
+def nearby_expansions(draw):
+    # A list of quotients and a pair p > q > 0 whose expansion shares a
+    # drawn prefix with it and then leaves it, ends, or runs on.
+    qs = draw(st.lists(st.integers(1, 9), min_size=1, max_size=300))
+    target = qs[:draw(st.integers(0, len(qs)))] + draw(st.lists(st.integers(1, 9), max_size=40))
+    if len(target) > 1 and target[-1] == 1:
+        target[-1] = 2
+    if target in ([], [1]):
+        target = [2]
+    return qs, *convergents(target).final
+
+
+@settings(max_examples=200, deadline=None)
+@given(nearby_expansions())
+def test_follow_counts_the_shared_prefix(case):
+    qs, p, q = case
+    ref = euclid_reference(p, q)
+    shared = 0
+    while shared < min(len(qs), len(ref)) and qs[shared] == ref[shared]:
+        shared += 1
+    assert ProductTree(qs).follow(p, q) == shared
+
+
+def test_follow_stops_at_every_position():
+    # Every place a divergence or an end can fall: inside a leaf, at a
+    # leaf's last quotient, and at the last quotient of each subtree.
+    rng = random.Random(8)
+    qs = [rng.randint(1, 9) for _ in range(200)]
+    tree = ProductTree(qs)
+    for k in range(len(qs) + 1):
+        diverged = qs[:k] + [qs[k] + 1, 3] if k < len(qs) else qs + [1, 3]
+        for target in (diverged, qs[:k] + [2]):
+            p, q = convergents(target).final
+            ref = euclid_reference(p, q)
+            shared = 0
+            while shared < min(len(qs), len(ref)) and qs[shared] == ref[shared]:
+                shared += 1
+            assert shared >= k
+            assert tree.follow(p, q) == shared, k

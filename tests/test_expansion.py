@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engelcf import expansion
 from engelcf.cf import convergents, evaluate, expand_rational, normalize_zeros
-from engelcf.exceptions import InsufficientFactors
+from engelcf.exceptions import IdentityViolation, InsufficientFactors
 from engelcf.expansion import (
     EngelStream,
     SeriesSource,
     _fold,
+    _split_representative,
     certified_decimal,
     enclosure,
     partial_cf,
@@ -330,3 +332,104 @@ def test_stream_take_is_monotone():
     # A second stream over the same source certifies identical values.
     again = EngelStream(ones_tail(3)).take(5 + rnd.randint(0, 10))
     assert again[:5] == first[:5]
+
+
+# ---------------------------------------------------------------------------
+# The resumed interval oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_oracle_stream(source, count):
+    """The interval oracle from scratch: on every advance, the common prefix
+    of expand_rational(S_n) and expand_rational(S_n + 2/x_{n+1}), minus one."""
+    src = SeriesSource(source)
+    emitted, lengths, n = [], [], 1
+    while len(emitted) < count:
+        n += 1
+        lo = src.partial_sum(n)
+        a = expand_rational(lo).coeffs
+        b = expand_rational(lo + Fraction(2, src.x(n + 1))).coeffs
+        shared = 0
+        while shared < min(len(a), len(b)) and a[shared] == b[shared]:
+            shared += 1
+        lengths.append(len(a) + _split_representative(src, n))
+        if shared - 1 >= len(emitted):
+            assert list(a[:len(emitted)]) == emitted
+            emitted = list(a[:shared - 1])
+    return tuple(emitted), tuple(lengths), n
+
+
+_ORACLE_SOURCES = st.one_of(
+    st.tuples(st.builds(ones_tail, st.integers(2, 12)), st.integers(1, 600), st.just(False)),
+    st.tuples(st.builds(lambda z2, rest: FactorSequence((z2, *rest), tail_ones=True),
+                        st.integers(2, 20),
+                        st.lists(st.one_of(st.just(1), st.integers(2, 9)), max_size=6)),
+              st.integers(1, 300), st.just(False)),
+    st.tuples(st.builds(lambda z2, rest: FactorSequence((z2, *rest)),
+                        st.one_of(st.just(2), st.integers(3, 20)),
+                        st.lists(st.integers(2, 20), min_size=10, max_size=10)),
+              st.integers(1, 300), st.just(True)),
+)
+
+
+@given(_ORACLE_SOURCES)
+@settings(max_examples=60, deadline=None)
+def test_resumed_oracle_matches_restarted_oracle(case):
+    source, count, force = case
+    got = stream(source, count, force_oracle=force)
+    assert (got.certified, got.lengths, got.n_used) == reference_oracle_stream(source, count)
+
+
+def _corruptions(m, emitted):
+    p, p2, q, q2 = m
+    yield p + 1, p2, q, q2  # det no longer +-1
+    yield p2, p, q2, q  # columns swapped: det changes sign
+    yield -p, -p2, -q, -q2  # det kept, tails negative
+    # A column doubled: det is +-2, and the tails' ratio halves or doubles
+    # while both may still pass 0 < B < A.
+    yield 2 * p, p2, 2 * q, q2
+    yield p, 2 * p2, q, 2 * q2
+    # The product of a neighbouring prefix: the last coefficient one larger,
+    # and one smaller where it is at least 2. Both keep det = +-1.
+    for delta in (1, -1):
+        if emitted[-1] + delta >= 1:
+            rows = convergents(emitted[:-1] + [emitted[-1] + delta]).rows
+            (p, q), (p2, q2) = rows[-1], rows[-2]
+            yield p, p2, q, q2
+
+
+@pytest.mark.parametrize("source", [ones_tail(3), ones_tail(2), FactorSequence((5, 1, 2, 1), True)])
+def test_corrupted_resume_state_never_emits_a_wrong_coefficient(source):
+    clean = EngelStream(source)
+    for _ in range(5):
+        clean._advance()
+    corruptions = list(_corruptions(clean._m, clean.emitted))
+    want = clean.take(400)
+    for bad in corruptions:
+        es = EngelStream(source)
+        for _ in range(5):
+            es._advance()
+        es._m = bad
+        try:
+            got = es.take(400)
+        except IdentityViolation:
+            continue
+        assert got == want, bad
+        assert es._m == clean._m  # rebuilt after expanding from a_0
+
+
+def test_resumed_oracle_expands_each_coefficient_about_once(monkeypatch):
+    # Only the tail of S_n past the emitted prefix is expanded; the upper
+    # endpoint is checked against it, never expanded. Restarting from a_0
+    # on both endpoints handed Euclid about 5.8 coefficients per certified one.
+    returned = []
+    original = expansion.expand_rational
+
+    def counting(*args):
+        out = original(*args)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(expansion, "expand_rational", counting)
+    got = stream(ones_tail(3), 15000)
+    assert len(got.certified) <= sum(returned) <= 2 * len(got.certified)

@@ -250,6 +250,21 @@ def test_closed_form_numerator_small():
     assert closed_form_numerator([3, 2], 3) == 9 * 2 + 3 * 2 + 1
 
 
+@pytest.mark.parametrize("bad", [
+    lambda: FactorSequence(()),
+    lambda: FactorSequence((1, 2)),
+    lambda: FactorSequence((3, 0)),
+    lambda: ones_tail(1),
+    lambda: EngelSequence((2, 4)),
+    lambda: strip_leading_ones([2, 4]),
+    lambda: factors_from_sequence([1, 1]),
+    lambda: factors_from_sequence([1, 0, 5]),
+])
+def test_input_validation_raises_invalid_spec(bad):
+    with pytest.raises(InvalidSpec):
+        bad()
+
+
 def test_strip_leading_ones():
     assert strip_leading_ones([1, 1, 3, 81]) == (1, 3, 81)
     assert strip_leading_ones([1, 1, 1, 3]) == (1, 3)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from engelcf.asymptotics import full_report, roth_exponents
 from engelcf.cli import main
-from engelcf.exceptions import InvalidSpec
+from engelcf.exceptions import BitBudgetExceeded, InvalidSpec
 from engelcf.expansion import enclosure, partial_cf, stream
 from engelcf.sequences import (
     BitBudget,
@@ -22,6 +22,7 @@ from engelcf.sequences import (
     from_factors,
     generate_recurrence,
     lift_spec,
+    ones_tail,
 )
 
 AFFINE = SecondOrderSpec(3, (1, 2))
@@ -182,3 +183,20 @@ def test_a_store_is_shared_between_calls(monkeypatch):
 def test_cf_past_a_finite_factor_list_is_a_validation_error(capsys):
     assert main(["cf", "--z", "3,9", "--n", "5"]) == 2
     assert "z_4" in capsys.readouterr().err
+
+
+def test_budget_refuses_a_term_before_forming_it(monkeypatch):
+    # x_8 = 3^64 has at least bits(z_8) + 2*bits(x_7) - 2 = 1 + 2*51 - 2 = 101
+    # bits, over a single-term cap of 100: the store raises without
+    # multiplying and keeps x_1..x_7.
+    store = SeriesSource(ones_tail(3), BitBudget(single=100, total=1000))
+    assert store.x(7) == 3 ** 32
+    charged = _record_charges(monkeypatch)
+    with pytest.raises(BitBudgetExceeded, match="x_8 needs at least 101 bits, cap is 100"):
+        store.x(8)
+    assert charged == [] and len(store._terms) == 7
+    # The cumulative cap is checked the same way.
+    store = SeriesSource(ones_tail(3), BitBudget(single=1000, total=150))
+    with pytest.raises(BitBudgetExceeded, match="cumulative size needs at least"):
+        store.x(8)
+    assert len(store._terms) == 7
