@@ -54,13 +54,11 @@ from .expansion import (
     EngelStream,
     StreamResult,
     PartialCF,
-    StepIdentityReport,
     certified_decimal,
     enclosure,
     partial_cf,
     partial_lengths,
     stream,
-    verify_step_identities,
 )
 from .asymptotics import (
     AsymptoticsReport,
@@ -72,7 +70,6 @@ from .asymptotics import (
     full_report,
     growth_report,
     log_big,
-    reconstruct_lambda_n,
     roth_exponents,
 )
 

@@ -82,27 +82,6 @@ def _alphas(spec: SecondOrderSpec, store: SeriesSource):
     return functools.cache(lambda k: _alpha(spec, store.x(k)))
 
 
-def reconstruct_lambda_n(
-    spec: SecondOrderSpec,
-    n: int,
-    dps: int = DEFAULT_DPS,
-    budget: BitBudget | None = None,
-):
-    """(exact, true) for L_n = log x_n.
-
-    ``exact`` evaluates the closed-form solution of the linearized
-    recurrence term by term; ``true`` is the log of the generated integer.
-    The two must agree to well below 1e-9 relative.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    store = SeriesSource(spec, budget)
-    lam = dominant_root(spec.d1, spec.d2, dps)
-    # For a second-order spec the Engel x_n is the raw x_n, and x_0 = 1.
-    true = log_big(store.x(n) if n else 1, dps)
-    return _lambda_exact(spec, lam, _alphas(spec, store), n, dps), true
-
-
 def _lambda_exact(spec: SecondOrderSpec, lam, alpha, n: int, dps: int):
     # The closed-form L_n from the root and alpha(k) = a_k, k = 1..n-1.
     with workdps(dps + 10):

@@ -72,9 +72,9 @@ class CFExpansion:
 class ConvergentTable:
     """Rows (p_j, q_j) for j = 0..m of a continued fraction.
 
-    Keeping the whole table (current and previous columns together) lets the
-    step identities of the doubling construction be asserted without
-    recomputation.
+    Keeping the whole table (current and previous columns together) lets
+    verify.check_instance assert the final denominator and the determinant
+    rule, and with them the fold's step identities, without recomputation.
     """
 
     rows: tuple[tuple[int, int], ...]

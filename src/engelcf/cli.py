@@ -28,13 +28,14 @@ from .sequences import (
     BitBudget,
     FactorSequence,
     SecondOrderSpec,
+    SeriesClass,
     SeriesSource,
     ThirdOrderSpec,
     generate_recurrence,
     ones_tail,
     parse_spec_line,
 )
-from .verify import run_generic_suite, run_identities_suite, run_lift_suite, run_z2_suite
+from .verify import check_instance, run_generic_suite, run_lift_suite, run_z2_suite
 
 SEQ_HEADER = "# engel-seq v1"
 
@@ -127,7 +128,7 @@ def cmd_cf(args) -> tuple[str, int]:
     if args.check == "oracle":
         # normalize_zeros merges the trailing unit of the u = 2 split
         # representative, giving the canonical form the oracle produces.
-        oracle = expand_rational(src.partial_sum(args.n))
+        oracle = expand_rational(src.numerator(args.n), src.x(args.n))
         if normalize_zeros(part.cf.coeffs).coeffs != oracle.coeffs:
             raise IdentityViolation(f"partial expansion disagrees with the Euclidean oracle at n={args.n}")
     if args.json:
@@ -202,7 +203,13 @@ def cmd_verify(args) -> tuple[str, int]:
         if args.z is None:
             raise InvalidSpec("--suite identities needs --z")
         zs = FactorSequence(_csv_ints(args.z))
-        checked = run_identities_suite(zs, args.n)
+        # check_instance proves the identities of each fold S_n -> S_{n+1}, 3 <= n < n_max.
+        n_max = min(args.n, len(zs.z) + 1)
+        checked = 0
+        if n_max >= 4:
+            if zs.series_class is not SeriesClass.GENERIC:
+                raise InvalidSpec(f"need a generic factor sequence, got {zs.series_class.value}")
+            checked = check_instance(zs, n_max) - 1
         line = f"ok identities: {checked} doubling steps verified"
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidSpec(f"unknown suite {args.suite}")

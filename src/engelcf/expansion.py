@@ -48,7 +48,6 @@ from fractions import Fraction
 from .cf import (
     CFExpansion,
     ProductTree,
-    convergents,
     expand_rational,
     matrix_mul,
     normalize_zeros,
@@ -56,7 +55,6 @@ from .cf import (
 from .exceptions import IdentityViolation, InvalidSpec
 from .sequences import (  # SeriesSource and SourceLike are re-exported from here
     BitBudget,
-    FactorSequence,
     SeriesClass,
     SeriesSource,
     SourceLike,
@@ -131,7 +129,7 @@ def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> P
     convergent denominator is x_n.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidSpec("n must be >= 1")
     src = as_store(source, budget)
     src.x(n)  # charging x_n caps the fold too: its length is below 2^n <= 4*bits(x_n)
     if n == 1:
@@ -146,7 +144,7 @@ def partial_lengths(source: SourceLike, n_max: int, budget: BitBudget | None = N
     """Lengths of the partial-sum expansions for n = 1..n_max, computed from
     the Euclidean oracle (plus the u = 2 representative convention)."""
     src = as_store(source, budget)
-    return [len(expand_rational(src.partial_sum(n))) + _split_representative(src, n)
+    return [len(expand_rational(src.numerator(n), src.x(n))) + _split_representative(src, n)
             for n in range(1, n_max + 1)]
 
 
@@ -303,64 +301,16 @@ def stream(source: SourceLike, count: int, budget: BitBudget | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Step identities and certified enclosures
+# Certified enclosures
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StepIdentityReport:
-    """Convergent identities linking S_n to S_{n+1} for a generic source."""
-
-    n: int
-    ell_n: int
-    ell_next: int
-    det_m: int
-    p: int
-    q: int
-    p_tilde: int
-    q_tilde: int
-    x_next: int
-
-
-def verify_step_identities(zs: FactorSequence, n: int) -> StepIdentityReport:
-    """Check, exactly, the convergent relations of one fold of a generic
-    factor sequence:
-
-        p~ = z_{n+1} * q * p + 1,   q~ = z_{n+1} * q^2 = x_{n+1},
-
-    where (p, q) is the final convergent of S_n and (p~, q~) of S_{n+1},
-    plus det M_n = -1 (the expansion length is odd). Failure raises
-    IdentityViolation and indicates an implementation bug.
-    """
-    if n < 3:
-        raise ValueError("steps start at n = 3")
-    if zs.series_class is not SeriesClass.GENERIC:
-        raise InvalidSpec(f"need a generic factor sequence, got {zs.series_class.value}")
-    src = SeriesSource(zs)
-    here = partial_cf(src, n)
-    there = partial_cf(src, n + 1)
-    t_here = convergents(here.cf)
-    t_there = convergents(there.cf)
-    p, q = t_here.final
-    p2, q2 = t_here.rows[-2]
-    det = p * q2 - p2 * q
-    if det != -1:
-        raise IdentityViolation(f"det M_{n} = {det}, expected -1")
-    pt, qt = t_there.final
-    z_next = zs.factor(n + 1)
-    if pt != z_next * q * p + 1:
-        raise IdentityViolation(f"numerator identity failed at step {n}")
-    x_next = src.x(n + 1)
-    if qt != z_next * q * q or qt != x_next:
-        raise IdentityViolation(f"denominator identity failed at step {n}")
-    return StepIdentityReport(n, here.length, there.length, det, p, q, pt, qt, x_next)
 
 
 def enclosure(source: SourceLike, max_width: Fraction,
               budget: BitBudget | None = None) -> tuple[Fraction, Fraction]:
     """A closed interval [lo, hi] containing the limit S, of width at most
     ``max_width``: the tail past S_n lies strictly between 1/x_{n+1} and
-    2/x_{n+1}."""
+    2/x_{n+1}, so S lies between S_{n+1} = N_{n+1}/x_{n+1} and
+    (N_{n+1} + 1)/x_{n+1}."""
     if max_width <= 0:
         raise ValueError("max_width must be positive")
     src = as_store(source, budget)
@@ -368,8 +318,8 @@ def enclosure(source: SourceLike, max_width: Fraction,
     while True:
         x_next = src.x(n + 1)
         if Fraction(1, x_next) <= max_width:
-            s = src.partial_sum(n)
-            return s + Fraction(1, x_next), s + Fraction(2, x_next)
+            num = src.numerator(n + 1)
+            return Fraction(num, x_next), Fraction(num + 1, x_next)
         n += 1
 
 

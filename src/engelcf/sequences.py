@@ -137,10 +137,6 @@ class FactorSequence:
             raise InsufficientFactors(f"need z_{j} but only {len(self.z)} factors given")
         return z
 
-    def known_count(self) -> int | None:
-        """Number of available factors; None means unbounded."""
-        return None if self.tail_ones else len(self.z)
-
 
 def ones_tail(u: int) -> FactorSequence:
     """The unbounded source z = (u, 1, 1, ...), i.e. x_n = u^(2^(n-2))."""
@@ -435,7 +431,7 @@ class SeriesSource:
     def sequence(self, n: int) -> EngelSequence:
         """x_1..x_n."""
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise InvalidSpec("n must be >= 1")
         self._grow(n + self._pad)
         return EngelSequence(tuple(self._terms[self._pad:n + self._pad]))
 
@@ -487,7 +483,7 @@ def generate_recurrence(source: SourceLike, n: int, budget: BitBudget | None = N
     the dividing recurrence with every division checked exact.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidSpec("n must be >= 1")
     store = SeriesSource(source, budget)
     store._grow(n)
     return store._terms[:n]
@@ -508,7 +504,7 @@ def closed_form_numerator(z: Sequence[int], n: int) -> int:
     checks the two against each other.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidSpec("n must be >= 1")
 
     def zj(j: int) -> int:
         return int(z[j - 2])
@@ -533,7 +529,7 @@ def partial_sum(x: EngelSequence | Sequence[int], n: int) -> Fraction:
     """
     xs = x.x if isinstance(x, EngelSequence) else tuple(int(v) for v in x)
     if not 1 <= n <= len(xs):
-        raise ValueError(f"n must be in 1..{len(xs)}")
+        raise InvalidSpec(f"n must be in 1..{len(xs)}")
     naive = Fraction(0)
     for v in xs[:n]:
         naive += Fraction(1, v)
@@ -557,12 +553,12 @@ def shallit_factors(u: int, c: Sequence[int]) -> FactorSequence:
     satisfy S_n - 1 = sum_{k=0}^{n-2} u^(-c_k) exactly.
     """
     if u < 2:
-        raise ValueError("u must be >= 2")
+        raise InvalidSpec("u must be >= 2")
     cs = [int(v) for v in c]
     if not cs:
-        raise ValueError("need at least one exponent")
+        raise InvalidSpec("need at least one exponent")
     if any(v < 1 for v in cs):
-        raise ValueError("exponents must be positive")
+        raise InvalidSpec("exponents must be positive")
     gaps = []
     for k in range(len(cs) - 1):
         d = cs[k + 1] - 2 * cs[k]

@@ -12,7 +12,7 @@ import random
 
 from .cf import convergents, expand_rational
 from .exceptions import IdentityViolation, InvalidSpec
-from .expansion import partial_cf, verify_step_identities
+from .expansion import partial_cf
 from .sequences import (
     FactorSequence,
     SecondOrderSpec,
@@ -39,7 +39,16 @@ def _fail(message: str):
 
 def check_instance(zs: FactorSequence, n_max: int) -> int:
     """All invariants of a generic or z_2 = 2 factor list, from n = 3 or 4
-    on; returns the number of expansions checked."""
+    on; returns the number of expansions checked.
+
+    These checks imply the step identities of the fold. The fold must equal
+    Euclid's expansion of S_n = N_n/x_n, whose final convergent is the
+    reduced pair, and its final denominator must be x_n, so
+    (p, q) = (N_n, x_n). For consecutive n, N_{n+1} = z_{n+1} x_n N_n + 1
+    and x_{n+1} = z_{n+1} x_n^2 then give p~ = z_{n+1} q p + 1 and
+    q~ = z_{n+1} q^2 = x_{n+1}. The determinant rule at every convergent
+    with the odd generic length gives det M_n = -1.
+    """
     z2 = zs.series_class is SeriesClass.Z2_EQUALS_2
     if not z2 and zs.series_class is not SeriesClass.GENERIC:
         raise InvalidSpec(f"need a generic or z_2 = 2 factor sequence, got {zs.series_class.value}")
@@ -93,13 +102,3 @@ def run_lift_suite(spec2: SecondOrderSpec, n: int = 7) -> int:
         if bigxs[k] * bigxs[k + 1] != xs[k]:
             _fail(f"lift identity failed at k={k}")
     return n
-
-
-def run_identities_suite(zs: FactorSequence, n_through: int) -> int:
-    """Step identities for every feasible fold 3..n_through-1;
-    returns how many were checked (0 when none is feasible)."""
-    count = zs.known_count()
-    top = n_through - 1 if count is None else min(n_through - 1, count)
-    for step in range(3, top + 1):
-        verify_step_identities(zs, step)
-    return max(0, top - 2)

@@ -16,8 +16,8 @@ from engelcf.asymptotics import (
     dominant_root,
     empirical_growth_constant,
     estimate_C,
+    full_report,
     growth_report,
-    reconstruct_lambda_n,
     roth_exponents,
 )
 from engelcf.cli import main
@@ -162,8 +162,9 @@ def test_criterion_6_power_sum_series():
 def test_criterion_7_log_reconstruction():
     t0 = time.perf_counter()
     for spec in (CUBIC3, AFFINE, DEGEN):
+        report = full_report(spec, 12)
         for n in range(0, 13):
-            exact, true = reconstruct_lambda_n(spec, n)
+            exact, true = report.lambda_n_exact[n], report.lambda_n_true[n]
             assert abs(exact - true) / max(1, abs(true)) < mp.mpf("1e-9")
     _report(7, "exact log-formula reconstruction to n=12", t0, 30.0)
 

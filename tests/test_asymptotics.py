@@ -8,7 +8,6 @@ from engelcf.asymptotics import (
     full_report,
     growth_report,
     log_big,
-    reconstruct_lambda_n,
     roth_exponents,
 )
 from engelcf.exceptions import DegenerateRoot, InvalidSpec
@@ -54,13 +53,14 @@ def test_log_big_matches_direct():
 
 
 def test_reconstruction_trivial_and_known():
-    e0, t0 = reconstruct_lambda_n(AFFINE, 1)
-    assert e0 == 0 and t0 == 0
-    e2, t2 = reconstruct_lambda_n(AFFINE, 2)
+    report = full_report(AFFINE, 3)
+    assert report.lambda_n_exact[1] == 0 and report.lambda_n_true[1] == 0
+    e2, t2 = report.lambda_n_exact[2], report.lambda_n_true[2]
     with workdps(60):
         assert abs(t2 - mp.log(3)) < mp.mpf("1e-18")
         assert abs(e2 - t2) < mp.mpf("1e-18")
-    e5, t5 = reconstruct_lambda_n(CUBIC3, 5)
+    report = full_report(CUBIC3, 5)
+    e5, t5 = report.lambda_n_exact[5], report.lambda_n_true[5]
     with workdps(60):
         assert abs(t5 - 33 * mp.log(3)) < mp.mpf("1e-14")
         assert abs(e5 - 33 * mp.log(3)) < mp.mpf("1e-14")
@@ -68,8 +68,9 @@ def test_reconstruction_trivial_and_known():
 
 @pytest.mark.parametrize("spec", [CUBIC3, AFFINE, DEGEN])
 def test_reconstruction_relative_error(spec):
+    report = full_report(spec, 12)
     for n in range(0, 13):
-        exact, true = reconstruct_lambda_n(spec, n)
+        exact, true = report.lambda_n_exact[n], report.lambda_n_true[n]
         assert abs(exact - true) / max(1, abs(true)) < mp.mpf("1e-9")
 
 

@@ -7,8 +7,10 @@ import pytest
 from engelcf import expansion
 from engelcf.cf import parse_cf_text
 from engelcf.cli import build_parser, main
+from engelcf.exceptions import IdentityViolation
 from engelcf.expansion import stream
-from engelcf.sequences import SecondOrderSpec, generate_recurrence
+from engelcf.sequences import FactorSequence, SecondOrderSpec, generate_recurrence
+from engelcf.verify import check_instance
 
 AFFINE = SecondOrderSpec(3, (1, 2))
 SOURCE_FLAGS = {"--z", "--d1", "--G", "--e1", "--e2", "--H", "--u", "--spec-file", "--bits"}
@@ -279,6 +281,27 @@ def test_cf_oracle_check_catches_a_bad_fold(capsys, monkeypatch, source):
     code, out, err = run(capsys, "cf", *source, "--check", "oracle")
     assert (code, out) == (4, "")
     assert "disagrees with the Euclidean oracle" in err
+
+
+def test_identities_check_catches_a_bad_fold(capsys, monkeypatch):
+    # check_instance is the only checker of the fold's step identities, so
+    # one corrupted coefficient must fail it on both classes and exit 4.
+    argv = ["verify", "--suite", "identities", "--z", "3,2,2,2", "--n", "5"]
+    assert run(capsys, *argv)[0] == 0
+    fold = expansion._fold
+
+    def bad_fold(cur, z):
+        out = fold(cur, z)
+        out[1] += 1
+        return out
+
+    monkeypatch.setattr(expansion, "_fold", bad_fold)
+    for z in ((3, 2, 2, 2), (2, 3, 4, 5)):
+        with pytest.raises(IdentityViolation):
+            check_instance(FactorSequence(z), 5)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: fold != Euclid oracle")
 
 
 def test_identities_suite_needs_a_generic_list(capsys):

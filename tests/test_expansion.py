@@ -18,7 +18,6 @@ from engelcf.expansion import (
     partial_cf,
     partial_lengths,
     stream,
-    verify_step_identities,
 )
 from engelcf.sequences import (
     FactorSequence,
@@ -270,18 +269,25 @@ def test_u2_split_representative():
 
 
 def test_verify_step_identities():
-    report = verify_step_identities(FactorSequence((3, 2, 2)), 3)
-    assert report.det_m == -1
-    assert report.q_tilde == report.x_next
+    # The fold S_n -> S_{n+1} on final convergents: det M_n = -1,
+    # p~ = z_{n+1} q p + 1 and q~ = z_{n+1} q^2 = x_{n+1}.
+    def step(zs, n):
+        here = convergents(partial_cf(zs, n).cf)
+        (p, q), (p2, q2) = here.final, here.rows[-2]
+        assert p * q2 - p2 * q == -1
+        p_tilde, q_tilde = convergents(partial_cf(zs, n + 1).cf).final
+        z_next = zs.factor(n + 1)
+        assert p_tilde == z_next * q * p + 1
+        assert q_tilde == z_next * q * q == SeriesSource(zs).x(n + 1)
+        return p, q, p_tilde, q_tilde
+
+    step(FactorSequence((3, 2, 2)), 3)
+    step(FactorSequence((4, 3, 2, 5)), 3)
 
     ex1 = FactorSequence((3, 9, 81, 19683))
-    report = verify_step_identities(ex1, 4)
-    assert report.q_tilde == 3**33
-    assert report.p_tilde == ex1.factor(5) * report.p * report.q + 1
-
-    zs = FactorSequence((4, 3, 2, 5))
-    for step in (3,):
-        verify_step_identities(zs, step)
+    p, q, p_tilde, q_tilde = step(ex1, 4)
+    assert q_tilde == 3**33
+    assert p_tilde == ex1.factor(5) * p * q + 1
 
 
 def test_convergent_table_shares_rows_with_step_identities():
@@ -297,6 +303,11 @@ def test_convergent_table_shares_rows_with_step_identities():
 def test_enclosure_and_certified_decimal():
     lo, hi = enclosure(AFFINE, Fraction(1, 10**12))
     assert 0 < hi - lo <= Fraction(1, 10**12)
+    # The ends are S_n + 1/x_{n+1} and S_n + 2/x_{n+1} at the first n that is fine enough.
+    src = SeriesSource(AFFINE)
+    n = next(n for n in range(2, 10) if src.x(n + 1) >= 10**12)
+    s, x_next = src.partial_sum(n), src.x(n + 1)
+    assert (lo, hi) == (s + Fraction(1, x_next), s + Fraction(2, x_next))
     target = Fraction("1.3386243")
     assert abs(lo - target) <= Fraction(5, 10**8)
     assert abs(hi - target) <= Fraction(5, 10**8)

@@ -12,12 +12,14 @@ from engelcf.exceptions import (
     InvalidSpec,
     NegativeGap,
 )
+from engelcf.expansion import partial_cf
 from engelcf.sequences import (
     BitBudget,
     EngelSequence,
     FactorSequence,
     SecondOrderSpec,
     SeriesClass,
+    SeriesSource,
     ThirdOrderSpec,
     closed_form_numerator,
     factors_from_sequence,
@@ -259,6 +261,15 @@ def test_closed_form_numerator_small():
     lambda: strip_leading_ones([2, 4]),
     lambda: factors_from_sequence([1, 1]),
     lambda: factors_from_sequence([1, 0, 5]),
+    lambda: shallit_factors(1, (1, 2)),
+    lambda: shallit_factors(3, ()),
+    lambda: shallit_factors(3, (0, 2)),
+    lambda: SeriesSource(AFFINE).sequence(0),
+    lambda: generate_recurrence(AFFINE, 0),
+    lambda: closed_form_numerator([3, 2], 0),
+    lambda: partial_sum([1, 3, 18], 0),
+    lambda: partial_sum([1, 3, 18], 4),
+    lambda: partial_cf(FactorSequence((3, 2)), 0),
 ])
 def test_input_validation_raises_invalid_spec(bad):
     with pytest.raises(InvalidSpec):
