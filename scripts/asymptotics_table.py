@@ -5,7 +5,7 @@ For each spec: the dominant root, the series constant C with its truncation
 bound, and per-index rows comparing the exact log-formula reconstruction
 with the directly computed log x_n.
 
-Usage: python scripts/asymptotics_table.py [--maxn N], N >= 3
+Usage: python scripts/asymptotics_table.py [--maxn N], N >= 0
 """
 
 import argparse
@@ -16,7 +16,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from mpmath import mp  # noqa: E402
 
-from engelcf import SecondOrderSpec, full_report  # noqa: E402
+from engelcf import SecondOrderSpec  # noqa: E402
+from engelcf.asymptotics import _log_rows  # noqa: E402
 
 SPECS = {
     "x^3 * 3": SecondOrderSpec(3, (3,)),
@@ -30,18 +31,18 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--maxn", type=int, default=10)
     args = parser.parse_args()
-    if args.maxn < 3:
-        parser.error("--maxn must be >= 3")
+    if args.maxn < 0:
+        parser.error("--maxn must be >= 0")
 
     for name, spec in SPECS.items():
-        report = full_report(spec, args.maxn)
-        lam = report.lam
+        # full_report would also form x_{maxn+1}, which no row prints.
+        _, _, lam, (c_value, c_bound), logs, exacts = _log_rows(spec, args.maxn)
         print(f"== {name}  (d1={spec.d1}, d2={spec.d2})")
         print(f"   lambda = {mp.nstr(lam, 20)}")
-        print(f"   C      = {mp.nstr(report.C, 15)}  (tail bound {mp.nstr(report.C_bound, 2)})")
+        print(f"   C      = {mp.nstr(c_value, 15)}  (tail bound {mp.nstr(c_bound, 2)})")
         print(f"   {'n':>3} {'log x_n':>18} {'reconstructed':>18} {'log x_n / lam^n':>18}")
         for n in range(2, args.maxn + 1):
-            true, exact = report.lambda_n_true[n], report.lambda_n_exact[n]
+            true, exact = logs[n], exacts[n]
             print(f"   {n:>3} {mp.nstr(true, 10):>18} {mp.nstr(exact, 10):>18} {mp.nstr(true / lam**n, 10):>18}")
         print()
     return 0

@@ -248,6 +248,19 @@ class AsymptoticsReport:
     roth: "RothReport"
 
 
+def _log_rows(spec: SecondOrderSpec, n_max: int, dps: int = DEFAULT_DPS,
+              budget: BitBudget | None = None):
+    # full_report up to x_{n_max}: the store and a_k cache, the root,
+    # (C, bound), and log x_n beside its reconstruction for n = 0..n_max.
+    store = SeriesSource(spec, budget)
+    lam = dominant_root(spec.d1, spec.d2, dps)
+    alpha = _alphas(spec, store)
+    c_pair = _estimate_C(spec, lam, alpha, dps)
+    logs = [log_big(store.x(n) if n else 1, dps) for n in range(n_max + 1)]
+    exacts = tuple(_lambda_exact(spec, lam, alpha, n, dps) for n in range(n_max + 1))
+    return store, alpha, lam, c_pair, logs, exacts
+
+
 def full_report(
     spec: SecondOrderSpec,
     n_max: int = 10,
@@ -258,13 +271,9 @@ def full_report(
     the root, each a_k and each log x_n are computed once."""
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    store = SeriesSource(spec, budget)
-    lam = dominant_root(spec.d1, spec.d2, dps)
-    alpha = _alphas(spec, store)
-    c_value, c_bound = _estimate_C(spec, lam, alpha, dps)
+    store, alpha, lam, (c_value, c_bound), logs, exacts = _log_rows(spec, n_max, dps, budget)
     xs = [1] + [store.x(k) for k in range(1, n_max + 2)]
-    logs = [log_big(x, dps) for x in xs]
-    exacts = tuple(_lambda_exact(spec, lam, alpha, n, dps) for n in range(n_max + 1))
+    logs.append(log_big(xs[-1], dps))
     with workdps(dps):
         growth = tuple((n, logs[n + 1] / logs[n]) for n in range(2, n_max + 1))
     return AsymptoticsReport(

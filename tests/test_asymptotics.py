@@ -2,6 +2,7 @@ import pytest
 from mpmath import mp, workdps
 
 from engelcf.asymptotics import (
+    _log_rows,
     dominant_root,
     empirical_growth_constant,
     estimate_C,
@@ -10,8 +11,9 @@ from engelcf.asymptotics import (
     log_big,
     roth_exponents,
 )
-from engelcf.exceptions import DegenerateRoot, InvalidSpec
+from engelcf.exceptions import BitBudgetExceeded, DegenerateRoot, InvalidSpec
 from engelcf.sequences import (
+    BitBudget,
     FactorSequence,
     SecondOrderSpec,
     ThirdOrderSpec,
@@ -188,3 +190,14 @@ def test_full_report_shape():
             assert abs(report.lambda_n_true[n] - report.lambda_n_exact[n]) < mp.mpf("1e-9")
         assert len(report.alphas) == 5
         assert abs(report.alphas[0] - mp.log(mp.mpf(3) / 2)) < mp.mpf("1e-30")
+
+
+def test_log_rows_stop_at_x_n_max():
+    # The growth-table script reads these rows; full_report also needs
+    # x_{n_max+1}. The budget admits x_1..x_8 (7996 bits) but not x_9.
+    report = full_report(AFFINE, 8)
+    _, _, lam, c_pair, logs, exacts = _log_rows(AFFINE, 8, budget=BitBudget(10000, 20000))
+    assert (lam, c_pair) == (report.lam, (report.C, report.C_bound))
+    assert tuple(logs) == report.lambda_n_true and exacts == report.lambda_n_exact
+    with pytest.raises(BitBudgetExceeded, match="x_9"):
+        full_report(AFFINE, 8, budget=BitBudget(10000, 20000))
