@@ -35,8 +35,8 @@ def main() -> int:
         parser.error("--maxn must be >= 0")
 
     for name, spec in SPECS.items():
-        # full_report would also form x_{maxn+1}, which no row prints.
-        _, _, lam, (c_value, c_bound), logs, exacts = _log_rows(spec, args.maxn)
+        # _log_rows, unlike full_report, accepts maxn < 3.
+        _, _, lam, (c_value, c_bound), _, logs, exacts = _log_rows(spec, args.maxn)
         print(f"== {name}  (d1={spec.d1}, d2={spec.d2})")
         print(f"   lambda = {mp.nstr(lam, 20)}")
         print(f"   C      = {mp.nstr(c_value, 15)}  (tail bound {mp.nstr(c_bound, 2)})")

@@ -16,7 +16,10 @@ O(1/x_k), so the series for C converges doubly exponentially fast.
 Logs of huge integers use the top 64 bits only: log x = B log 2 + log m
 with B = bitlength - 64 and m the leading 64-bit mantissa, absolute error
 below 2^-63. Terms here carry millions of bits; full-precision logs would
-be wasted.
+be wasted. So the logs and bit lengths of x_n come from the term store's
+head, which certifies the bit length and top 64 bits by running the step
+identities on bounded-precision brackets; only the corrections a_k read
+exact terms, and a report through n_max forms no term past x_{n_max-1}.
 
 All functions take the working precision (decimal digits) as a parameter;
 nothing here keeps ambient mutable state.
@@ -35,27 +38,26 @@ from .sequences import (
     SeriesSource,
     SourceLike,
     ThirdOrderSpec,
+    _int_head,
     as_store,
-    generate_recurrence,
 )
 
 DEFAULT_DPS = 50
 
 
-def log_big(x: int, dps: int = DEFAULT_DPS):
-    """log of a positive integer of arbitrary size.
+def log_big(x, dps: int = DEFAULT_DPS):
+    """log of a positive integer of arbitrary size, given as an int or as
+    its head (bit_length, top) with top = x >> max(bit_length - 64, 0), as
+    ``SeriesSource.head`` returns it.
 
     Only the leading 64 bits enter; the dropped low bits contribute less
     than 2^-63 absolutely, far below every tolerance used here.
     """
-    if x < 1:
-        raise ValueError("log_big needs a positive integer")
+    bits, top = _int_head(x, 64) if isinstance(x, int) else x
+    if top < 1:
+        raise InvalidSpec("log_big needs a positive integer")
     with workdps(dps):
-        bits = x.bit_length()
-        if bits <= 64:
-            return mp.log(x)
-        shift = bits - 64
-        return shift * mp.log(2) + mp.log(x >> shift)
+        return (bits - top.bit_length()) * mp.log(2) + mp.log(top)
 
 
 def dominant_root(d1: int, d2: int, dps: int = DEFAULT_DPS):
@@ -148,11 +150,15 @@ def empirical_growth_constant(
     parent = spec3.lift_parent()
     if parent is None:
         raise InvalidSpec("empirical growth constant needs a lifted-shape spec")
+    if n < 1:
+        raise InvalidSpec("n must be >= 1")
     lam = dominant_root(parent.d1, parent.d2, dps)
-    xs = generate_recurrence(spec3, n + 1, budget)
+    store = SeriesSource(spec3, budget)
+    # X_m, counted from X_0 = X_1 = X_2 = 1, is the store's x_{m-1}.
+    log_x = [log_big(store.head(m - 1) if m >= 2 else (1, 1), dps) for m in (n - 1, n)]
     with workdps(dps + 10):
-        c_n = log_big(xs[n], dps) / lam**n
-        c_prev = log_big(xs[n - 1], dps) / lam ** (n - 1)
+        c_n = log_x[1] / lam**n
+        c_prev = log_x[0] / lam ** (n - 1)
         return c_n, abs(c_n - c_prev)
 
 
@@ -191,7 +197,7 @@ def growth_report(
     """
     xs = [int(v) for v in terms]
     if sum(1 for v in xs if v > 1) < 4:
-        raise ValueError("need at least 4 terms exceeding 1")
+        raise InvalidSpec("need at least 4 terms exceeding 1")
     rows = []
     with workdps(dps):
         lam = mp.mpf(lam)
@@ -251,14 +257,17 @@ class AsymptoticsReport:
 def _log_rows(spec: SecondOrderSpec, n_max: int, dps: int = DEFAULT_DPS,
               budget: BitBudget | None = None):
     # full_report up to x_{n_max}: the store and a_k cache, the root,
-    # (C, bound), and log x_n beside its reconstruction for n = 0..n_max.
+    # (C, bound), and the head and log of x_n beside the reconstruction of
+    # log x_n for n = 0..n_max. The reconstruction forms x_{n_max-1}, so
+    # the heads past it take one or two bracket steps.
     store = SeriesSource(spec, budget)
     lam = dominant_root(spec.d1, spec.d2, dps)
     alpha = _alphas(spec, store)
     c_pair = _estimate_C(spec, lam, alpha, dps)
-    logs = [log_big(store.x(n) if n else 1, dps) for n in range(n_max + 1)]
     exacts = tuple(_lambda_exact(spec, lam, alpha, n, dps) for n in range(n_max + 1))
-    return store, alpha, lam, c_pair, logs, exacts
+    heads = [store.head(n) if n else (1, 1) for n in range(n_max + 1)]
+    logs = [log_big(h, dps) for h in heads]
+    return store, alpha, lam, c_pair, heads, logs, exacts
 
 
 def full_report(
@@ -270,10 +279,10 @@ def full_report(
     """Aggregate diagnostics for a second-order spec up to index n_max;
     the root, each a_k and each log x_n are computed once."""
     if n_max < 3:
-        raise ValueError("n_max must be >= 3")
-    store, alpha, lam, (c_value, c_bound), logs, exacts = _log_rows(spec, n_max, dps, budget)
-    xs = [1] + [store.x(k) for k in range(1, n_max + 2)]
-    logs.append(log_big(xs[-1], dps))
+        raise InvalidSpec("n_max must be >= 3")
+    store, alpha, lam, (c_value, c_bound), heads, logs, exacts = _log_rows(spec, n_max, dps, budget)
+    heads.append(store.head(n_max + 1))
+    logs.append(log_big(heads[-1], dps))
     with workdps(dps):
         growth = tuple((n, logs[n + 1] / logs[n]) for n in range(2, n_max + 1))
     return AsymptoticsReport(
@@ -285,7 +294,7 @@ def full_report(
         lambda_n_true=tuple(logs[:n_max + 1]),
         lambda_n_exact=exacts,
         growth_exponents=growth,
-        roth=_roth(xs, logs, n_max - 1, dps),
+        roth=_roth(heads, logs, n_max - 1, dps),
     )
 
 
@@ -301,21 +310,22 @@ def roth_exponents(
     exceeds 1.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InvalidSpec("depth must be >= 1")
     src = as_store(source, budget)
-    xs = [1] + [src.x(n) for n in range(1, depth + 3)]
-    return _roth(xs, [log_big(x, dps) for x in xs], depth, dps)
+    heads = [(1, 1)] + [src.head(n) for n in range(1, depth + 3)]
+    return _roth(heads, [log_big(h, dps) for h in heads], depth, dps)
 
 
-def _roth(xs, logs, depth: int, dps: int) -> RothReport:
-    # The body of roth_exponents from xs[n] = x_n and logs[n] = log x_n.
+def _roth(heads, logs, depth: int, dps: int) -> RothReport:
+    # The body of roth_exponents from heads[n] = SeriesSource.head(n) and
+    # logs[n] = log x_n.
     records = []
     with workdps(dps):
         log2 = mp.log(2)
         for n in range(2, depth + 2):
             log_q, log_next = logs[n], logs[n + 1]
             records.append(
-                RothRecord(n, xs[n].bit_length(), (log_next - log2) / log_q, log_next / log_q)
+                RothRecord(n, heads[n][0], (log_next - log2) / log_q, log_next / log_q)
             )
     delta = min(r.lower for r in records) - 2
     return RothReport(tuple(records), delta)

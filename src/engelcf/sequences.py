@@ -368,6 +368,66 @@ def _third_order_step(spec: ThirdOrderSpec, xs: list[int], zs: list[int]) -> int
             * spec.H(xs[-2], xs[-1]))
 
 
+_HEAD_PRECISION = 128  # bits kept by head's first bracket evaluation
+
+
+def _ceil_shift(v: int, s: int) -> int:
+    return -(-v >> s)
+
+
+class _Bracket:
+    """lo * 2^e <= v <= hi * 2^e for a non-negative integer v, with hi cut
+    to ``prec`` bits (lo rounded down, hi up). Products, sums and powers
+    with ints and other brackets keep the enclosure, since every operand is
+    non-negative; 0 and 1 stay exact ints so that G and H evaluate on it."""
+
+    __slots__ = ("lo", "hi", "e", "prec")
+
+    def __init__(self, lo: int, hi: int, e: int, prec: int):
+        s = hi.bit_length() - prec
+        if s > 0:
+            lo, hi, e = lo >> s, _ceil_shift(hi, s), e + s
+        self.lo, self.hi, self.e, self.prec = lo, hi, e, prec
+
+    def __mul__(self, other):
+        if not isinstance(other, _Bracket):
+            if other in (0, 1):
+                return self if other else 0
+            other = _Bracket(other, other, 0, self.prec)
+        return _Bracket(self.lo * other.lo, self.hi * other.hi, self.e + other.e, self.prec)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, _Bracket):
+            if not other:
+                return self
+            other = _Bracket(other, other, 0, self.prec)
+        e = max(self.e, other.e)
+        s, t = e - self.e, e - other.e
+        return _Bracket((self.lo >> s) + (other.lo >> t),
+                        _ceil_shift(self.hi, s) + _ceil_shift(other.hi, t), e, self.prec)
+
+    __radd__ = __add__
+
+    def __pow__(self, k: int):
+        if k in (0, 1):
+            return self if k else 1
+        return _Bracket(self.lo**k, self.hi**k, self.e * k, self.prec)
+
+
+def _enclose(v, prec: int):
+    # v as a bracket when it has more than prec bits; smaller ints stay exact.
+    if isinstance(v, int) and v.bit_length() > prec:
+        return _Bracket(v, v, 0, prec)
+    return v
+
+
+def _int_head(v: int, bits: int) -> tuple[int, int]:
+    length = v.bit_length()
+    return length, v >> max(length - bits, 0)
+
+
 class SeriesSource:
     """The memoized term store: lazy terms x_n, factors z_j and exact
     partial sums S_n of one series.
@@ -427,6 +487,47 @@ class SeriesSource:
             raise IndexError("terms start at n = 1")
         self._grow(n + self._pad)
         return self._terms[n - 1 + self._pad]
+
+    def head(self, n: int, bits: int = 64) -> tuple[int, int]:
+        """(bit_length, top) of x_n, with top = x_n >> max(bit_length - bits, 0).
+
+        A term the store does not hold yet is not formed: the step rule
+        runs on brackets of prec bits from the last formed terms, and the
+        head is returned once both ends of x_n's bracket give the same bit
+        length and top bits. Otherwise prec doubles; once it would cover the whole term,
+        x_n is formed (and charged) through x(n) instead. The bracket runs
+        neither grow the store nor charge the budget.
+        """
+        if n < 1:
+            raise IndexError("terms start at n = 1")
+        if n + self._pad <= len(self._terms):
+            return _int_head(self._terms[n - 1 + self._pad], bits)
+        prec = _HEAD_PRECISION
+        while True:
+            v = self._bracket_term(n, prec)
+            if isinstance(v, int):
+                return _int_head(v, bits)
+            length = v.hi.bit_length() + v.e
+            if v.lo.bit_length() + v.e == length:
+                s = max(length - bits, 0) - v.e
+                lo, hi = (v.lo >> s, v.hi >> s) if s >= 0 else (v.lo << -s, v.hi << -s)
+                if lo == hi:
+                    return length, lo
+            prec *= 2
+            if prec >= length:
+                return _int_head(self.x(n), bits)
+
+    def _bracket_term(self, n: int, prec: int):
+        # The step rule on copies of the term lists, which keep their length
+        # so that the rules' indices (len(xs), xs[-3]) still hold; the rules
+        # read at most the last three entries.
+        xs = self._terms[:-3] + [_enclose(v, prec) for v in self._terms[-3:]]
+        zs = self._factors[:-3] + [_enclose(v, prec) for v in self._factors[-3:]]
+        while len(xs) < n + self._pad:
+            z = _enclose(self._step(self._rule, xs, zs), prec)
+            xs.append(_enclose(z * xs[-1] ** 2, prec))
+            zs.append(z)
+        return xs[-1]
 
     def sequence(self, n: int) -> EngelSequence:
         """x_1..x_n."""

@@ -50,7 +50,7 @@ def test_log_big_matches_direct():
     with workdps(50):
         for v in (1, 2, 3**40, 7**100, 2**64 - 1, 2**64 + 1):
             assert abs(log_big(v) - mp.log(mp.mpf(v))) < mp.mpf("1e-18")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         log_big(0)
 
 
@@ -193,11 +193,36 @@ def test_full_report_shape():
 
 
 def test_log_rows_stop_at_x_n_max():
-    # The growth-table script reads these rows; full_report also needs
-    # x_{n_max+1}. The budget admits x_1..x_8 (7996 bits) but not x_9.
+    # The growth-table script reads these rows. full_report(AFFINE, 8) forms
+    # x_7 (1568 bits) for a_7 and reads only the heads of x_8 and x_9, so a
+    # budget that admits x_1..x_8 (7996 bits) but not x_9 changes nothing,
+    # and one below x_7 still raises.
+    budget = BitBudget(10000, 20000)
     report = full_report(AFFINE, 8)
-    _, _, lam, c_pair, logs, exacts = _log_rows(AFFINE, 8, budget=BitBudget(10000, 20000))
+    _, _, lam, c_pair, _, logs, exacts = _log_rows(AFFINE, 8, budget=budget)
     assert (lam, c_pair) == (report.lam, (report.C, report.C_bound))
     assert tuple(logs) == report.lambda_n_true and exacts == report.lambda_n_exact
-    with pytest.raises(BitBudgetExceeded, match="x_9"):
-        full_report(AFFINE, 8, budget=BitBudget(10000, 20000))
+    assert full_report(AFFINE, 8, budget=budget) == report
+    with pytest.raises(BitBudgetExceeded, match="x_7"):
+        full_report(AFFINE, 8, budget=BitBudget(1000, 20000))
+
+
+def test_full_report_forms_no_term_it_does_not_read():
+    # x_10 has 81530 bits and x_11 304274: the report through n = 11 reads
+    # x_10 for a_10 and only the heads of x_11 and x_12.
+    budget = BitBudget(single=81531)
+    assert full_report(AFFINE, 11, budget=budget) == full_report(AFFINE, 11)
+
+
+def test_invalid_arguments_raise_invalid_spec():
+    lam = dominant_root(3, 1)
+    calls = [
+        lambda: log_big((3, 0)),
+        lambda: full_report(AFFINE, 2),
+        lambda: roth_exponents(AFFINE, 0),
+        lambda: growth_report([1, 2, 3, 4], lam),
+        lambda: empirical_growth_constant(lift_spec(AFFINE), n=0),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidSpec):
+            call()

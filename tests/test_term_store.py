@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from engelcf.asymptotics import full_report, roth_exponents
 from engelcf.cli import main
-from engelcf.exceptions import BitBudgetExceeded, InvalidSpec
+from engelcf import sequences
+from engelcf.exceptions import BitBudgetExceeded, InsufficientFactors, InvalidSpec
 from engelcf.expansion import enclosure, partial_cf, stream
 from engelcf.sequences import (
     BitBudget,
     BudgetMeter,
+    FactorSequence,
     SecondOrderSpec,
     SeriesSource,
     ThirdOrderSpec,
@@ -136,6 +138,72 @@ def test_step_identities_on_random_specs(spec):
     # (third order) extra leading ones.
     pad = 1 if isinstance(spec, SecondOrderSpec) else 2
     check_store(spec, *reference_engel(reference_raw(spec, 7 + pad)))
+
+
+def _exact_head(v: int) -> tuple[int, int]:
+    return v.bit_length(), v >> max(v.bit_length() - 64, 0)
+
+
+HEAD_SOURCES = st.one_of(
+    SECOND_ORDER,
+    st.sampled_from([lift_spec(AFFINE), ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))).validate()]),
+    st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
+        lambda z: FactorSequence((z[0] + 1,) + tuple(z[1:]))),
+    st.integers(2, 9).map(ones_tail),
+)
+
+
+@given(HEAD_SOURCES, st.sampled_from([6, 128]))
+@settings(max_examples=40, deadline=None)
+def test_head_matches_the_formed_term(source, precision):
+    # Every count of already-formed terms, and n up to three past it. A
+    # starting precision of a few bits makes the brackets' rounding matter.
+    exact = SeriesSource(source)
+    saved, sequences._HEAD_PRECISION = sequences._HEAD_PRECISION, precision
+    try:
+        for formed in range(1, 5):
+            try:
+                exact.x(formed)
+            except InsufficientFactors:
+                break
+            for n in range(1, formed + 4):
+                store = SeriesSource(source)
+                store.x(formed)
+                size = len(store._terms)
+                try:
+                    want = _exact_head(exact.x(n))
+                except InsufficientFactors:
+                    with pytest.raises(InsufficientFactors):
+                        store.head(n)
+                    continue
+                assert store.head(n) == want
+                # Only the fallback grows the store, and never past x_n.
+                assert len(store._terms) in (size, n + store._pad)
+    finally:
+        sequences._HEAD_PRECISION = saved
+
+
+def test_head_doubles_its_precision_then_forms_the_term(monkeypatch):
+    # From 4 bits the brackets of x_5 (113 bits) and x_9 (21846 bits) need
+    # doubling. x_9 settles at 128 bits; x_5 is still open at 64, and 128
+    # would cover it, so head forms it through the store instead.
+    monkeypatch.setattr(sequences, "_HEAD_PRECISION", 4)
+    precisions = []
+    original = SeriesSource._bracket_term
+
+    def bracket_term(self, n, prec):
+        precisions.append(prec)
+        return original(self, n, prec)
+
+    monkeypatch.setattr(SeriesSource, "_bracket_term", bracket_term)
+    exact = SeriesSource(AFFINE)
+    for n, formed_after in ((5, 5), (9, 4)):
+        store = SeriesSource(AFFINE)
+        store.x(4)
+        precisions.clear()
+        assert store.head(n) == _exact_head(exact.x(n))
+        assert precisions[:2] == [4, 8]
+        assert len(store._terms) - store._pad == formed_after
 
 
 def _record_charges(monkeypatch) -> list[int]:
