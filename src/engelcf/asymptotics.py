@@ -19,7 +19,8 @@ below 2^-63. Terms here carry millions of bits; full-precision logs would
 be wasted. So the logs and bit lengths of x_n come from the term store's
 head, which certifies the bit length and top 64 bits by running the step
 identities on bounded-precision brackets; only the corrections a_k read
-exact terms, and a report through n_max forms no term past x_{n_max-1}.
+exact terms, and a report through n_max forms no term past x_{n_max-1}
+or the few x_k that the constant C reads.
 
 All functions take the working precision (decimal digits) as a parameter;
 nothing here keeps ambient mutable state.
@@ -53,7 +54,7 @@ def log_big(x, dps: int = DEFAULT_DPS):
     Only the leading 64 bits enter; the dropped low bits contribute less
     than 2^-63 absolutely, far below every tolerance used here.
     """
-    bits, top = _int_head(x, 64) if isinstance(x, int) else x
+    bits, top = _int_head(x) if isinstance(x, int) else x
     if top < 1:
         raise InvalidSpec("log_big needs a positive integer")
     with workdps(dps):
@@ -150,8 +151,6 @@ def empirical_growth_constant(
     parent = spec3.lift_parent()
     if parent is None:
         raise InvalidSpec("empirical growth constant needs a lifted-shape spec")
-    if n < 1:
-        raise InvalidSpec("n must be >= 1")
     lam = dominant_root(parent.d1, parent.d2, dps)
     store = SeriesSource(spec3, budget)
     # X_m, counted from X_0 = X_1 = X_2 = 1, is the store's x_{m-1}.

@@ -369,6 +369,7 @@ def _third_order_step(spec: ThirdOrderSpec, xs: list[int], zs: list[int]) -> int
 
 
 _HEAD_PRECISION = 128  # bits kept by head's first bracket evaluation
+_HEAD_BITS = 64  # top bits of a term that head returns, as log_big reads them
 
 
 def _ceil_shift(v: int, s: int) -> int:
@@ -423,9 +424,9 @@ def _enclose(v, prec: int):
     return v
 
 
-def _int_head(v: int, bits: int) -> tuple[int, int]:
+def _int_head(v: int) -> tuple[int, int]:
     length = v.bit_length()
-    return length, v >> max(length - bits, 0)
+    return length, v >> max(length - _HEAD_BITS, 0)
 
 
 class SeriesSource:
@@ -488,8 +489,8 @@ class SeriesSource:
         self._grow(n + self._pad)
         return self._terms[n - 1 + self._pad]
 
-    def head(self, n: int, bits: int = 64) -> tuple[int, int]:
-        """(bit_length, top) of x_n, with top = x_n >> max(bit_length - bits, 0).
+    def head(self, n: int) -> tuple[int, int]:
+        """(bit_length, top) of x_n, with top = x_n >> max(bit_length - 64, 0).
 
         A term the store does not hold yet is not formed: the step rule
         runs on brackets of prec bits from the last formed terms, and the
@@ -501,21 +502,21 @@ class SeriesSource:
         if n < 1:
             raise IndexError("terms start at n = 1")
         if n + self._pad <= len(self._terms):
-            return _int_head(self._terms[n - 1 + self._pad], bits)
+            return _int_head(self._terms[n - 1 + self._pad])
         prec = _HEAD_PRECISION
         while True:
             v = self._bracket_term(n, prec)
             if isinstance(v, int):
-                return _int_head(v, bits)
+                return _int_head(v)
             length = v.hi.bit_length() + v.e
             if v.lo.bit_length() + v.e == length:
-                s = max(length - bits, 0) - v.e
+                s = max(length - _HEAD_BITS, 0) - v.e
                 lo, hi = (v.lo >> s, v.hi >> s) if s >= 0 else (v.lo << -s, v.hi << -s)
                 if lo == hi:
                     return length, lo
             prec *= 2
             if prec >= length:
-                return _int_head(self.x(n), bits)
+                return _int_head(self.x(n))
 
     def _bracket_term(self, n: int, prec: int):
         # The step rule on copies of the term lists, which keep their length

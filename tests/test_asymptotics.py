@@ -221,7 +221,6 @@ def test_invalid_arguments_raise_invalid_spec():
         lambda: full_report(AFFINE, 2),
         lambda: roth_exponents(AFFINE, 0),
         lambda: growth_report([1, 2, 3, 4], lam),
-        lambda: empirical_growth_constant(lift_spec(AFFINE), n=0),
     ]
     for call in calls:
         with pytest.raises(InvalidSpec):
