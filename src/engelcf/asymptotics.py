@@ -18,9 +18,10 @@ with B = bitlength - 64 and m the leading 64-bit mantissa, absolute error
 below 2^-63. Terms here carry millions of bits; full-precision logs would
 be wasted. So the logs and bit lengths of x_n come from the term store's
 head, which certifies the bit length and top 64 bits by running the step
-identities on bounded-precision brackets; only the corrections a_k read
-exact terms, and a report through n_max forms no term past x_{n_max-1}
-or the few x_k that the constant C reads.
+identities on bounded-precision brackets. The corrections a_k come from
+the same brackets, kept only when they round to the floats of the exact
+terms (see _alpha). A report forms only the few small x_k whose bracket
+runs stay exact, the ones the constant C reads, whatever n_max is.
 
 All functions take the working precision (decimal digits) as a parameter;
 nothing here keeps ambient mutable state.
@@ -70,34 +71,64 @@ def dominant_root(d1: int, d2: int, dps: int = DEFAULT_DPS):
         return (b + mp.sqrt(mp.mpf(b) * b - 4)) / 2
 
 
-def _alpha(spec: SecondOrderSpec, x_k: int):
+_ALPHA_GUARD_BITS = 64  # bits above mp.prec in the first bracket run of a_k
+
+
+def _alpha(spec: SecondOrderSpec, x_k):
     # a_k = log(G(x)/(c x^d2)) = log1p(B(x)/(c x^d2)) with B the sub-leading
-    # part of G; the ratio is formed exactly before any rounding.
+    # part of G, from x_k or a _Bracket of it. B(x) and c x^d2 are each
+    # rounded to an mpf once. Rounding is monotone, so when both ends of a
+    # bracket round to one mpf, the exact value rounds to it too and a_k is
+    # the exact term's; when they round apart, the result is None.
     den = spec.c * x_k**spec.d2
-    num = spec.G(x_k) - den
+    num = 0
+    for coeff in reversed(spec.g[:-1]):
+        num = num * x_k + coeff
     if num == 0:
         return mp.mpf(0)
-    return mp.log1p(mp.mpf(num) / mp.mpf(den))
+    num, den = _rounded(num), _rounded(den)
+    if num is None or den is None:
+        return None
+    return mp.log1p(num / den)
+
+
+def _rounded(v):
+    # An int, or a _Bracket lo * 2^e <= v <= hi * 2^e, as an mpf at the
+    # working precision; None when the bracket's ends round apart.
+    if isinstance(v, int):
+        return mp.mpf(v)
+    lo = mp.mpf((v.lo, v.e))
+    return lo if lo == mp.mpf((v.hi, v.e)) else None
 
 
 def _alphas(spec: SecondOrderSpec, store: SeriesSource):
-    # a_k by k, each computed once; every caller asks at dps + 10.
-    return functools.cache(lambda k: _alpha(spec, store.x(k)))
+    # a_k by k, each computed once; every caller asks at dps + 10. The term
+    # store certifies a_k from brackets of x_k, formed only as a last resort.
+    read = functools.partial(_alpha, spec)
+    return functools.cache(lambda k: store._certify(k, read, mp.prec + _ALPHA_GUARD_BITS))
 
 
-def _lambda_exact(spec: SecondOrderSpec, lam, alpha, n: int, dps: int):
-    # The closed-form L_n from the root and alpha(k) = a_k, k = 1..n-1.
+def _lambda_exacts(spec: SecondOrderSpec, lam, alpha, n_max: int, dps: int):
+    # The closed-form L_n for n = 0..n_max from the root and alpha(k) = a_k,
+    # k = 1..n_max-1. a_k enters L_n with the weight
+    # w_j = (lam^j - lam^-j)/(lam - 1/lam), j = n - k, computed once per j.
     with workdps(dps + 10):
         lami = 1 / lam
         denom = lam - lami
-        # Particular solution K = -log(c)/(d1+d2-2) for the constant forcing
-        # term; zero initial data L_0 = L_1 = 0 then fix the homogeneous
-        # coefficients, giving K * (1 - (lam^n + lam^(1-n))/(1 + lam)).
-        bracket = ((1 - lami) * lam**n - (1 - lam) * lami**n) / denom - 1
-        exact = bracket * mp.log(spec.c) / (spec.d1 + spec.d2 - 2)
-        for k in range(1, n):
-            exact += (lam ** (n - k) - lam ** (k - n)) / denom * alpha(k)
-        return exact
+        weights = [None] + [(lam ** j - lam ** -j) / denom for j in range(1, n_max)]
+        log_c = mp.log(spec.c)
+        exacts = []
+        for n in range(n_max + 1):
+            # Particular solution K = -log(c)/(d1+d2-2) for the constant
+            # forcing term; zero initial data L_0 = L_1 = 0 then fix the
+            # homogeneous coefficients, giving
+            # K * (1 - (lam^n + lam^(1-n))/(1 + lam)).
+            bracket = ((1 - lami) * lam**n - (1 - lam) * lami**n) / denom - 1
+            exact = bracket * log_c / (spec.d1 + spec.d2 - 2)
+            for k in range(1, n):
+                exact += weights[n - k] * alpha(k)
+            exacts.append(exact)
+        return tuple(exacts)
 
 
 def estimate_C(
@@ -257,13 +288,13 @@ def _log_rows(spec: SecondOrderSpec, n_max: int, dps: int = DEFAULT_DPS,
               budget: BitBudget | None = None):
     # full_report up to x_{n_max}: the store and a_k cache, the root,
     # (C, bound), and the head and log of x_n beside the reconstruction of
-    # log x_n for n = 0..n_max. The reconstruction forms x_{n_max-1}, so
-    # the heads past it take one or two bracket steps.
+    # log x_n for n = 0..n_max. The heads and the a_k past the terms that C
+    # forms come from bracket runs.
     store = SeriesSource(spec, budget)
     lam = dominant_root(spec.d1, spec.d2, dps)
     alpha = _alphas(spec, store)
     c_pair = _estimate_C(spec, lam, alpha, dps)
-    exacts = tuple(_lambda_exact(spec, lam, alpha, n, dps) for n in range(n_max + 1))
+    exacts = _lambda_exacts(spec, lam, alpha, n_max, dps)
     heads = [store.head(n) if n else (1, 1) for n in range(n_max + 1)]
     logs = [log_big(h, dps) for h in heads]
     return store, alpha, lam, c_pair, heads, logs, exacts

@@ -17,6 +17,7 @@ from .asymptotics import (
     estimate_C,
     growth_report,
 )
+from .exceptions import InvalidSpec
 from .expansion import enclosure, partial_lengths, stream
 from .sequences import (
     SecondOrderSpec,
@@ -211,7 +212,7 @@ CHECKS = {
 def run_examples(only: str | None = None) -> list[CheckResult]:
     if only is not None:
         if only not in CHECKS:
-            raise ValueError(f"unknown example tag {only!r}; choose from {sorted(CHECKS)}")
+            raise InvalidSpec(f"unknown example tag {only!r}; choose from {sorted(CHECKS)}")
         tags = [only]
     else:
         tags = list(CHECKS)

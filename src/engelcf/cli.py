@@ -14,7 +14,6 @@ import sys
 
 from mpmath import mp
 
-from . import catalog
 from .asymptotics import full_report
 from .cf import cf_text, expand_rational, normalize_zeros
 from .exceptions import (
@@ -35,7 +34,6 @@ from .sequences import (
     ones_tail,
     parse_spec_line,
 )
-from .verify import check_instance, run_generic_suite, run_lift_suite, run_z2_suite
 
 SEQ_HEADER = "# engel-seq v1"
 
@@ -187,6 +185,8 @@ def cmd_asymp(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
+    from .verify import check_instance, run_generic_suite, run_lift_suite, run_z2_suite
+
     if args.suite == "generic":
         checked = run_generic_suite(args.trials, args.maxn, args.seed)
         line = f"ok generic: {args.trials} trials, {checked} expansions checked"
@@ -221,6 +221,8 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def cmd_paper_examples(args) -> tuple[str, int]:
+    from . import catalog
+
     results = catalog.run_examples(args.only)
     all_ok = all(r.ok for r in results)
     if args.json:

@@ -211,7 +211,7 @@ class EngelStream:
         """Advance until at least ``count`` coefficients are certified and
         return the full certified prefix (possibly longer than asked)."""
         if count < 1:
-            raise ValueError("count must be >= 1")
+            raise InvalidSpec("count must be >= 1")
         while len(self.emitted) < count:
             self._advance()
         return list(self.emitted)
@@ -312,7 +312,7 @@ def enclosure(source: SourceLike, max_width: Fraction,
     2/x_{n+1}, so S lies between S_{n+1} = N_{n+1}/x_{n+1} and
     (N_{n+1} + 1)/x_{n+1}."""
     if max_width <= 0:
-        raise ValueError("max_width must be positive")
+        raise InvalidSpec("max_width must be positive")
     src = as_store(source, budget)
     n = 2
     while True:
@@ -327,7 +327,7 @@ def certified_decimal(lo: Fraction, hi: Fraction, max_digits: int = 30) -> str:
     """Decimal string of a bracketed value, printing only digits that are
     the same for every number in [lo, hi] (truncated, not rounded)."""
     if lo > hi:
-        raise ValueError("empty interval")
+        raise InvalidSpec("empty interval")
     for d in range(max_digits, -1, -1):
         scale = 10**d
         vlo = (lo.numerator * scale) // lo.denominator

@@ -429,6 +429,19 @@ def _int_head(v: int) -> tuple[int, int]:
     return length, v >> max(length - _HEAD_BITS, 0)
 
 
+def _bracket_head(v):
+    # head's read: both ends of a bracket must agree on the bit length and
+    # the top bits.
+    if isinstance(v, int):
+        return _int_head(v)
+    length = v.hi.bit_length() + v.e
+    if v.lo.bit_length() + v.e != length:
+        return None
+    s = max(length - _HEAD_BITS, 0) - v.e
+    lo, hi = (v.lo >> s, v.hi >> s) if s >= 0 else (v.lo << -s, v.hi << -s)
+    return (length, lo) if lo == hi else None
+
+
 class SeriesSource:
     """The memoized term store: lazy terms x_n, factors z_j and exact
     partial sums S_n of one series.
@@ -492,31 +505,39 @@ class SeriesSource:
     def head(self, n: int) -> tuple[int, int]:
         """(bit_length, top) of x_n, with top = x_n >> max(bit_length - 64, 0).
 
-        A term the store does not hold yet is not formed: the step rule
-        runs on brackets of prec bits from the last formed terms, and the
-        head is returned once both ends of x_n's bracket give the same bit
-        length and top bits. Otherwise prec doubles; once it would cover the whole term,
-        x_n is formed (and charged) through x(n) instead. The bracket runs
-        neither grow the store nor charge the budget.
+        A term the store does not hold yet is not formed: see ``_certify``,
+        which returns the head once both ends of x_n's bracket give the
+        same bit length and top bits.
+        """
+        return self._certify(n, _bracket_head, _HEAD_PRECISION)
+
+    def _certify(self, n: int, read, prec: int):
+        """read(x_n) without forming x_n where brackets suffice (Ziv's
+        strategy, ACM TOMS 17(3), 1991).
+
+        ``read`` takes an exact int or a ``_Bracket`` and returns None when
+        the bracket is too wide to settle its value. A term the store holds
+        is read exactly. Otherwise the step rule runs on brackets of prec
+        bits from the last formed terms, and prec doubles until ``read``
+        accepts. A run that stays exact, or a prec that would cover the
+        whole term, forms (and charges) x_n through x(n) instead. The
+        bracket runs neither grow the store nor charge the budget.
         """
         if n < 1:
             raise IndexError("terms start at n = 1")
         if n + self._pad <= len(self._terms):
-            return _int_head(self._terms[n - 1 + self._pad])
-        prec = _HEAD_PRECISION
+            return read(self._terms[n - 1 + self._pad])
         while True:
             v = self._bracket_term(n, prec)
-            if isinstance(v, int):
-                return _int_head(v)
-            length = v.hi.bit_length() + v.e
-            if v.lo.bit_length() + v.e == length:
-                s = max(length - _HEAD_BITS, 0) - v.e
-                lo, hi = (v.lo >> s, v.hi >> s) if s >= 0 else (v.lo << -s, v.hi << -s)
-                if lo == hi:
-                    return length, lo
+            if not isinstance(v, _Bracket):
+                break
+            value = read(v)
+            if value is not None:
+                return value
             prec *= 2
-            if prec >= length:
-                return _int_head(self.x(n))
+            if prec >= v.hi.bit_length() + v.e:
+                break
+        return read(self.x(n))
 
     def _bracket_term(self, n: int, prec: int):
         # The step rule on copies of the term lists, which keep their length

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, workdps
 
+from engelcf import asymptotics
 from engelcf.asymptotics import (
+    _alpha,
+    _alphas,
     _log_rows,
     dominant_root,
     empirical_growth_constant,
@@ -16,6 +21,7 @@ from engelcf.sequences import (
     BitBudget,
     FactorSequence,
     SecondOrderSpec,
+    SeriesSource,
     ThirdOrderSpec,
     from_factors,
     generate_recurrence,
@@ -193,25 +199,92 @@ def test_full_report_shape():
 
 
 def test_log_rows_stop_at_x_n_max():
-    # The growth-table script reads these rows. full_report(AFFINE, 8) forms
-    # x_7 (1568 bits) for a_7 and reads only the heads of x_8 and x_9, so a
-    # budget that admits x_1..x_8 (7996 bits) but not x_9 changes nothing,
-    # and one below x_7 still raises.
-    budget = BitBudget(10000, 20000)
+    # The growth-table script reads these rows. They equal full_report's,
+    # and neither forms a term past x_5 (see the next test), so a budget
+    # that admits x_1..x_5 changes nothing.
+    budget = BitBudget(113, 153)
     report = full_report(AFFINE, 8)
     _, _, lam, c_pair, _, logs, exacts = _log_rows(AFFINE, 8, budget=budget)
     assert (lam, c_pair) == (report.lam, (report.C, report.C_bound))
     assert tuple(logs) == report.lambda_n_true and exacts == report.lambda_n_exact
     assert full_report(AFFINE, 8, budget=budget) == report
-    with pytest.raises(BitBudgetExceeded, match="x_7"):
-        full_report(AFFINE, 8, budget=BitBudget(1000, 20000))
 
 
 def test_full_report_forms_no_term_it_does_not_read():
-    # x_10 has 81530 bits and x_11 304274: the report through n = 11 reads
-    # x_10 for a_10 and only the heads of x_11 and x_12.
-    budget = BitBudget(single=81531)
+    # The constant C reads a_1..a_5, whose bracket runs stay exact, so
+    # x_1..x_5 are formed (x_5 has 113 bits, 153 are charged in all);
+    # every later a_k and every log comes from brackets. So a budget that
+    # admits x_5 but not x_6 (420 bits) changes nothing, even at n = 40,
+    # and one below x_5 still raises.
+    budget = BitBudget(single=113, total=153)
     assert full_report(AFFINE, 11, budget=budget) == full_report(AFFINE, 11)
+    assert full_report(AFFINE, 40, budget=budget) == full_report(AFFINE, 40)
+    with pytest.raises(BitBudgetExceeded, match="x_5"):
+        full_report(AFFINE, 11, budget=BitBudget(single=112))
+
+
+def _valid(spec) -> bool:
+    try:
+        spec.validate()
+    except InvalidSpec:
+        return False
+    return True
+
+
+@given(
+    st.builds(SecondOrderSpec, st.integers(3, 6),
+              st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)).filter(_valid),
+    st.integers(2, 9),
+    st.integers(1, 4),
+    st.sampled_from([15, 50]),
+    st.sampled_from([asymptotics._ALPHA_GUARD_BITS, 0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_bracket_alpha_matches_the_exact_term(spec, k, lag, dps, guard):
+    # a_k from brackets of x_k, with x_1..x_{k-lag} in the store, is the
+    # mpf that the formed x_k gives, bit for bit. Without guard bits the
+    # first bracket often rounds apart, so the doubling runs too. A term of
+    # 64 bits or fewer never leaves the exact run; one past 2^17 bits costs
+    # too much to form.
+    exact = SeriesSource(spec)
+    assume(64 < exact.head(k)[0] <= 1 << 17)
+    store = SeriesSource(spec)
+    store.x(max(k - lag, 1))
+    saved, asymptotics._ALPHA_GUARD_BITS = asymptotics._ALPHA_GUARD_BITS, guard
+    try:
+        with workdps(dps):
+            got = _alphas(spec, store)(k)
+            want = _alpha(spec, exact.x(k))
+    finally:
+        asymptotics._ALPHA_GUARD_BITS = saved
+    assert (got.man, got.exp) == (want.man, want.exp)
+
+
+def test_alpha_doubles_its_precision_then_forms_the_term(monkeypatch):
+    # At 60 digits (203 bits) and a first bracket run of 16 bits, a_7
+    # (x_7 has 1568 bits) settles at 256 bits without forming x_7. a_5 is
+    # still open at 64 bits, and 128 would cover x_5 (113 bits), so a_5 is
+    # read from x_5 formed through the store instead.
+    precisions = []
+    original = SeriesSource._bracket_term
+
+    def bracket_term(self, n, prec):
+        precisions.append(prec)
+        return original(self, n, prec)
+
+    monkeypatch.setattr(SeriesSource, "_bracket_term", bracket_term)
+    exact = SeriesSource(AFFINE)
+    for k, formed, tried, formed_after in ((7, 5, [16, 32, 64, 128, 256], 5),
+                                           (5, 4, [16, 32, 64], 5)):
+        store = SeriesSource(AFFINE)
+        store.x(formed)
+        precisions.clear()
+        with workdps(60):
+            monkeypatch.setattr(asymptotics, "_ALPHA_GUARD_BITS", 16 - mp.prec)
+            got = _alphas(AFFINE, store)(k)
+            assert got == _alpha(AFFINE, exact.x(k))
+        assert precisions == tried
+        assert len(store._terms) - store._pad == formed_after
 
 
 def test_invalid_arguments_raise_invalid_spec():

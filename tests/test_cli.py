@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -170,6 +172,19 @@ def test_paper_examples_only(capsys):
     assert code == 0
     code, _, err = run(capsys, "paper-examples", "--only", "nosuch")
     assert code == 2
+    assert err.startswith("error: unknown example tag 'nosuch'")
+
+
+def test_cli_import_leaves_out_catalog_and_verify():
+    # Only paper-examples and verify read these modules, so they load on
+    # first use; a fresh interpreter shows what the import alone pulls in.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, engelcf.cli; "
+            "print(sorted(m for m in ('engelcf.catalog', 'engelcf.verify') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_spec_file_source(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from engelcf import expansion
 from engelcf.cf import convergents, evaluate, expand_rational, normalize_zeros
-from engelcf.exceptions import IdentityViolation, InsufficientFactors
+from engelcf.exceptions import IdentityViolation, InsufficientFactors, InvalidSpec
 from engelcf.expansion import (
     EngelStream,
     SeriesSource,
@@ -317,6 +317,17 @@ def test_enclosure_and_certified_decimal():
     assert certified_decimal(Fraction(1, 3), Fraction(1, 3), 5) == "0.33333"
     assert certified_decimal(Fraction(10, 7), Fraction(149, 100), 8) == "1.4"
     assert certified_decimal(Fraction(10, 7), Fraction(3, 2), 8) == "1"
+
+
+def test_invalid_arguments_raise_invalid_spec():
+    calls = [
+        lambda: EngelStream(AFFINE).take(0),
+        lambda: enclosure(AFFINE, Fraction(0)),
+        lambda: certified_decimal(Fraction(1, 2), Fraction(1, 3)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidSpec):
+            call()
 
 
 def test_series_source_partial_sums_match_reference():
