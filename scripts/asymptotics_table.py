@@ -16,8 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from mpmath import mp  # noqa: E402
 
-from engelcf import SecondOrderSpec  # noqa: E402
-from engelcf.asymptotics import _log_rows  # noqa: E402
+from engelcf import SecondOrderSpec, full_report  # noqa: E402
 
 SPECS = {
     "x^3 * 3": SecondOrderSpec(3, (3,)),
@@ -35,14 +34,15 @@ def main() -> int:
         parser.error("--maxn must be >= 0")
 
     for name, spec in SPECS.items():
-        # _log_rows, unlike full_report, accepts maxn < 3.
-        _, _, lam, (c_value, c_bound), _, logs, exacts = _log_rows(spec, args.maxn)
+        # full_report needs n_max >= 3; its rows do not depend on n_max.
+        report = full_report(spec, max(args.maxn, 3))
+        lam = report.lam
         print(f"== {name}  (d1={spec.d1}, d2={spec.d2})")
         print(f"   lambda = {mp.nstr(lam, 20)}")
-        print(f"   C      = {mp.nstr(c_value, 15)}  (tail bound {mp.nstr(c_bound, 2)})")
+        print(f"   C      = {mp.nstr(report.C, 15)}  (tail bound {mp.nstr(report.C_bound, 2)})")
         print(f"   {'n':>3} {'log x_n':>18} {'reconstructed':>18} {'log x_n / lam^n':>18}")
         for n in range(2, args.maxn + 1):
-            true, exact = logs[n], exacts[n]
+            true, exact = report.lambda_n_true[n], report.lambda_n_exact[n]
             print(f"   {n:>3} {mp.nstr(true, 10):>18} {mp.nstr(exact, 10):>18} {mp.nstr(true / lam**n, 10):>18}")
         print()
     return 0

@@ -9,13 +9,10 @@ effective-irrationality diagnostics.
 
 from .cf import (
     CFExpansion,
-    ConvergentTable,
     cf_text,
     convergents,
-    evaluate,
     expand_rational,
     normalize_zeros,
-    parse_cf_text,
 )
 from .exceptions import (
     BitBudgetExceeded,
@@ -47,14 +44,12 @@ from .sequences import (
     parse_spec_line,
     partial_sum,
     shallit_factors,
-    spec_line,
     strip_leading_ones,
 )
 from .expansion import (
     EngelStream,
     StreamResult,
     PartialCF,
-    certified_decimal,
     enclosure,
     partial_cf,
     partial_lengths,

@@ -136,7 +136,6 @@ def estimate_C(
     dps: int = DEFAULT_DPS,
     rel_cut: float = 1e-15,
     budget: BitBudget | None = None,
-    max_terms: int = 60,
 ):
     """(C, tail_bound) for the leading-order constant in L_n ~ C lam^n:
 
@@ -144,16 +143,19 @@ def estimate_C(
             + (1/(lam-1/lam)) * sum_{k>=1} lam^-k a_k.
 
     Terms are non-negative and decay doubly exponentially; summation stops
-    once the next term falls below ``rel_cut`` of the running value, and the
-    dropped tail is bounded by twice that term (the a_k are non-increasing
-    and lam > 2, so the tail is dominated by a geometric series).
+    once the next term falls below ``rel_cut`` of the running value (or
+    after 60 terms), and the dropped tail is bounded by twice that term
+    (the a_k are non-increasing and lam > 2, so the tail is dominated by a
+    geometric series).
     """
     alpha = _alphas(spec, SeriesSource(spec, budget))
-    return _estimate_C(spec, dominant_root(spec.d1, spec.d2, dps), alpha, dps, rel_cut, max_terms)
+    return _estimate_C(spec, dominant_root(spec.d1, spec.d2, dps), alpha, dps, rel_cut)
 
 
-def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int,
-                rel_cut: float = 1e-15, max_terms: int = 60):
+_C_MAX_TERMS = 60  # the most terms lam^-k a_k that C sums
+
+
+def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int, rel_cut: float = 1e-15):
     with workdps(dps + 10):
         lami = 1 / lam
         denom = lam - lami
@@ -163,7 +165,7 @@ def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int,
             k += 1
             c_value += lami**k * alpha(k) / denom
             next_term = lami ** (k + 1) * alpha(k + 1) / denom
-            if 2 * next_term < rel_cut * c_value or k >= max_terms:
+            if 2 * next_term < rel_cut * c_value or k >= _C_MAX_TERMS:
                 return c_value, 2 * next_term
 
 
@@ -284,22 +286,6 @@ class AsymptoticsReport:
     roth: "RothReport"
 
 
-def _log_rows(spec: SecondOrderSpec, n_max: int, dps: int = DEFAULT_DPS,
-              budget: BitBudget | None = None):
-    # full_report up to x_{n_max}: the store and a_k cache, the root,
-    # (C, bound), and the head and log of x_n beside the reconstruction of
-    # log x_n for n = 0..n_max. The heads and the a_k past the terms that C
-    # forms come from bracket runs.
-    store = SeriesSource(spec, budget)
-    lam = dominant_root(spec.d1, spec.d2, dps)
-    alpha = _alphas(spec, store)
-    c_pair = _estimate_C(spec, lam, alpha, dps)
-    exacts = _lambda_exacts(spec, lam, alpha, n_max, dps)
-    heads = [store.head(n) if n else (1, 1) for n in range(n_max + 1)]
-    logs = [log_big(h, dps) for h in heads]
-    return store, alpha, lam, c_pair, heads, logs, exacts
-
-
 def full_report(
     spec: SecondOrderSpec,
     n_max: int = 10,
@@ -307,12 +293,17 @@ def full_report(
     budget: BitBudget | None = None,
 ) -> AsymptoticsReport:
     """Aggregate diagnostics for a second-order spec up to index n_max;
-    the root, each a_k and each log x_n are computed once."""
+    the root, each a_k and each log x_n are computed once. The heads, and
+    the a_k past the few terms that C forms, come from bracket runs."""
     if n_max < 3:
         raise InvalidSpec("n_max must be >= 3")
-    store, alpha, lam, (c_value, c_bound), heads, logs, exacts = _log_rows(spec, n_max, dps, budget)
-    heads.append(store.head(n_max + 1))
-    logs.append(log_big(heads[-1], dps))
+    store = SeriesSource(spec, budget)
+    lam = dominant_root(spec.d1, spec.d2, dps)
+    alpha = _alphas(spec, store)
+    c_value, c_bound = _estimate_C(spec, lam, alpha, dps)
+    exacts = _lambda_exacts(spec, lam, alpha, n_max, dps)
+    heads = [store.head(n) if n else (1, 1) for n in range(n_max + 2)]
+    logs = [log_big(h, dps) for h in heads]
     with workdps(dps):
         growth = tuple((n, logs[n + 1] / logs[n]) for n in range(2, n_max + 1))
     return AsymptoticsReport(

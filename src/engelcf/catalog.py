@@ -1,7 +1,7 @@
 """Bundled worked examples and their recorded reference values.
 
 Each entry rebuilds its objects from scratch (sequence terms, expansion
-prefixes, growth constants, certified decimals) and compares them with the
+prefixes, growth constants, certified enclosures) and compares them with the
 values recorded here. The ``paper-examples`` subcommand and the acceptance
 tests both run these checks.
 """

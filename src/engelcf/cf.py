@@ -1,7 +1,7 @@
 """Exact continued fraction machinery.
 
-Convergents by 2x2 integer matrix products, exact evaluation, the canonical
-Euclidean expansion of a non-negative rational, and the zero-removal rule
+Convergents by 2x2 integer matrix products, the canonical Euclidean
+expansion of a non-negative rational, and the zero-removal rule
 [..., a, 0, b, ...] -> [..., a+b, ...] for repairing degenerate expansions.
 
 The Euclidean expansion batches its quotients on large operands (Lehmer,
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exceptions import TrailingZero, ZeroCoefficient
+from .exceptions import InvalidSpec, TrailingZero, ZeroCoefficient
+
 
 @dataclass(frozen=True)
 class CFExpansion:
@@ -39,17 +40,17 @@ class CFExpansion:
 
     def __post_init__(self):
         if not self.coeffs:
-            raise ValueError("empty continued fraction")
+            raise InvalidSpec("empty continued fraction")
         object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
         if self.coeffs[0] < 0:
-            raise ValueError(f"a_0 must be non-negative, got {self.coeffs[0]}")
+            raise InvalidSpec(f"a_0 must be non-negative, got {self.coeffs[0]}")
         if min(self.coeffs[1:], default=1) > 0:
             return
         for j, a in enumerate(self.coeffs[1:], start=1):
             if a == 0:
                 raise ZeroCoefficient(f"a_{j} = 0")
             if a < 0:
-                raise ValueError(f"a_{j} must be positive, got {a}")
+                raise InvalidSpec(f"a_{j} must be positive, got {a}")
 
     def __len__(self):
         return len(self.coeffs)
@@ -60,42 +61,8 @@ class CFExpansion:
     def __getitem__(self, j):
         return self.coeffs[j]
 
-    @property
-    def is_canonical(self) -> bool:
-        return len(self.coeffs) == 1 or self.coeffs[-1] >= 2
-
     def __str__(self):
         return cf_text(self.coeffs)
-
-
-@dataclass(frozen=True)
-class ConvergentTable:
-    """Rows (p_j, q_j) for j = 0..m of a continued fraction.
-
-    Keeping the whole table (current and previous columns together) lets
-    verify.check_instance assert the final denominator and the determinant
-    rule, and with them the fold's step identities, without recomputation.
-    """
-
-    rows: tuple[tuple[int, int], ...]
-
-    @property
-    def final(self) -> tuple[int, int]:
-        return self.rows[-1]
-
-    @property
-    def value(self) -> Fraction:
-        p, q = self.rows[-1]
-        return Fraction(p, q)
-
-    def determinant_ok(self) -> bool:
-        """p_j*q_{j-1} - p_{j-1}*q_j == (-1)^(j+1) for every j >= 1."""
-        for j in range(1, len(self.rows)):
-            p, q = self.rows[j]
-            pp, qp = self.rows[j - 1]
-            if p * qp - pp * q != (-1) ** (j + 1):
-                return False
-        return True
 
 
 CFLike = Union[CFExpansion, Sequence[int]]
@@ -105,11 +72,12 @@ CFLike = Union[CFExpansion, Sequence[int]]
 _WINDOW_BITS = 256
 
 
-def convergents(cf: CFLike) -> ConvergentTable:
-    """Convergent table of a normalized continued fraction.
+def convergents(cf: CFLike) -> tuple[tuple[int, int], ...]:
+    """Rows (p_j, q_j), j = 0..m, of a normalized continued fraction.
 
-    Row j is the top row of the product of the first j+1 matrices
-    [[a_i, 1], [1, 0]]; the final row gives the exact value.
+    Row j is the first column of the product of the first j+1 matrices
+    [[a_i, 1], [1, 0]]; the final row gives the exact value. This plain
+    loop is the reference ProductTree is tested against.
     """
     rows = []
     p_prev, q_prev = 1, 0
@@ -119,27 +87,7 @@ def convergents(cf: CFLike) -> ConvergentTable:
         q = a * q_prev + q_prev2
         rows.append((p, q))
         p_prev2, q_prev2, p_prev, q_prev = p_prev, q_prev, p, q
-    return ConvergentTable(tuple(rows))
-
-
-def evaluate(cf: CFLike) -> Fraction:
-    """Exact rational value of a normalized continued fraction.
-
-    Accepts non-canonical input (e.g. a trailing 1, or a_0 = 0); only zeros
-    in positions >= 1 are rejected.
-    """
-    return _fold_value(CFExpansion(tuple(cf)).coeffs)
-
-
-def _fold_value(coeffs: Sequence[int]) -> Fraction:
-    # Right fold; tolerates interior zeros (used on raw lists by
-    # normalize_zeros callers), but not a trailing zero.
-    if coeffs[-1] == 0 and len(coeffs) > 1:
-        raise TrailingZero("cannot evaluate a raw expansion ending in 0")
-    value = Fraction(coeffs[-1])
-    for a in reversed(coeffs[:-1]):
-        value = a + 1 / value
-    return value
+    return tuple(rows)
 
 
 def expand_rational(r, denominator: int | None = None) -> CFExpansion:
@@ -172,12 +120,12 @@ def expand_rational(r, denominator: int | None = None) -> CFExpansion:
     if denominator is None:
         r = Fraction(r)
         if r < 0:
-            raise ValueError(f"negative rational {r}")
+            raise InvalidSpec(f"negative rational {r}")
         p, q = r.numerator, r.denominator
     else:
         p, q = r, denominator
         if p < 0 or q <= 0:
-            raise ValueError(f"need p >= 0 and q > 0, got {p}/{q}")
+            raise InvalidSpec(f"need p >= 0 and q > 0, got {p}/{q}")
     coeffs = []
     w = _WINDOW_BITS
     while q:
@@ -311,16 +259,10 @@ def normalize_zeros(raw: Sequence[int]) -> CFExpansion:
     """
     coeffs = list(map(int, raw))
     if not coeffs:
-        raise ValueError("empty continued fraction")
+        raise InvalidSpec("empty continued fraction")
     if coeffs[-1] == 0 and len(coeffs) > 1:
         raise TrailingZero("zero in final position cannot be removed")
-    j = 1
-    while 0 in coeffs[j:-1]:
-        j = coeffs.index(0, j)
-        coeffs[j - 1:j + 2] = [coeffs[j - 1] + coeffs[j + 1]]
-        # The merge can expose a new zero at the merged position's
-        # neighborhood; step back one slot instead of rescanning.
-        j = max(j - 1, 1)
+    _merge_zeros(coeffs)
     if coeffs[-1] == 0 and len(coeffs) > 1:
         raise TrailingZero("zero migrated to final position; irreducible input")
     if len(coeffs) > 1 and coeffs[-1] == 1:
@@ -328,26 +270,24 @@ def normalize_zeros(raw: Sequence[int]) -> CFExpansion:
     return CFExpansion(tuple(coeffs))
 
 
+def _merge_zeros(coeffs: list[int]):
+    # [..., a, 0, b, ...] -> [..., a+b, ...] in place, always at the leftmost
+    # zero past coeffs[0], until none is left before the final entry.
+    j = 1
+    while 0 in coeffs[j:-1]:
+        j = coeffs.index(0, j)
+        coeffs[j - 1:j + 2] = [coeffs[j - 1] + coeffs[j + 1]]
+        # The merge can expose a new zero at the merged position's
+        # neighborhood; step back one slot instead of rescanning.
+        j = max(j - 1, 1)
+
+
 def cf_text(cf: CFLike) -> str:
     """Render in the bracket grammar: ``[a0;a1,a2,...]``, no whitespace.
     Raw coefficient lists are rendered as given, zeros included."""
     coeffs = tuple(cf)
     if not coeffs:
-        raise ValueError("empty continued fraction")
+        raise InvalidSpec("empty continued fraction")
     if len(coeffs) == 1:
         return f"[{coeffs[0]}]"
     return "[{};{}]".format(coeffs[0], ",".join(str(a) for a in coeffs[1:]))
-
-
-def parse_cf_text(text: str) -> CFExpansion:
-    """Parse the bracket grammar produced by cf_text."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"not a bracketed continued fraction: {text!r}")
-    body = s[1:-1]
-    if ";" in body:
-        head, _, tail = body.partition(";")
-        coeffs = [int(head)] + [int(t) for t in tail.split(",")]
-    else:
-        coeffs = [int(body)]
-    return CFExpansion(tuple(coeffs))

@@ -32,14 +32,11 @@ from .sequences import (
     ThirdOrderSpec,
     generate_recurrence,
     ones_tail,
+    parse_ints,
     parse_spec_line,
 )
 
 SEQ_HEADER = "# engel-seq v1"
-
-
-def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
 
 
 def _add_output(parser: argparse.ArgumentParser, with_json: bool = True):
@@ -70,17 +67,15 @@ def _add_source(parser: argparse.ArgumentParser):
 def _source_from_args(args):
     picked = []
     if args.z is not None:
-        zs = _csv_ints(args.z)
-        picked.append(FactorSequence(zs))
+        picked.append(FactorSequence(parse_ints(args.z, "--z")))
     if args.d1 is not None or args.G is not None:
         if args.d1 is None or args.G is None:
             raise InvalidSpec("--d1 and --G must be given together")
-        picked.append(SecondOrderSpec(args.d1, _csv_ints(args.G)).validate())
+        picked.append(SecondOrderSpec(args.d1, parse_ints(args.G, "--G")).validate())
     if args.e1 is not None or args.e2 is not None or args.H is not None:
         if None in (args.e1, args.e2, args.H):
             raise InvalidSpec("--e1, --e2 and --H must be given together")
-        terms = tuple(tuple(int(v) for v in chunk.split(",")) for chunk in args.H.split(";"))
-        picked.append(ThirdOrderSpec(args.e1, args.e2, terms).validate())
+        picked.append(ThirdOrderSpec(args.e1, args.e2, parse_ints(args.H, "--H", 3)).validate())
     if args.u is not None:
         picked.append(ones_tail(args.u))
     if args.spec_file is not None:
@@ -185,24 +180,21 @@ def cmd_asymp(args) -> tuple[str, int]:
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    from .verify import check_instance, run_generic_suite, run_lift_suite, run_z2_suite
+    from .verify import check_instance, run_lift_suite, run_suite
 
-    if args.suite == "generic":
-        checked = run_generic_suite(args.trials, args.maxn, args.seed)
-        line = f"ok generic: {args.trials} trials, {checked} expansions checked"
-    elif args.suite == "z2":
-        checked = run_z2_suite(args.trials, args.maxn, args.seed)
-        line = f"ok z2: {args.trials} trials, {checked} expansions checked"
+    if args.suite in ("generic", "z2"):
+        checked = run_suite(args.suite, args.trials, args.maxn, args.seed)
+        line = f"ok {args.suite}: {args.trials} trials, {checked} expansions checked"
     elif args.suite == "lift":
         if args.d1 is None or args.G is None:
             raise InvalidSpec("--suite lift needs --d1/--G")
-        spec = SecondOrderSpec(args.d1, _csv_ints(args.G)).validate()
+        spec = SecondOrderSpec(args.d1, parse_ints(args.G, "--G")).validate()
         checked = run_lift_suite(spec, args.n)
         line = f"ok lift: factorization identity holds for {checked} terms"
     elif args.suite == "identities":
         if args.z is None:
             raise InvalidSpec("--suite identities needs --z")
-        zs = FactorSequence(_csv_ints(args.z))
+        zs = FactorSequence(parse_ints(args.z, "--z"))
         # check_instance proves the identities of each fold S_n -> S_{n+1}, 3 <= n < n_max.
         n_max = min(args.n, len(zs.z) + 1)
         checked = 0
@@ -316,6 +308,7 @@ def main(argv=None) -> int:
     except IdentityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    # ValueError also covers the UnicodeDecodeError of a non-ASCII --spec-file.
     except (EngelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

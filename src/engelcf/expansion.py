@@ -48,6 +48,7 @@ from fractions import Fraction
 from .cf import (
     CFExpansion,
     ProductTree,
+    _merge_zeros,
     expand_rational,
     matrix_mul,
     normalize_zeros,
@@ -86,11 +87,9 @@ def _fold(cur: list[int], z: int) -> list[int]:
     # The odd-length representative of S_n to that of S_{n+1}: fold, remove
     # the junction's zeros, and split a canonical result of even length.
     # Only z-1 and a_l-1 can be 0, and [a, 0, b] -> [a+b] never forms a 0,
-    # so the repair stays inside the window [a_l, z-1, 1, a_l-1, a_{l-1}].
+    # so normalize_zeros' rule repairs the window [a_l, z-1, 1, a_l-1, a_{l-1}].
     window = [cur[-1], z - 1, 1, cur[-1] - 1, cur[-2]]
-    while 0 in window:
-        j = window.index(0)
-        window[j - 1:j + 2] = [window[j - 1] + window[j + 1]]
+    _merge_zeros(window)
     out = cur[:-1]
     out += window
     out += cur[-3:0:-1]
@@ -116,7 +115,7 @@ def _split_representative(src: SeriesSource, n: int) -> bool:
     # The ones-tail base u = 2 reports S_n, n >= 4, in the other
     # representative of the same rational, one coefficient longer:
     # [..., a] -> [..., a-1, 1].
-    return src.series_class is SeriesClass.ONES_TAIL and src.u == 2 and n >= 4
+    return src.series_class is SeriesClass.ONES_TAIL and src.x(2) == 2 and n >= 4
 
 
 def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> PartialCF:
@@ -202,10 +201,6 @@ class EngelStream:
         # The oracle's resume state: the product of the matrices
         # [[a, 1], [1, 0]] of the first _m_len emitted coefficients.
         self._m, self._m_len = _IDENTITY, 0
-
-    @property
-    def certified_through(self) -> int:
-        return len(self.emitted) - 1
 
     def take(self, count: int) -> list[int]:
         """Advance until at least ``count`` coefficients are certified and
@@ -321,20 +316,3 @@ def enclosure(source: SourceLike, max_width: Fraction,
             num = src.numerator(n + 1)
             return Fraction(num, x_next), Fraction(num + 1, x_next)
         n += 1
-
-
-def certified_decimal(lo: Fraction, hi: Fraction, max_digits: int = 30) -> str:
-    """Decimal string of a bracketed value, printing only digits that are
-    the same for every number in [lo, hi] (truncated, not rounded)."""
-    if lo > hi:
-        raise InvalidSpec("empty interval")
-    for d in range(max_digits, -1, -1):
-        scale = 10**d
-        vlo = (lo.numerator * scale) // lo.denominator
-        vhi = (hi.numerator * scale) // hi.denominator
-        if vlo == vhi:
-            digits = str(vlo).rjust(d + 1, "0")
-            if d == 0:
-                return digits
-            return f"{digits[:-d]}.{digits[-d:]}"
-    return ""

@@ -116,11 +116,6 @@ class FactorSequence:
             return SeriesClass.ONES_TAIL
         return SeriesClass.MIXED
 
-    @property
-    def u(self) -> int:
-        """Base of a ones-tail source (its z_2)."""
-        return self.z[0]
-
     def factor(self, j: int) -> int | None:
         """z_j for j >= 2, or None when the finite list is exhausted."""
         if j < 2:
@@ -177,7 +172,11 @@ class EngelSequence:
 
 def from_factors(source: "SourceLike", n: int, budget: BitBudget | None = None) -> EngelSequence:
     """x_1..x_n of any source in the Engel indexing (leading 1s collapsed)."""
-    return SeriesSource(source, budget).sequence(n)
+    if n < 1:
+        raise InvalidSpec("n must be >= 1")
+    src = SeriesSource(source, budget)
+    src._grow(n + src._pad)
+    return EngelSequence(tuple(src._terms[src._pad:n + src._pad]))
 
 
 def strip_leading_ones(raw: Sequence[int]) -> tuple[int, ...]:
@@ -256,11 +255,6 @@ class SecondOrderSpec:
     @property
     def g1(self) -> int:
         return sum(self.g)
-
-    @property
-    def degenerate(self) -> bool:
-        """True for the z_2 = 2 family G = x^d2 + 1 (equivalently G(1) = 2)."""
-        return self.g1 == 2
 
     def G(self, x: int) -> int:
         acc = 0
@@ -479,11 +473,6 @@ class SeriesSource:
         self._factors = [1] * len(self._terms)
         self._pad = len(self._terms) - 1
 
-    @property
-    def u(self) -> int:
-        """x_2, the base of a ones-tail series."""
-        return self.x(2)
-
     def _grow(self, count: int):
         terms, zs = self._terms, self._factors
         while len(terms) < count:
@@ -550,13 +539,6 @@ class SeriesSource:
             xs.append(_enclose(z * xs[-1] ** 2, prec))
             zs.append(z)
         return xs[-1]
-
-    def sequence(self, n: int) -> EngelSequence:
-        """x_1..x_n."""
-        if n < 1:
-            raise InvalidSpec("n must be >= 1")
-        self._grow(n + self._pad)
-        return EngelSequence(tuple(self._terms[self._pad:n + self._pad]))
 
     def factor(self, j: int) -> int | None:
         """z_j, or None when a finite factor list is exhausted."""
@@ -628,17 +610,13 @@ def closed_form_numerator(z: Sequence[int], n: int) -> int:
     """
     if n < 1:
         raise InvalidSpec("n must be >= 1")
-
-    def zj(j: int) -> int:
-        return int(z[j - 2])
-
     total = 1
     for j in range(1, n):
         term = 1
         for k in range(2, j + 1):
-            term *= zj(k) ** (2 ** (n - k) - 2 ** (j - k))
+            term *= int(z[k - 2]) ** (2 ** (n - k) - 2 ** (j - k))
         for l in range(j + 1, n + 1):
-            term *= zj(l) ** (2 ** (n - l))
+            term *= int(z[l - 2]) ** (2 ** (n - l))
         total += term
     return total
 
@@ -693,24 +671,35 @@ def shallit_factors(u: int, c: Sequence[int]) -> FactorSequence:
 
 
 # ---------------------------------------------------------------------------
-# Single-line spec file format
+# Spec text: integer lists and the single-line spec file format
 # ---------------------------------------------------------------------------
 
 
-def spec_line(spec: RecurrenceSpec) -> str:
-    """Serialize a spec as a single key=value line.
-
-    Examples: ``order=2 d1=3 G=1,2`` and ``order=3 e1=2 e2=2 H=0,0,1;1,1,2``
-    (G constant term first; H terms are i,j,coeff separated by ';').
-    """
-    if isinstance(spec, SecondOrderSpec):
-        return f"order=2 d1={spec.d1} G={','.join(str(c) for c in spec.g)}"
-    hs = ";".join(f"{i},{j},{c}" for (i, j, c) in spec.h)
-    return f"order=3 e1={spec.e1} e2={spec.e2} H={hs}"
+def parse_ints(text: str, what: str, width: int = 0) -> tuple:
+    """The integer lists of the spec grammar: ``3,9,81`` (factors, G) as a
+    tuple, or with ``width`` k the terms ``i,j,coeff;...`` (H, k = 3) as
+    k-tuples. InvalidSpec names the first bad token and ``what``."""
+    if width:
+        terms = []
+        for chunk in text.split(";"):
+            terms.append(parse_ints(chunk, what))
+            if len(terms[-1]) != width:
+                raise InvalidSpec(f"{what}: term {chunk!r} needs {width} integers")
+        return tuple(terms)
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise InvalidSpec(f"{what}: {token!r} is not an integer") from None
+    return tuple(values)
 
 
 def parse_spec_line(line: str) -> RecurrenceSpec:
-    """Inverse of spec_line."""
+    """A validated spec from one key=value line, such as
+    ``order=2 d1=3 G=1,2`` or ``order=3 e1=2 e2=2 H=0,0,1;1,1,2``
+    (G constant term first; H terms are i,j,coeff separated by ';').
+    """
     fields = {}
     for token in line.split():
         key, eq, value = token.partition("=")
@@ -724,7 +713,7 @@ def parse_spec_line(line: str) -> RecurrenceSpec:
     if order == 2:
         try:
             d1 = int(fields.pop("d1"))
-            g = tuple(int(v) for v in fields.pop("G").split(","))
+            g = parse_ints(fields.pop("G"), "G=")
         except KeyError as exc:
             raise InvalidSpec(f"missing {exc} for order=2") from None
         spec: RecurrenceSpec = SecondOrderSpec(d1, g)
@@ -732,13 +721,10 @@ def parse_spec_line(line: str) -> RecurrenceSpec:
         try:
             e1 = int(fields.pop("e1"))
             e2 = int(fields.pop("e2"))
-            terms = []
-            for chunk in fields.pop("H").split(";"):
-                i, j, coeff = (int(v) for v in chunk.split(","))
-                terms.append((i, j, coeff))
+            terms = parse_ints(fields.pop("H"), "H=", 3)
         except KeyError as exc:
             raise InvalidSpec(f"missing {exc} for order=3") from None
-        spec = ThirdOrderSpec(e1, e2, tuple(terms))
+        spec = ThirdOrderSpec(e1, e2, terms)
     else:
         raise InvalidSpec(f"unsupported order {order}")
     if fields:

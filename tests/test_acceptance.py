@@ -32,7 +32,7 @@ from engelcf.sequences import (
     partial_sum,
     shallit_factors,
 )
-from engelcf.verify import run_generic_suite, run_z2_suite
+from engelcf.verify import run_suite
 
 CUBIC3 = SecondOrderSpec(3, (3,))
 AFFINE = SecondOrderSpec(3, (1, 2))
@@ -132,12 +132,12 @@ def test_criterion_4_degenerate_z2_example():
 
 def test_criterion_5_oracle_equivalence_suites():
     t0 = time.perf_counter()
-    # Each trial checks: recursion == Euclidean expansion exactly, the
-    # length formula, final denominator = x_n, the coefficient alphabet,
-    # and the determinant identity at every convergent (generic class);
-    # likewise with length 5*2^(n-3) and final coefficient 2 for z_2 = 2.
-    assert run_generic_suite(trials=100, n_max=7, seed=20240817) == 500
-    assert run_z2_suite(trials=100, n_max=7, seed=20240817) == 400
+    # Each trial checks: recursion == Euclidean expansion of the reduced
+    # S_n = N_n/x_n exactly, the length formula and the coefficient
+    # alphabet (generic class); likewise with length 5*2^(n-3) and final
+    # coefficient 2 for z_2 = 2.
+    assert run_suite("generic", trials=100, n_max=7, seed=20240817) == 500
+    assert run_suite("z2", trials=100, n_max=7, seed=20240817) == 400
     _report(5, "oracle equivalence over 200 random factor sequences", t0, 30.0)
 
 

@@ -1,3 +1,7 @@
+import pathlib
+import runpy
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,7 +11,6 @@ from engelcf import asymptotics
 from engelcf.asymptotics import (
     _alpha,
     _alphas,
-    _log_rows,
     dominant_root,
     empirical_growth_constant,
     estimate_C,
@@ -198,18 +201,6 @@ def test_full_report_shape():
         assert abs(report.alphas[0] - mp.log(mp.mpf(3) / 2)) < mp.mpf("1e-30")
 
 
-def test_log_rows_stop_at_x_n_max():
-    # The growth-table script reads these rows. They equal full_report's,
-    # and neither forms a term past x_5 (see the next test), so a budget
-    # that admits x_1..x_5 changes nothing.
-    budget = BitBudget(113, 153)
-    report = full_report(AFFINE, 8)
-    _, _, lam, c_pair, _, logs, exacts = _log_rows(AFFINE, 8, budget=budget)
-    assert (lam, c_pair) == (report.lam, (report.C, report.C_bound))
-    assert tuple(logs) == report.lambda_n_true and exacts == report.lambda_n_exact
-    assert full_report(AFFINE, 8, budget=budget) == report
-
-
 def test_full_report_forms_no_term_it_does_not_read():
     # The constant C reads a_1..a_5, whose bracket runs stay exact, so
     # x_1..x_5 are formed (x_5 has 113 bits, 153 are charged in all);
@@ -217,10 +208,26 @@ def test_full_report_forms_no_term_it_does_not_read():
     # admits x_5 but not x_6 (420 bits) changes nothing, even at n = 40,
     # and one below x_5 still raises.
     budget = BitBudget(single=113, total=153)
-    assert full_report(AFFINE, 11, budget=budget) == full_report(AFFINE, 11)
-    assert full_report(AFFINE, 40, budget=budget) == full_report(AFFINE, 40)
+    for n in (8, 11, 40):
+        assert full_report(AFFINE, n, budget=budget) == full_report(AFFINE, n)
     with pytest.raises(BitBudgetExceeded, match="x_5"):
         full_report(AFFINE, 11, budget=BitBudget(single=112))
+
+
+def test_growth_table_script_prints_full_report(capsys, monkeypatch):
+    # Below --maxn 3 the script reads full_report(spec, 3), since
+    # full_report needs n_max >= 3; lambda and C do not depend on n_max.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    script = runpy.run_path(str(root / "scripts" / "asymptotics_table.py"))
+    monkeypatch.setattr(sys, "argv", ["asymptotics_table.py", "--maxn", "2"])
+    assert script["main"]() == 0
+    want = []
+    for spec in script["SPECS"].values():
+        report = full_report(spec, 8)
+        want += [f"   lambda = {mp.nstr(report.lam, 20)}",
+                 f"   C      = {mp.nstr(report.C, 15)}  (tail bound {mp.nstr(report.C_bound, 2)})"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith(("   lambda", "   C "))] == want
 
 
 def _valid(spec) -> bool:

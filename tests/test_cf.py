@@ -5,38 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelcf.cf import (
-    CFExpansion,
-    cf_text,
-    convergents,
-    evaluate,
-    expand_rational,
-    normalize_zeros,
-    parse_cf_text,
-    _fold_value,
-)
-from engelcf.exceptions import TrailingZero, ZeroCoefficient
+from engelcf.cf import CFExpansion, cf_text, convergents, expand_rational, normalize_zeros
+from engelcf.exceptions import InvalidSpec, TrailingZero, ZeroCoefficient
 from engelcf.sequences import FactorSequence, from_factors
+from oracles import evaluate, fold_value, parse_cf_text
 
 
 def test_convergents_small():
-    table = convergents([1, 2, 1, 1, 3])
-    assert table.final == (25, 18)
-    assert table.value == Fraction(25, 18)
-    assert table.determinant_ok()
+    assert convergents([1, 2, 1, 1, 3]) == ((1, 1), (3, 2), (4, 3), (7, 5), (25, 18))
 
 
 def test_convergents_single_coefficient():
-    assert convergents([7]).rows == ((7, 1),)
+    assert convergents([7]) == ((7, 1),)
 
 
 def test_final_denominator_is_x3():
     # S_3 for factors (3, 9): the final convergent denominator must be x_3.
     xs = from_factors(FactorSequence((3, 9)), 3)
     assert xs.x == (1, 3, 81)
-    table = convergents([1, 2, 1, 8, 3])
-    assert table.value == Fraction(1, 1) + Fraction(1, 3) + Fraction(1, 81)
-    assert table.final[1] == 81
+    p, q = convergents([1, 2, 1, 8, 3])[-1]
+    assert Fraction(p, q) == Fraction(1, 1) + Fraction(1, 3) + Fraction(1, 81)
+    assert q == 81
 
 
 def test_convergents_rejects_zero():
@@ -61,8 +50,10 @@ def test_expand_rational_examples():
 
 
 def test_expand_rational_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         expand_rational(Fraction(-1, 2))
+    with pytest.raises(InvalidSpec):
+        expand_rational(3, 0)
 
 
 def test_normalize_zeros_examples():
@@ -79,7 +70,7 @@ def test_normalize_zeros_trailing_zero_rejected():
 def test_normalize_zeros_consecutive():
     raw = [1, 0, 0, 2]
     assert normalize_zeros(raw).coeffs == (1, 2)
-    assert _fold_value(raw) == evaluate([1, 2])
+    assert fold_value(raw) == evaluate([1, 2])
 
 
 def test_normalize_zeros_merges_trailing_unit():
@@ -91,11 +82,16 @@ def test_normalize_zeros_merges_trailing_unit():
 def test_cfexpansion_validation():
     with pytest.raises(ZeroCoefficient):
         CFExpansion((1, 0, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         CFExpansion(())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         CFExpansion((-1, 2))
-    assert CFExpansion((0, 2)).is_canonical
+    with pytest.raises(InvalidSpec):
+        CFExpansion((1, -2))
+    with pytest.raises(InvalidSpec):
+        normalize_zeros([])
+    with pytest.raises(InvalidSpec):
+        cf_text([])
 
 
 def test_cf_text_grammar():
@@ -124,9 +120,11 @@ def test_round_trip_exact(cf):
     st.lists(st.integers(1, 10**6), min_size=1, max_size=29),
 )
 def test_determinant_identity(a0, rest):
-    table = convergents([a0] + rest)
-    assert table.determinant_ok()
-    assert table.value == evaluate([a0] + rest)
+    rows = convergents([a0] + rest)
+    for j in range(1, len(rows)):
+        (p, q), (pp, qp) = rows[j], rows[j - 1]
+        assert p * qp - pp * q == (-1) ** (j + 1)
+    assert Fraction(*rows[-1]) == evaluate([a0] + rest)
 
 
 def test_determinant_fuzz_1000():
@@ -135,10 +133,10 @@ def test_determinant_fuzz_1000():
         coeffs = [rng.randint(0, 10**6)] + [
             rng.randint(1, 10**6) for _ in range(rng.randint(1, 29))
         ]
-        table = convergents(coeffs)
-        for j in range(1, len(table.rows)):
-            p, q = table.rows[j]
-            pp, qp = table.rows[j - 1]
+        rows = convergents(coeffs)
+        for j in range(1, len(rows)):
+            p, q = rows[j]
+            pp, qp = rows[j - 1]
             assert p * qp - pp * q == (-1) ** (j + 1)
 
 
@@ -156,5 +154,5 @@ def test_normalize_zeros_preserves_value_and_length(cf, data):
     raw = coeffs[:j] + [a, 0, coeffs[j] - a] + coeffs[j + 1 :]
     normalized = normalize_zeros(raw)
     assert len(normalized) == len(raw) - 2
-    assert evaluate(normalized) == _fold_value(raw)
+    assert evaluate(normalized) == fold_value(raw)
     assert normalized.coeffs == cf.coeffs

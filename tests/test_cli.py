@@ -7,12 +7,12 @@ import sys
 import pytest
 
 from engelcf import expansion
-from engelcf.cf import parse_cf_text
 from engelcf.cli import build_parser, main
 from engelcf.exceptions import IdentityViolation
 from engelcf.expansion import stream
 from engelcf.sequences import FactorSequence, SecondOrderSpec, generate_recurrence
 from engelcf.verify import check_instance
+from oracles import parse_cf_text
 
 AFFINE = SecondOrderSpec(3, (1, 2))
 SOURCE_FLAGS = {"--z", "--d1", "--G", "--e1", "--e2", "--H", "--u", "--spec-file", "--bits"}
@@ -193,6 +193,21 @@ def test_spec_file_source(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--spec-file", str(path), "--n", "5")
     assert code == 0
     assert out.splitlines()[-1] == "852910317"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--z", "3,x"], "--z: 'x' is not an integer"),
+    (["--d1", "3", "--G", "1,x"], "--G: 'x' is not an integer"),
+    (["--e1", "2", "--e2", "2", "--H", "0,0"], "--H: term '0,0' needs 3 integers"),
+    (["--spec-file", "order=3 e1=2 e2=2 H=0,0"], "H=: term '0,0' needs 3 integers"),
+])
+def test_malformed_integer_lists_are_validation_errors(tmp_path, capsys, flags, message):
+    if flags[0] == "--spec-file":
+        path = tmp_path / "spec.txt"
+        path.write_text(flags[1] + "\n")
+        flags = ["--spec-file", str(path)]
+    code, out, err = run(capsys, "gen", *flags, "--n", "3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_out_writes_file(tmp_path, capsys):

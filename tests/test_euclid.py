@@ -81,7 +81,7 @@ def test_random_rationals_match_plain_euclid(window, data):
 @settings(max_examples=60, deadline=None)
 @given(expansions())
 def test_built_expansions_come_back(window, coeffs):
-    p, q = convergents(coeffs).final
+    p, q = convergents(coeffs)[-1]
     assert check(Fraction(p, q), window) == coeffs
 
 
@@ -118,7 +118,7 @@ def test_pair_expansion_needs_no_gcd(data):
 @settings(max_examples=60, deadline=None)
 @given(expansions())
 def test_product_tree_gives_the_convergents(coeffs):
-    rows = convergents(coeffs).rows
+    rows = convergents(coeffs)
     (p, q), (p2, q2) = rows[-1], rows[-2] if len(rows) > 1 else (1, 0)
     tree = ProductTree(coeffs)
     assert tree.product() == (p, p2, q, q2)
@@ -136,7 +136,7 @@ def nearby_expansions(draw):
         target[-1] = 2
     if target in ([], [1]):
         target = [2]
-    return qs, *convergents(target).final
+    return qs, *convergents(target)[-1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,7 +159,7 @@ def test_follow_stops_at_every_position():
     for k in range(len(qs) + 1):
         diverged = qs[:k] + [qs[k] + 1, 3] if k < len(qs) else qs + [1, 3]
         for target in (diverged, qs[:k] + [2]):
-            p, q = convergents(target).final
+            p, q = convergents(target)[-1]
             ref = euclid_reference(p, q)
             shared = 0
             while shared < min(len(qs), len(ref)) and qs[shared] == ref[shared]:

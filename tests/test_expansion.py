@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engelcf import expansion
-from engelcf.cf import convergents, evaluate, expand_rational, normalize_zeros
+from engelcf.cf import convergents, expand_rational, normalize_zeros
 from engelcf.exceptions import IdentityViolation, InsufficientFactors, InvalidSpec
 from engelcf.expansion import (
     EngelStream,
     SeriesSource,
     _fold,
     _split_representative,
-    certified_decimal,
     enclosure,
     partial_cf,
     partial_lengths,
@@ -28,6 +27,7 @@ from engelcf.sequences import (
     partial_sum,
 )
 from engelcf.verify import check_instance, generic_alphabet
+from oracles import evaluate
 
 AFFINE = SecondOrderSpec(3, (1, 2))
 
@@ -180,7 +180,6 @@ def test_stream_prefix_stability():
         es._advance()
         assert es.emitted[: len(seen)] == seen
         seen = list(es.emitted)
-    assert es.certified_through == len(seen) - 1
 
 
 def test_stream_is_prefix_of_partials():
@@ -272,10 +271,9 @@ def test_verify_step_identities():
     # The fold S_n -> S_{n+1} on final convergents: det M_n = -1,
     # p~ = z_{n+1} q p + 1 and q~ = z_{n+1} q^2 = x_{n+1}.
     def step(zs, n):
-        here = convergents(partial_cf(zs, n).cf)
-        (p, q), (p2, q2) = here.final, here.rows[-2]
+        (p2, q2), (p, q) = convergents(partial_cf(zs, n).cf)[-2:]
         assert p * q2 - p2 * q == -1
-        p_tilde, q_tilde = convergents(partial_cf(zs, n + 1).cf).final
+        p_tilde, q_tilde = convergents(partial_cf(zs, n + 1).cf)[-1]
         z_next = zs.factor(n + 1)
         assert p_tilde == z_next * q * p + 1
         assert q_tilde == z_next * q * q == SeriesSource(zs).x(n + 1)
@@ -293,14 +291,12 @@ def test_verify_step_identities():
 def test_convergent_table_shares_rows_with_step_identities():
     zs = FactorSequence((3, 2, 2, 2))
     part = partial_cf(zs, 4)
-    table = convergents(part.cf)
     # l_n odd makes det of the full product -1.
-    p, q = table.final
-    p2, q2 = table.rows[-2]
+    (p2, q2), (p, q) = convergents(part.cf)[-2:]
     assert p * q2 - p2 * q == -1
 
 
-def test_enclosure_and_certified_decimal():
+def test_enclosure():
     lo, hi = enclosure(AFFINE, Fraction(1, 10**12))
     assert 0 < hi - lo <= Fraction(1, 10**12)
     # The ends are S_n + 1/x_{n+1} and S_n + 2/x_{n+1} at the first n that is fine enough.
@@ -311,19 +307,12 @@ def test_enclosure_and_certified_decimal():
     target = Fraction("1.3386243")
     assert abs(lo - target) <= Fraction(5, 10**8)
     assert abs(hi - target) <= Fraction(5, 10**8)
-    text = certified_decimal(lo, hi)
-    assert text.startswith("1.3386243")
-
-    assert certified_decimal(Fraction(1, 3), Fraction(1, 3), 5) == "0.33333"
-    assert certified_decimal(Fraction(10, 7), Fraction(149, 100), 8) == "1.4"
-    assert certified_decimal(Fraction(10, 7), Fraction(3, 2), 8) == "1"
 
 
 def test_invalid_arguments_raise_invalid_spec():
     calls = [
         lambda: EngelStream(AFFINE).take(0),
         lambda: enclosure(AFFINE, Fraction(0)),
-        lambda: certified_decimal(Fraction(1, 2), Fraction(1, 3)),
     ]
     for call in calls:
         with pytest.raises(InvalidSpec):
@@ -415,8 +404,7 @@ def _corruptions(m, emitted):
     # and one smaller where it is at least 2. Both keep det = +-1.
     for delta in (1, -1):
         if emitted[-1] + delta >= 1:
-            rows = convergents(emitted[:-1] + [emitted[-1] + delta]).rows
-            (p, q), (p2, q2) = rows[-1], rows[-2]
+            (p2, q2), (p, q) = convergents(emitted[:-1] + [emitted[-1] + delta])[-2:]
             yield p, p2, q, q2
 
 

@@ -30,9 +30,9 @@ from engelcf.sequences import (
     parse_spec_line,
     partial_sum,
     shallit_factors,
-    spec_line,
     strip_leading_ones,
 )
+from oracles import spec_line
 
 CUBIC3 = SecondOrderSpec(3, (3,))
 AFFINE = SecondOrderSpec(3, (1, 2))
@@ -195,8 +195,8 @@ def test_spec_validation():
         SecondOrderSpec(3, (1,)).validate()  # G(1) < 2
     with pytest.raises(InvalidSpec):
         SecondOrderSpec(3, (1, -1)).validate()
-    assert SecondOrderSpec(3, (2,)).validate().degenerate
-    assert not AFFINE.validate().degenerate
+    assert SeriesSource(SecondOrderSpec(3, (2,))).series_class is SeriesClass.Z2_EQUALS_2
+    assert SeriesSource(AFFINE).series_class is not SeriesClass.Z2_EQUALS_2
 
     with pytest.raises(InvalidSpec):
         ThirdOrderSpec(0, 2, ((0, 0, 3),)).validate()
@@ -264,7 +264,7 @@ def test_closed_form_numerator_small():
     lambda: shallit_factors(1, (1, 2)),
     lambda: shallit_factors(3, ()),
     lambda: shallit_factors(3, (0, 2)),
-    lambda: SeriesSource(AFFINE).sequence(0),
+    lambda: from_factors(AFFINE, 0),
     lambda: generate_recurrence(AFFINE, 0),
     lambda: closed_form_numerator([3, 2], 0),
     lambda: partial_sum([1, 3, 18], 0),
