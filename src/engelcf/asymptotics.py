@@ -35,11 +35,9 @@ from mpmath import mp, workdps
 
 from .exceptions import DegenerateRoot, InvalidSpec
 from .sequences import (
-    BitBudget,
     SecondOrderSpec,
     SeriesSource,
     SourceLike,
-    ThirdOrderSpec,
     _int_head,
     as_store,
 )
@@ -131,13 +129,9 @@ def _lambda_exacts(spec: SecondOrderSpec, lam, alpha, n_max: int, dps: int):
         return tuple(exacts)
 
 
-def estimate_C(
-    spec: SecondOrderSpec,
-    dps: int = DEFAULT_DPS,
-    rel_cut: float = 1e-15,
-    budget: BitBudget | None = None,
-):
-    """(C, tail_bound) for the leading-order constant in L_n ~ C lam^n:
+def estimate_C(source: SourceLike, dps: int = DEFAULT_DPS, rel_cut: float = 1e-15):
+    """(C, tail_bound) for the leading-order constant in L_n ~ C lam^n of
+    a second-order spec, or of a store of one:
 
         C = (1/(d1+d2-2)) * ((1-1/lam)/(lam-1/lam)) * log c
             + (1/(lam-1/lam)) * sum_{k>=1} lam^-k a_k.
@@ -148,8 +142,9 @@ def estimate_C(
     (the a_k are non-increasing and lam > 2, so the tail is dominated by a
     geometric series).
     """
-    alpha = _alphas(spec, SeriesSource(spec, budget))
-    return _estimate_C(spec, dominant_root(spec.d1, spec.d2, dps), alpha, dps, rel_cut)
+    store = as_store(source)
+    spec = store.rule
+    return _estimate_C(spec, dominant_root(spec.d1, spec.d2, dps), _alphas(spec, store), dps, rel_cut)
 
 
 _C_MAX_TERMS = 60  # the most terms lam^-k a_k that C sums
@@ -169,23 +164,19 @@ def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int, rel_cut: float = 1e
                 return c_value, 2 * next_term
 
 
-def empirical_growth_constant(
-    spec3: ThirdOrderSpec,
-    n: int = 12,
-    dps: int = DEFAULT_DPS,
-    budget: BitBudget | None = None,
-):
-    """(C', err) with log X_n ~ C' lam^n for a lifted third-order spec.
+def empirical_growth_constant(source: SourceLike, n: int = 12, dps: int = DEFAULT_DPS):
+    """(C', err) with log X_n ~ C' lam^n for a lifted third-order spec, or
+    a store of one.
 
     No series formula is available here, so C' is read off as
     log X_n / lam^n at the largest computed index; ``err`` is the change
     from the previous index, an estimate of the remaining drift.
     """
-    parent = spec3.lift_parent()
+    store = as_store(source)
+    parent = store.rule.lift_parent()
     if parent is None:
         raise InvalidSpec("empirical growth constant needs a lifted-shape spec")
     lam = dominant_root(parent.d1, parent.d2, dps)
-    store = SeriesSource(spec3, budget)
     # X_m, counted from X_0 = X_1 = X_2 = 1, is the store's x_{m-1}.
     log_x = [log_big(store.head(m - 1) if m >= 2 else (1, 1), dps) for m in (n - 1, n)]
     with workdps(dps + 10):
@@ -286,18 +277,15 @@ class AsymptoticsReport:
     roth: "RothReport"
 
 
-def full_report(
-    spec: SecondOrderSpec,
-    n_max: int = 10,
-    dps: int = DEFAULT_DPS,
-    budget: BitBudget | None = None,
-) -> AsymptoticsReport:
-    """Aggregate diagnostics for a second-order spec up to index n_max;
-    the root, each a_k and each log x_n are computed once. The heads, and
-    the a_k past the few terms that C forms, come from bracket runs."""
+def full_report(source: SourceLike, n_max: int = 10, dps: int = DEFAULT_DPS) -> AsymptoticsReport:
+    """Aggregate diagnostics for a second-order spec, or a store of one, up
+    to index n_max; the root, each a_k and each log x_n are computed once.
+    The heads, and the a_k past the few terms that C forms, come from
+    bracket runs."""
     if n_max < 3:
         raise InvalidSpec("n_max must be >= 3")
-    store = SeriesSource(spec, budget)
+    store = as_store(source)
+    spec = store.rule
     lam = dominant_root(spec.d1, spec.d2, dps)
     alpha = _alphas(spec, store)
     c_value, c_bound = _estimate_C(spec, lam, alpha, dps)
@@ -319,12 +307,7 @@ def full_report(
     )
 
 
-def roth_exponents(
-    source: SourceLike,
-    depth: int,
-    dps: int = DEFAULT_DPS,
-    budget: BitBudget | None = None,
-) -> RothReport:
+def roth_exponents(source: SourceLike, depth: int, dps: int = DEFAULT_DPS) -> RothReport:
     """Exponent brackets at S_n for n = 2 .. depth+1.
 
     Records start at n = 2, the first partial sum whose denominator
@@ -332,7 +315,7 @@ def roth_exponents(
     """
     if depth < 1:
         raise InvalidSpec("depth must be >= 1")
-    src = as_store(source, budget)
+    src = as_store(source)
     heads = [(1, 1)] + [src.head(n) for n in range(1, depth + 3)]
     return _roth(heads, [log_big(h, dps) for h in heads], depth, dps)
 

@@ -86,10 +86,12 @@ def _source_from_args(args):
     return picked[0]
 
 
-def _budget(args) -> BitBudget:
+def _store(args, source) -> SeriesSource:
+    # The term store of ``source`` under the --bits budget, the only place
+    # the CLI sets one.
     if args.bits < 64:
         raise InvalidSpec("--bits must be at least 64")
-    return BitBudget.from_total(args.bits)
+    return SeriesSource(source, BitBudget.from_total(args.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,7 @@ def cmd_gen(args) -> tuple[str, int]:
     source = _source_from_args(args)
     if args.n < 1:
         raise InvalidSpec("--n must be >= 1")
-    terms = generate_recurrence(source, args.n, _budget(args))
+    terms = generate_recurrence(_store(args, source), args.n)
     z_comment = ",".join(str(v) for v in source.z) if isinstance(source, FactorSequence) else None
     if args.json:
         payload = {"x": [str(v) for v in terms]}
@@ -116,7 +118,7 @@ def cmd_gen(args) -> tuple[str, int]:
 
 
 def cmd_cf(args) -> tuple[str, int]:
-    src = SeriesSource(_source_from_args(args), _budget(args))
+    src = _store(args, _source_from_args(args))
     part = partial_cf(src, args.n)
     if args.check == "oracle":
         # normalize_zeros merges the trailing unit of the u = 2 split
@@ -140,11 +142,16 @@ def cmd_stream(args) -> tuple[str, int]:
     source = _source_from_args(args)
     if args.K < 1:
         raise InvalidSpec("--K must be >= 1")
-    result = stream(source, args.K, _budget(args))
+    result = stream(_store(args, source), args.K)
     coeffs = result.certified[: args.K]
     if args.json:
-        payload = result.to_json_dict()
-        payload["certified"] = [str(a) for a in coeffs]
+        # Coefficients as decimal strings: they outgrow 64 bits quickly.
+        payload = {
+            "class": result.series_class.value,
+            "n_used": result.n_used,
+            "certified": [str(a) for a in coeffs],
+            "lengths": list(result.lengths),
+        }
         return json.dumps(payload) + "\n", 0
     return cf_text(coeffs) + "\n", 0
 
@@ -157,7 +164,7 @@ def cmd_asymp(args) -> tuple[str, int]:
         raise InvalidSpec("--n must be >= 3")
     if args.digits < 1:
         raise InvalidSpec("--digits must be >= 1")
-    report = full_report(source, args.n, args.digits, _budget(args))
+    report = full_report(_store(args, source), args.n, args.digits)
     rows = []
     growth = dict(report.growth_exponents)
     roth = {r.n: r for r in report.roth.records}

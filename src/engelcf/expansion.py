@@ -55,7 +55,6 @@ from .cf import (
 )
 from .exceptions import IdentityViolation, InvalidSpec
 from .sequences import (  # SeriesSource and SourceLike are re-exported from here
-    BitBudget,
     SeriesClass,
     SeriesSource,
     SourceLike,
@@ -118,7 +117,7 @@ def _split_representative(src: SeriesSource, n: int) -> bool:
     return src.series_class is SeriesClass.ONES_TAIL and src.x(2) == 2 and n >= 4
 
 
-def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> PartialCF:
+def partial_cf(source: SourceLike, n: int) -> PartialCF:
     """Expansion of S_n for any source, by the folding rule.
 
     The result is the canonical form, except for the ones-tail base u = 2
@@ -129,7 +128,7 @@ def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> P
     """
     if n < 1:
         raise InvalidSpec("n must be >= 1")
-    src = as_store(source, budget)
+    src = as_store(source)
     src.x(n)  # charging x_n caps the fold too: its length is below 2^n <= 4*bits(x_n)
     if n == 1:
         return PartialCF(1, CFExpansion((1,)))
@@ -139,10 +138,10 @@ def partial_cf(source: SourceLike, n: int, budget: BitBudget | None = None) -> P
     return PartialCF(n, normalize_zeros(cur))
 
 
-def partial_lengths(source: SourceLike, n_max: int, budget: BitBudget | None = None) -> list[int]:
+def partial_lengths(source: SourceLike, n_max: int) -> list[int]:
     """Lengths of the partial-sum expansions for n = 1..n_max, computed from
     the Euclidean oracle (plus the u = 2 representative convention)."""
-    src = as_store(source, budget)
+    src = as_store(source)
     return [len(expand_rational(src.numerator(n), src.x(n))) + _split_representative(src, n)
             for n in range(1, n_max + 1)]
 
@@ -161,15 +160,6 @@ class StreamResult:
     certified: tuple[int, ...]
     lengths: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        # Coefficients as decimal strings: they outgrow 64 bits quickly.
-        return {
-            "class": self.series_class.value,
-            "n_used": self.n_used,
-            "certified": [str(a) for a in self.certified],
-            "lengths": list(self.lengths),
-        }
-
 
 class EngelStream:
     """Single-consumer stream of certified coefficients of the limit S.
@@ -187,9 +177,8 @@ class EngelStream:
     tail checks on a resumed advance and asserted on a restarted one.
     """
 
-    def __init__(self, source: SourceLike, budget: BitBudget | None = None,
-                 force_oracle: bool = False):
-        self._src = as_store(source, budget)
+    def __init__(self, source: SourceLike, force_oracle: bool = False):
+        self._src = as_store(source)
         self.series_class = self._src.series_class
         self._folds = not force_oracle and self.series_class in (
             SeriesClass.GENERIC, SeriesClass.Z2_EQUALS_2)
@@ -287,10 +276,9 @@ class EngelStream:
         return out
 
 
-def stream(source: SourceLike, count: int, budget: BitBudget | None = None,
-           force_oracle: bool = False) -> StreamResult:
+def stream(source: SourceLike, count: int, force_oracle: bool = False) -> StreamResult:
     """Certify at least ``count`` coefficients of the limit expansion."""
-    es = EngelStream(source, budget, force_oracle=force_oracle)
+    es = EngelStream(source, force_oracle=force_oracle)
     es.take(count)
     return es.result()
 
@@ -300,15 +288,14 @@ def stream(source: SourceLike, count: int, budget: BitBudget | None = None,
 # ---------------------------------------------------------------------------
 
 
-def enclosure(source: SourceLike, max_width: Fraction,
-              budget: BitBudget | None = None) -> tuple[Fraction, Fraction]:
+def enclosure(source: SourceLike, max_width: Fraction) -> tuple[Fraction, Fraction]:
     """A closed interval [lo, hi] containing the limit S, of width at most
     ``max_width``: the tail past S_n lies strictly between 1/x_{n+1} and
     2/x_{n+1}, so S lies between S_{n+1} = N_{n+1}/x_{n+1} and
     (N_{n+1} + 1)/x_{n+1}."""
     if max_width <= 0:
         raise InvalidSpec("max_width must be positive")
-    src = as_store(source, budget)
+    src = as_store(source)
     n = 2
     while True:
         x_next = src.x(n + 1)

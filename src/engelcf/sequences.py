@@ -15,8 +15,9 @@ recurrence supplies it by step identities that write z_{k+1} as a product
 of integer powers, so nothing is divided; the tests keep the dividing
 recurrence as the oracle.
 
-Terms grow doubly exponentially, so every generator charges an explicit
-bit budget instead of letting memory blow up silently.
+Terms grow doubly exponentially, so the term store charges each term it
+forms against an explicit bit budget instead of letting memory blow up
+silently. The budget is set on the store (SeriesSource) and nowhere else.
 """
 
 import enum
@@ -170,11 +171,11 @@ class EngelSequence:
         return len(self.x)
 
 
-def from_factors(source: "SourceLike", n: int, budget: BitBudget | None = None) -> EngelSequence:
+def from_factors(source: "SourceLike", n: int) -> EngelSequence:
     """x_1..x_n of any source in the Engel indexing (leading 1s collapsed)."""
     if n < 1:
         raise InvalidSpec("n must be >= 1")
-    src = SeriesSource(source, budget)
+    src = as_store(source)
     src._grow(n + src._pad)
     return EngelSequence(tuple(src._terms[src._pad:n + src._pad]))
 
@@ -442,8 +443,9 @@ class SeriesSource:
 
     Accepts explicit factors, a recurrence spec (terms re-indexed so that
     x_1 = 1), or an already-built sequence. Each term is generated, and
-    charged against the bit budget, once; functions that accept a
-    ``SourceLike`` share the terms of a store passed to them.
+    charged against the store's bit budget, once; functions that accept a
+    ``SourceLike`` share the terms and the budget of a store passed to them.
+    ``rule`` is the factor list or spec the terms come from.
     """
 
     def __init__(self, source: "SourceLike", budget: BitBudget | None = None):
@@ -453,7 +455,7 @@ class SeriesSource:
             source = factors_from_sequence(source.x)
         elif isinstance(source, (list, tuple)):
             source = factors_from_sequence(source)
-        self._rule = source
+        self.rule = source
         # _terms is the raw sequence: a spec's all-ones initial data, then
         # x_2, x_3, ...; x_n sits at _terms[n - 1 + _pad] and z_n at the
         # same index of _factors (1 for each initial 1).
@@ -476,7 +478,7 @@ class SeriesSource:
     def _grow(self, count: int):
         terms, zs = self._terms, self._factors
         while len(terms) < count:
-            z = self._step(self._rule, terms, zs)
+            z = self._step(self.rule, terms, zs)
             what = f"x_{len(terms) + 1 - self._pad}"
             # z * x_k^2 has at least this many bits: refuse before multiplying.
             self._meter.check_bound(z.bit_length() + 2 * terms[-1].bit_length() - 2, what)
@@ -535,22 +537,22 @@ class SeriesSource:
         xs = self._terms[:-3] + [_enclose(v, prec) for v in self._terms[-3:]]
         zs = self._factors[:-3] + [_enclose(v, prec) for v in self._factors[-3:]]
         while len(xs) < n + self._pad:
-            z = _enclose(self._step(self._rule, xs, zs), prec)
+            z = _enclose(self._step(self.rule, xs, zs), prec)
             xs.append(_enclose(z * xs[-1] ** 2, prec))
             zs.append(z)
         return xs[-1]
 
     def factor(self, j: int) -> int | None:
         """z_j, or None when a finite factor list is exhausted."""
-        if isinstance(self._rule, FactorSequence):
-            return self._rule.factor(j)
+        if isinstance(self.rule, FactorSequence):
+            return self.rule.factor(j)
         self.x(j)
         return self._factors[j - 1 + self._pad]
 
     def factors_through(self, j_max: int) -> list[int]:
         """z_2..z_{j_max}; raises InsufficientFactors past a finite list."""
-        if isinstance(self._rule, FactorSequence):
-            return [self._rule.require(j) for j in range(2, j_max + 1)]
+        if isinstance(self.rule, FactorSequence):
+            return [self.rule.require(j) for j in range(2, j_max + 1)]
         return [self.factor(j) for j in range(2, j_max + 1)]
 
     def numerator(self, n: int) -> int:
@@ -573,13 +575,13 @@ SourceLike = Union[SeriesSource, FactorSequence, SecondOrderSpec, ThirdOrderSpec
                    EngelSequence, Sequence[int]]
 
 
-def as_store(source: SourceLike, budget: BitBudget | None = None) -> SeriesSource:
+def as_store(source: SourceLike) -> SeriesSource:
     """``source`` as a term store. A SeriesSource passes through unchanged
     and keeps charging its own budget; anything else gets a fresh store."""
-    return source if isinstance(source, SeriesSource) else SeriesSource(source, budget)
+    return source if isinstance(source, SeriesSource) else SeriesSource(source)
 
 
-def generate_recurrence(source: SourceLike, n: int, budget: BitBudget | None = None) -> list[int]:
+def generate_recurrence(source: SourceLike, n: int) -> list[int]:
     """First n raw terms of any source: x_1..x_n for factors, and for a
     recurrence from its all-ones initial data (x_0 = x_1 = 1, or X_0 = X_1 = X_2 = 1).
 
@@ -589,7 +591,7 @@ def generate_recurrence(source: SourceLike, n: int, budget: BitBudget | None = N
     """
     if n < 1:
         raise InvalidSpec("n must be >= 1")
-    store = SeriesSource(source, budget)
+    store = as_store(source)
     store._grow(n)
     return store._terms[:n]
 
@@ -695,6 +697,15 @@ def parse_ints(text: str, what: str, width: int = 0) -> tuple:
     return tuple(values)
 
 
+def _pop_int(fields: dict, key: str) -> int:
+    # A scalar field of a spec line; KeyError when it is missing.
+    token = fields.pop(key)
+    try:
+        return int(token)
+    except ValueError:
+        raise InvalidSpec(f"{key}=: {token!r} is not an integer") from None
+
+
 def parse_spec_line(line: str) -> RecurrenceSpec:
     """A validated spec from one key=value line, such as
     ``order=2 d1=3 G=1,2`` or ``order=3 e1=2 e2=2 H=0,0,1;1,1,2``
@@ -707,20 +718,20 @@ def parse_spec_line(line: str) -> RecurrenceSpec:
             raise InvalidSpec(f"malformed token {token!r}")
         fields[key] = value
     try:
-        order = int(fields.pop("order"))
+        order = _pop_int(fields, "order")
     except KeyError:
         raise InvalidSpec("missing order=") from None
     if order == 2:
         try:
-            d1 = int(fields.pop("d1"))
+            d1 = _pop_int(fields, "d1")
             g = parse_ints(fields.pop("G"), "G=")
         except KeyError as exc:
             raise InvalidSpec(f"missing {exc} for order=2") from None
         spec: RecurrenceSpec = SecondOrderSpec(d1, g)
     elif order == 3:
         try:
-            e1 = int(fields.pop("e1"))
-            e2 = int(fields.pop("e2"))
+            e1 = _pop_int(fields, "e1")
+            e2 = _pop_int(fields, "e2")
             terms = parse_ints(fields.pop("H"), "H=", 3)
         except KeyError as exc:
             raise InvalidSpec(f"missing {exc} for order=3") from None

@@ -48,7 +48,7 @@ def check_instance(zs: FactorSequence, n_max: int) -> int:
     if not z2 and zs.series_class is not SeriesClass.GENERIC:
         raise InvalidSpec(f"need a generic or z_2 = 2 factor sequence, got {zs.series_class.value}")
     src = SeriesSource(zs)
-    xs = from_factors(zs, max(n_max, 1))
+    xs = from_factors(src, max(n_max, 1))  # shares src's terms
     checked = 0
     for n in range(4 if z2 else 3, n_max + 1):
         rec = partial_cf(src, n)

@@ -207,11 +207,11 @@ def test_full_report_forms_no_term_it_does_not_read():
     # every later a_k and every log comes from brackets. So a budget that
     # admits x_5 but not x_6 (420 bits) changes nothing, even at n = 40,
     # and one below x_5 still raises.
-    budget = BitBudget(single=113, total=153)
     for n in (8, 11, 40):
-        assert full_report(AFFINE, n, budget=budget) == full_report(AFFINE, n)
+        store = SeriesSource(AFFINE, BitBudget(single=113, total=153))
+        assert full_report(store, n) == full_report(AFFINE, n)
     with pytest.raises(BitBudgetExceeded, match="x_5"):
-        full_report(AFFINE, 11, budget=BitBudget(single=112))
+        full_report(SeriesSource(AFFINE, BitBudget(single=112)), 11)
 
 
 def test_growth_table_script_prints_full_report(capsys, monkeypatch):

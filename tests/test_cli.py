@@ -57,6 +57,15 @@ def test_gen_budget_exit_code(capsys):
     assert "bits" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("cf --d1 3 --G 1,2 --n 12 --bits 4096", "x_8 needs at least 5852 bits, cap is 2048"),
+    ("stream --u 3 --K 60000 --bits 4096", "x_13 needs at least 3247 bits, cap is 2048"),
+    ("asymp --d1 3 --G 1,2 --n 11 --bits 100", "x_5 needs at least 111 bits, cap is 50"),
+])
+def test_bits_reaches_the_term_store(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (3, "", f"error: {message}\n")
+
+
 def test_gen_requires_one_source(capsys):
     code, _, err = run(capsys, "gen", "--n", "4")
     assert code == 2
@@ -200,6 +209,9 @@ def test_spec_file_source(tmp_path, capsys):
     (["--d1", "3", "--G", "1,x"], "--G: 'x' is not an integer"),
     (["--e1", "2", "--e2", "2", "--H", "0,0"], "--H: term '0,0' needs 3 integers"),
     (["--spec-file", "order=3 e1=2 e2=2 H=0,0"], "H=: term '0,0' needs 3 integers"),
+    (["--spec-file", "order=2 d1=x G=1,2"], "d1=: 'x' is not an integer"),
+    (["--spec-file", "order=two d1=3 G=1,2"], "order=: 'two' is not an integer"),
+    (["--spec-file", "order=3 e1=2 e2=y H=0,0,1"], "e2=: 'y' is not an integer"),
 ])
 def test_malformed_integer_lists_are_validation_errors(tmp_path, capsys, flags, message):
     if flags[0] == "--spec-file":

@@ -216,11 +216,11 @@ def test_inexact_division_signals_bad_spec():
 
 
 def test_bit_budget():
-    tiny = BitBudget(single=64, total=256)
+    tiny = SeriesSource(AFFINE, BitBudget(single=64, total=256))
     with pytest.raises(BitBudgetExceeded):
-        generate_recurrence(AFFINE, 8, budget=tiny)
+        generate_recurrence(tiny, 8)
     with pytest.raises(BitBudgetExceeded):
-        from_factors(ones_tail(2), 40, budget=BitBudget(single=1 << 20, total=1 << 10))
+        from_factors(SeriesSource(ones_tail(2), BitBudget(single=1 << 20, total=1 << 10)), 40)
 
 
 def test_partial_sum_examples():

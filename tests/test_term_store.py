@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelcf.asymptotics import full_report, roth_exponents
+from engelcf.asymptotics import empirical_growth_constant, estimate_C, full_report, roth_exponents
 from engelcf.cli import main
 from engelcf import sequences
 from engelcf.exceptions import BitBudgetExceeded, InsufficientFactors, InvalidSpec
-from engelcf.expansion import enclosure, partial_cf, stream
+from engelcf.expansion import EngelStream, enclosure, partial_cf, partial_lengths, stream
 from engelcf.sequences import (
     BitBudget,
     BudgetMeter,
@@ -26,6 +26,7 @@ from engelcf.sequences import (
     lift_spec,
     ones_tail,
 )
+from engelcf.verify import check_instance
 
 AFFINE = SecondOrderSpec(3, (1, 2))
 
@@ -236,7 +237,7 @@ def test_cf_command_charges_each_term_once(monkeypatch, capsys):
 
 def test_a_store_is_shared_between_calls(monkeypatch):
     store = SeriesSource(AFFINE)
-    assert as_store(store, BitBudget(single=1, total=1)) is store
+    assert as_store(store) is store
     assert partial_cf(store, 6) == partial_cf(AFFINE, 6)
     assert stream(store, 40) == stream(AFFINE, 40)
     assert enclosure(store, Fraction(1, 10**12)) == enclosure(AFFINE, Fraction(1, 10**12))
@@ -246,6 +247,40 @@ def test_a_store_is_shared_between_calls(monkeypatch):
     partial_cf(store, 6)
     roth_exponents(store, 5)
     assert charged == []
+
+
+# Admits x_2..x_4 of AFFINE (40 bits) but not x_5 (113 bits), nor x_5 of
+# its lift (89 bits).
+TINY = BitBudget(single=64, total=128)
+
+
+@pytest.mark.parametrize("spec, read", [
+    pytest.param(AFFINE, lambda s: as_store(s).x(5), id="as_store"),
+    pytest.param(AFFINE, lambda s: from_factors(s, 5), id="from_factors"),
+    pytest.param(AFFINE, lambda s: generate_recurrence(s, 6), id="generate_recurrence"),
+    pytest.param(AFFINE, lambda s: partial_cf(s, 5), id="partial_cf"),
+    pytest.param(AFFINE, lambda s: partial_lengths(s, 5), id="partial_lengths"),
+    pytest.param(AFFINE, lambda s: EngelStream(s).take(40), id="EngelStream"),
+    pytest.param(AFFINE, lambda s: stream(s, 40), id="stream"),
+    pytest.param(AFFINE, lambda s: enclosure(s, Fraction(1, 10**40)), id="enclosure"),
+    pytest.param(AFFINE, estimate_C, id="estimate_C"),
+    pytest.param(lift_spec(AFFINE), lambda s: empirical_growth_constant(s, 7),
+                 id="empirical_growth_constant"),
+    pytest.param(AFFINE, lambda s: full_report(s, 5), id="full_report"),
+    pytest.param(AFFINE, lambda s: roth_exponents(s, 3), id="roth_exponents"),
+])
+def test_every_reader_charges_the_budget_of_the_store(spec, read):
+    # The budget is set on the store alone; each function that reads a
+    # source must charge it when it forms x_5.
+    with pytest.raises(BitBudgetExceeded, match="x_5 needs"):
+        read(SeriesSource(spec, TINY))
+
+
+def test_check_instance_forms_each_term_once(monkeypatch):
+    # The fold and the Euclid oracle read one store: x_2..x_9, each once.
+    charged = _record_charges(monkeypatch)
+    check_instance(FactorSequence((3, 2, 5, 7, 2, 3, 11, 2)), 9)
+    assert len(charged) == 8
 
 
 def test_cf_past_a_finite_factor_list_is_a_validation_error(capsys):
