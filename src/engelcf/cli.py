@@ -79,8 +79,13 @@ def _source_from_args(args):
     if args.u is not None:
         picked.append(ones_tail(args.u))
     if args.spec_file is not None:
-        with open(args.spec_file, "r", encoding="ascii") as fh:
-            picked.append(parse_spec_line(fh.read().strip()))
+        with open(args.spec_file, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise InvalidSpec(f"--spec-file {args.spec_file}: byte {exc.start} is not ASCII") from None
+        picked.append(parse_spec_line(text.strip()))
     if len(picked) != 1:
         raise InvalidSpec("give exactly one input source (--z | --d1/--G | --e1/--e2/--H | --u | --spec-file)")
     return picked[0]
@@ -246,42 +251,35 @@ def cmd_paper_examples(args) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="engelcf",
-        description="Exact continued fractions of Engel series with x_n^2 | x_{n+1}",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate sequence terms")
+def _gen_flags(p: argparse.ArgumentParser):
     _add_source(p)
     _add_output(p)
     p.add_argument("--n", type=int, required=True, help="number of terms")
-    p.set_defaults(handler=cmd_gen)
 
-    p = sub.add_parser("cf", help="continued fraction of the n-th partial sum")
+
+def _cf_flags(p: argparse.ArgumentParser):
     _add_source(p)
     _add_output(p)
     p.add_argument("--n", type=int, required=True, help="partial sum index")
     p.add_argument("--check", choices=["oracle"], default=None,
                    help="cross-check against the Euclidean expansion")
-    p.set_defaults(handler=cmd_cf)
 
-    p = sub.add_parser("stream", help="certified prefix of the limit expansion")
+
+def _stream_flags(p: argparse.ArgumentParser):
     _add_source(p)
     _add_output(p)
     p.add_argument("--K", type=int, required=True, help="number of certified coefficients")
-    p.set_defaults(handler=cmd_stream)
 
-    p = sub.add_parser("asymp", help="growth and irrationality report (always JSON)")
+
+def _asymp_flags(p: argparse.ArgumentParser):
     _add_source(p)
     _add_output(p, with_json=False)
     p.add_argument("--digits", type=int, default=50,
                    help="working precision in decimal digits (default 50)")
     p.add_argument("--n", type=int, default=10, help="largest index in the report")
-    p.set_defaults(handler=cmd_asymp)
 
-    p = sub.add_parser("verify", help="run a randomized invariant suite")
+
+def _verify_flags(p: argparse.ArgumentParser):
     _add_suite_inputs(p)
     _add_output(p)
     p.add_argument("--suite", choices=["generic", "z2", "lift", "identities"], required=True)
@@ -289,34 +287,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxn", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=7, help="depth for lift/identities suites")
-    p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("paper-examples", help="re-derive the bundled worked examples")
+
+def _paper_examples_flags(p: argparse.ArgumentParser):
     _add_output(p)
     p.add_argument("--only", type=str, default=None, help="run a single example tag")
-    p.set_defaults(handler=cmd_paper_examples)
 
+
+# name -> (help line, flag-adding function, handler): the one definition of
+# each subcommand, read by both build_parser and main.
+COMMANDS = {
+    "gen": ("generate sequence terms", _gen_flags, cmd_gen),
+    "cf": ("continued fraction of the n-th partial sum", _cf_flags, cmd_cf),
+    "stream": ("certified prefix of the limit expansion", _stream_flags, cmd_stream),
+    "asymp": ("growth and irrationality report (always JSON)", _asymp_flags, cmd_asymp),
+    "verify": ("run a randomized invariant suite", _verify_flags, cmd_verify),
+    "paper-examples": ("re-derive the bundled worked examples", _paper_examples_flags,
+                       cmd_paper_examples),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree: every subcommand of COMMANDS."""
+    parser = argparse.ArgumentParser(
+        prog="engelcf",
+        description="Exact continued fractions of Engel series with x_n^2 | x_{n+1}",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags, _) in COMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    # build_parser's subparser `name`, built on its own.
+    parser = argparse.ArgumentParser(prog="engelcf " + name)
+    COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv: list[str]):
+    # Only the parser of the command argv[0] names is built, and the tree
+    # would hand argv[1:] to the same parser, so a parse it accepts is the
+    # tree's. No argument, an unknown command (-h included) or arguments it
+    # leaves over go through the whole tree, which prints argparse's
+    # top-level usage, help and "unrecognized arguments" error.
+    if argv and argv[0] in COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args, COMMANDS[argv[0]][2]
+    args = build_parser().parse_args(argv)
+    return args, COMMANDS[args.command][2]
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, handler = _parse(sys.argv[1:] if argv is None else list(argv))
     # Terms outgrow CPython's int/str digit guard (3.10.7 on) on valid input,
     # so the guard is lifted for the handler and the caller's value restored.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        text, code = args.handler(args)
+        text, code = handler(args)
     except BitBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except IdentityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    # ValueError also covers the UnicodeDecodeError of a non-ASCII --spec-file.
-    except (EngelError, ValueError, OSError) as exc:
+    except (EngelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -474,6 +474,7 @@ class SeriesSource:
             raise TypeError(f"cannot stream from {type(source).__name__}")
         self._factors = [1] * len(self._terms)
         self._pad = len(self._terms) - 1
+        self._runs: dict[int, tuple[list, list]] = {}  # bracket runs by prec, see _bracket_term
 
     def _grow(self, count: int):
         terms, zs = self._terms, self._factors
@@ -486,6 +487,7 @@ class SeriesSource:
             self._meter.charge(nxt, what)
             terms.append(nxt)
             zs.append(z)
+            self._runs.clear()
 
     def x(self, n: int) -> int:
         if n < 1:
@@ -533,14 +535,20 @@ class SeriesSource:
     def _bracket_term(self, n: int, prec: int):
         # The step rule on copies of the term lists, which keep their length
         # so that the rules' indices (len(xs), xs[-3]) still hold; the rules
-        # read at most the last three entries.
-        xs = self._terms[:-3] + [_enclose(v, prec) for v in self._terms[-3:]]
-        zs = self._factors[:-3] + [_enclose(v, prec) for v in self._factors[-3:]]
+        # read at most the last three entries. The run of each prec is kept
+        # until _grow appends a term, so reads through n take n steps in all.
+        run = self._runs.get(prec)
+        if run is None:
+            run = self._runs[prec] = (
+                self._terms[:-3] + [_enclose(v, prec) for v in self._terms[-3:]],
+                self._factors[:-3] + [_enclose(v, prec) for v in self._factors[-3:]],
+            )
+        xs, zs = run
         while len(xs) < n + self._pad:
             z = _enclose(self._step(self.rule, xs, zs), prec)
             xs.append(_enclose(z * xs[-1] ** 2, prec))
             zs.append(z)
-        return xs[-1]
+        return xs[n - 1 + self._pad]
 
     def factor(self, j: int) -> int | None:
         """z_j, or None when a finite factor list is exhausted."""

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, workdps
 
-from engelcf import asymptotics
+from engelcf import asymptotics, sequences
 from engelcf.asymptotics import (
     _alpha,
     _alphas,
@@ -212,6 +212,24 @@ def test_full_report_forms_no_term_it_does_not_read():
         assert full_report(store, n) == full_report(AFFINE, n)
     with pytest.raises(BitBudgetExceeded, match="x_5"):
         full_report(SeriesSource(AFFINE, BitBudget(single=112)), 11)
+
+
+def test_a_report_runs_each_bracket_precision_once(monkeypatch):
+    # Heads and a_k read brackets of x_k at a few precisions (four at
+    # n = 100). Each precision's run is kept and extended, so a report
+    # through n takes a few n steps, where restarting every read from the
+    # last formed term took about n^2/2 per precision (17161 steps in all
+    # at n = 100).
+    steps = []
+    step = sequences._second_order_step
+    monkeypatch.setattr(sequences, "_second_order_step",
+                        lambda *args: steps.append(1) or step(*args))
+    for n in (40, 100):
+        steps.clear()
+        store = SeriesSource(AFFINE)
+        full_report(store, n)
+        assert len(steps) <= 4 * (n + 2)
+        assert len(store._runs) <= 4
 
 
 def test_growth_table_script_prints_full_report(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -6,8 +7,8 @@ import sys
 
 import pytest
 
-from engelcf import expansion
-from engelcf.cli import build_parser, main
+from engelcf import cli, expansion
+from engelcf.cli import COMMANDS, build_parser, main
 from engelcf.exceptions import IdentityViolation
 from engelcf.expansion import stream
 from engelcf.sequences import FactorSequence, SecondOrderSpec, generate_recurrence
@@ -15,6 +16,7 @@ from engelcf.verify import check_instance
 from oracles import parse_cf_text
 
 AFFINE = SecondOrderSpec(3, (1, 2))
+AFFINE_FLAGS = ["--d1", "3", "--G", "1,2"]
 SOURCE_FLAGS = {"--z", "--d1", "--G", "--e1", "--e2", "--H", "--u", "--spec-file", "--bits"}
 
 
@@ -222,6 +224,14 @@ def test_malformed_integer_lists_are_validation_errors(tmp_path, capsys, flags, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_non_ascii_spec_file_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "spec.txt"
+    path.write_bytes("order=2 d1=3 G=1,2 \u00e9\n".encode())
+    code, out, err = run(capsys, "gen", "--spec-file", str(path), "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: --spec-file {path}: byte 19 is not ASCII\n"
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "seq.txt"
     code, out, _ = run(capsys, "gen", "--z", "3,9", "--n", "3", "--out", str(target))
@@ -266,6 +276,98 @@ def test_unread_flags_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _subparsers() -> dict:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _actions(parser: argparse.ArgumentParser) -> list:
+    return [(a.option_strings, a.dest, a.default, a.type, a.choices, a.required, a.help)
+            for a in parser._actions]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_command_parser_is_the_trees_subparser(name):
+    one, tree = cli._command_parser(name), _subparsers()[name]
+    assert one.format_help() == tree.format_help()
+    assert _actions(one) == _actions(tree)
+
+
+def _outcome(parse, argv, capsys):
+    # What a parse returns or exits with, and what it printed.
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return (result, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["--help", "asymp"],
+    ["bogus"],
+    ["asy"],
+    ["--", "asymp"],
+    ["asymp", "-h"],
+    ["gen", "--he"],
+    ["gen", *AFFINE_FLAGS],
+    ["asymp", "--d1", "x", "--G", "1,2"],
+    ["asymp", "--d", "3", "--G", "1,2"],
+    ["cf", "--z", "3,2", "--n", "4", "--check", "bad"],
+    ["stream", "--u", "3", "--K"],
+    ["asymp", *AFFINE_FLAGS, "--n", "5", "extra"],
+    ["asymp", *AFFINE_FLAGS, "--n", "5", "--"],
+    ["asymp", *AFFINE_FLAGS, "--n", "5", "--", "--n", "6"],
+    ["asymp", *AFFINE_FLAGS, "--n", "11", "--foo"],
+    ["asymp", "--foo", "-h"],
+    ["gen", "asymp"],
+])
+def test_main_prints_the_trees_help_and_errors(argv, capsys):
+    got = _outcome(main, argv, capsys)
+    assert got[0][0] == "exit"
+    assert got == _outcome(build_parser().parse_args, argv, capsys)
+
+
+def _no_tree():
+    raise AssertionError("a command that parses must not build the whole tree")
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymp", *AFFINE_FLAGS, "--n", "11"],
+    ["asymp", "--d1=3", "--G=1,2", "--n=6", "--dig", "20"],
+    ["cf", "--z", "3,2,2", "--n", "4", "--js"],
+    ["gen", "--z", "3", "--n", "-3"],
+    ["verify", "--suite", "lift", *AFFINE_FLAGS],
+    ["paper-examples"],
+])
+def test_one_command_parse_is_the_trees(argv, monkeypatch):
+    want = vars(build_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "build_parser", _no_tree)
+    args, handler = cli._parse(argv)
+    assert handler is COMMANDS[want.pop("command")][2]
+    assert vars(args) == want
+
+
+def test_asymp_never_builds_the_whole_tree(capsys, monkeypatch):
+    want = run(capsys, "asymp", *AFFINE_FLAGS, "--n", "6")
+    monkeypatch.setattr(cli, "build_parser", _no_tree)
+    assert run(capsys, "asymp", *AFFINE_FLAGS, "--n", "6") == want
+
+
+@pytest.mark.parametrize("n, digest", [
+    (11, "61908265e8420856bc22f514c10956c19f5bf7733bcf2fe60ba52ff41a329464"),
+    (40, "9bd7c490f638d208f2c2cd9c633d3772dddf7b69152057c752464a53d875ef86"),
+    (100, "842461b0e934ed250a0116627d4f9ebd28699b0d5777da91461603180ce46162"),
+])
+def test_asymp_output_is_unchanged(capsys, n, digest):
+    # sha256 of the stdout that the bracket path printed when every bracket
+    # run restarted from the last formed term.
+    code, out, _ = run(capsys, "asymp", *AFFINE_FLAGS, "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [
