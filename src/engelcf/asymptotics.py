@@ -28,8 +28,7 @@ nothing here keeps ambient mutable state.
 """
 
 import functools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mpmath import mp, workdps
 
@@ -185,15 +184,13 @@ def empirical_growth_constant(source: SourceLike, n: int = 12, dps: int = DEFAUL
         return c_n, abs(c_n - c_prev)
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     n: int
     exponent: object  # mpf
     holds: bool
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     lam: object
     epsilon: float
     rows: tuple[GrowthRow, ...]
@@ -239,16 +236,14 @@ def growth_report(
     return GrowthReport(lam, float(epsilon), tuple(rows), holds_from)
 
 
-@dataclass(frozen=True)
-class RothRecord:
+class RothRecord(NamedTuple):
     n: int
     q_bits: int
     lower: object  # mpf
     upper: object  # mpf
 
 
-@dataclass(frozen=True)
-class RothReport:
+class RothReport(NamedTuple):
     """Bracketed effective irrationality exponents at the partial sums.
 
     S_n = p/q with q = x_n, and |S - S_n| lies strictly between 1/x_{n+1}
@@ -262,8 +257,7 @@ class RothReport:
     delta: object
 
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
+class AsymptoticsReport(NamedTuple):
     """Everything the growth analysis of one second-order spec produces."""
 
     lam: object

@@ -6,8 +6,8 @@ values recorded here. The ``paper-examples`` subcommand and the acceptance
 tests both run these checks.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, workdps
 
@@ -75,8 +75,7 @@ def upow_alphabet(u: int) -> set[int]:
     return {1, u - 2, u - 1, u, u + 2}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     tag: str
     name: str
     ok: bool

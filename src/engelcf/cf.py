@@ -23,25 +23,23 @@ Conventions:
   * lengths count every coefficient including a_0.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
+from ._value import _Value
 from .exceptions import InvalidSpec, TrailingZero, ZeroCoefficient
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(_Value):
     """A finite continued fraction [a_0; a_1, ..., a_m] with no zero entries
     after a_0. Raw coefficient lists that may contain zeros stay plain
     sequences; see normalize_zeros."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: Sequence[int]):
+        if not coeffs:
             raise InvalidSpec("empty continued fraction")
-        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
+        self._init(tuple(map(int, coeffs)))
         if self.coeffs[0] < 0:
             raise InvalidSpec(f"a_0 must be non-negative, got {self.coeffs[0]}")
         if min(self.coeffs[1:], default=1) > 0:
@@ -118,6 +116,8 @@ def expand_rational(r, denominator: int | None = None) -> CFExpansion:
     exactly.
     """
     if denominator is None:
+        from fractions import Fraction
+
         r = Fraction(r)
         if r < 0:
             raise InvalidSpec(f"negative rational {r}")

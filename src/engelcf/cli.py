@@ -349,6 +349,9 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         text, code = handler(args)
+        if args.out:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
     except BitBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -361,10 +364,7 @@ def main(argv=None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

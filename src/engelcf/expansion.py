@@ -42,8 +42,7 @@ Partial-sum constructions are pure; a stream is a stateful single-consumer
 object (distinct streams are independent).
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .cf import (
     CFExpansion,
@@ -65,8 +64,7 @@ from .sequences import (  # SeriesSource and SourceLike are re-exported from her
 _IDENTITY = (1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class PartialCF:
+class PartialCF(NamedTuple):
     """Continued fraction of the n-th partial sum."""
 
     n: int
@@ -151,8 +149,7 @@ def partial_lengths(source: SourceLike, n_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StreamResult:
+class StreamResult(NamedTuple):
     """A certified batch: coefficients proven final, with provenance."""
 
     series_class: SeriesClass
@@ -288,11 +285,13 @@ def stream(source: SourceLike, count: int, force_oracle: bool = False) -> Stream
 # ---------------------------------------------------------------------------
 
 
-def enclosure(source: SourceLike, max_width: Fraction) -> tuple[Fraction, Fraction]:
+def enclosure(source: SourceLike, max_width: "Fraction") -> tuple["Fraction", "Fraction"]:
     """A closed interval [lo, hi] containing the limit S, of width at most
     ``max_width``: the tail past S_n lies strictly between 1/x_{n+1} and
     2/x_{n+1}, so S lies between S_{n+1} = N_{n+1}/x_{n+1} and
     (N_{n+1} + 1)/x_{n+1}."""
+    from fractions import Fraction
+
     if max_width <= 0:
         raise InvalidSpec("max_width must be positive")
     src = as_store(source)

@@ -21,10 +21,9 @@ silently. The budget is set on the store (SeriesSource) and nowhere else.
 """
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
+from ._value import _Value
 from .exceptions import (
     BitBudgetExceeded,
     DivisibilityViolation,
@@ -38,8 +37,7 @@ DEFAULT_SINGLE_BITS = 1 << 25
 DEFAULT_TOTAL_BITS = 1 << 26
 
 
-@dataclass(frozen=True)
-class BitBudget:
+class BitBudget(NamedTuple):
     """Caps on the bit size of any single term and on the cumulative size."""
 
     single: int = DEFAULT_SINGLE_BITS
@@ -82,8 +80,7 @@ class SeriesClass(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class FactorSequence:
+class FactorSequence(_Value):
     """The factors z_2, z_3, ... defining a square-divisibility sequence.
 
     ``tail_ones`` marks a source that continues with z_j = 1 forever past the
@@ -91,11 +88,10 @@ class FactorSequence:
     u^(-4) + ... arise (all factors 1 from z_3 on).
     """
 
-    z: tuple[int, ...]
-    tail_ones: bool = False
+    __slots__ = ("z", "tail_ones")
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(int(v) for v in self.z))
+    def __init__(self, z: Sequence[int], tail_ones: bool = False):
+        self._init(tuple(int(v) for v in z), tail_ones)
         if not self.z:
             raise InvalidSpec("need at least the first factor z_2")
         if self.z[0] < 2:
@@ -154,15 +150,14 @@ def _factor_walk(xs: Sequence[int]) -> list[int]:
     return z
 
 
-@dataclass(frozen=True)
-class EngelSequence:
+class EngelSequence(_Value):
     """Terms x_1 = 1 < x_2 <= x_3 ... with x_n^2 | x_{n+1}."""
 
-    x: tuple[int, ...]
+    __slots__ = ("x",)
 
-    def __post_init__(self):
-        xs = tuple(int(v) for v in self.x)
-        object.__setattr__(self, "x", xs)
+    def __init__(self, x: Sequence[int]):
+        xs = tuple(int(v) for v in x)
+        self._init(xs)
         if not xs or xs[0] != 1:
             raise InvalidSpec("sequence must start with x_1 = 1")
         _factor_walk(xs)
@@ -213,8 +208,7 @@ def factors_from_sequence(raw: Sequence[int]) -> FactorSequence:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecondOrderSpec:
+class SecondOrderSpec(_Value):
     """x_{n+2} x_n = x_{n+1}^d1 * G(x_{n+1}) with x_0 = x_1 = 1.
 
     G is a dense coefficient list, constant term first, so the integrality
@@ -223,11 +217,10 @@ class SecondOrderSpec:
     degenerate family whose series has z_2 = 2.
     """
 
-    d1: int
-    g: tuple[int, ...]
+    __slots__ = ("d1", "g")
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", tuple(int(c) for c in self.g))
+    def __init__(self, d1: int, g: Sequence[int]):
+        self._init(d1, tuple(int(c) for c in g))
 
     def validate(self):
         if self.d1 < 3:
@@ -264,8 +257,7 @@ class SecondOrderSpec:
         return acc
 
 
-@dataclass(frozen=True)
-class ThirdOrderSpec:
+class ThirdOrderSpec(_Value):
     """X_{n+3} X_n = X_{n+1}^e1 * X_{n+2}^e2 * H(X_{n+1}, X_{n+2}),
     X_0 = X_1 = X_2 = 1.
 
@@ -273,13 +265,10 @@ class ThirdOrderSpec:
     either argument, i.e. some term has i = 0 and some term has j = 0.
     """
 
-    e1: int
-    e2: int
-    h: tuple[tuple[int, int, int], ...]
+    __slots__ = ("e1", "e2", "h")
 
-    def __post_init__(self):
-        terms = tuple(sorted((int(i), int(j), int(c)) for (i, j, c) in self.h))
-        object.__setattr__(self, "h", terms)
+    def __init__(self, e1: int, e2: int, h: Sequence[tuple[int, int, int]]):
+        self._init(e1, e2, tuple(sorted((int(i), int(j), int(c)) for (i, j, c) in h)))
 
     def validate(self):
         if self.e1 < 1:
@@ -574,8 +563,10 @@ class SeriesSource:
             self._nums.append(self._nums[-1] * zs[i] * terms[i - 1] + 1)
         return self._nums[n - 1]
 
-    def partial_sum(self, n: int) -> Fraction:
+    def partial_sum(self, n: int) -> "Fraction":
         """Exact S_n as a reduced Fraction."""
+        from fractions import Fraction
+
         return Fraction(self.numerator(n), self.x(n))
 
 
@@ -631,13 +622,15 @@ def closed_form_numerator(z: Sequence[int], n: int) -> int:
     return total
 
 
-def partial_sum(x: EngelSequence | Sequence[int], n: int) -> Fraction:
+def partial_sum(x: EngelSequence | Sequence[int], n: int) -> "Fraction":
     """Exact S_n = sum_{j=1}^{n} 1/x_j.
 
     The reduced denominator equals x_n: the closed-form numerator is
     congruent to 1 modulo every prime dividing x_n. The naive summation is
     cross-checked against the closed form, which shares no code with it.
     """
+    from fractions import Fraction
+
     xs = x.x if isinstance(x, EngelSequence) else tuple(int(v) for v in x)
     if not 1 <= n <= len(xs):
         raise InvalidSpec(f"n must be in 1..{len(xs)}")

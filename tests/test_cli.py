@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -187,15 +188,27 @@ def test_paper_examples_only(capsys):
 
 
 def test_cli_import_leaves_out_catalog_and_verify():
-    # Only paper-examples and verify read these modules, so they load on
-    # first use; a fresh interpreter shows what the import alone pulls in.
+    # Only paper-examples and verify read catalog and verify, so they load
+    # on first use. No command of the benchmark builds a Fraction, and no
+    # module uses dataclasses, whose import pulls in inspect. A fresh
+    # interpreter shows what the import and those commands pull in.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = ("import sys, engelcf.cli; "
-            "print(sorted(m for m in ('engelcf.catalog', 'engelcf.verify') if m in sys.modules))")
+    unwanted = ("engelcf.catalog", "engelcf.verify", "dataclasses", "inspect", "fractions")
+    code = ("import sys, engelcf.cli\n"
+            f"def left(): return sorted(m for m in {unwanted!r} if m in sys.modules)\n"
+            "print(left())\n"
+            "engelcf.cli.main(['stream', '--u', '3', '--K', '50'])\n"
+            "engelcf.cli.main(['asymp', '--d1', '3', '--G', '1,2', '--n', '6'])\n"
+            "print(left())\n")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+                         capture_output=True, text=True).stdout.splitlines()
+    assert (out[0], out[-1]) == ("[]", "[]")
+    package = os.path.join(src, "engelcf")
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                assert not re.search(r"^\s*(from|import) dataclasses\b", fh.read(), re.M), name
 
 
 def test_spec_file_source(tmp_path, capsys):
@@ -237,6 +250,13 @@ def test_out_writes_file(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--z", "3,9", "--n", "3", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text() == "# engel-seq v1\n# z: 3,9\n1\n3\n81\n"
+
+
+def test_out_to_a_missing_directory_is_a_validation_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "gen", "--u", "3", "--n", "3", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
 def test_byte_identical_runs(capsys):
