@@ -9,9 +9,10 @@ The Euclidean expansion batches its quotients on large operands (Lehmer,
 multiplies apply them to the full pair, and the batch is kept only when the
 new remainders satisfy 0 < B < A. A continued fraction whose tail exceeds 1
 has those coefficients as its integer parts, so a kept batch is exactly
-Euclid's; otherwise one divmod step is taken. See expand_rational.
-ProductTree uses the same test the other way round: it checks known
-quotients against a rational, a whole block of them at a time.
+Euclid's; otherwise one divmod step is taken. See expand_rational. The
+interval oracle (expansion._walk) uses the same test the other way round:
+an ordered pair at some point of a known expansion proves that a second
+rational shares every quotient before that point.
 
 Everything here is a pure function of immutable values and safe to call
 concurrently.
@@ -75,7 +76,7 @@ def convergents(cf: CFLike) -> tuple[tuple[int, int], ...]:
 
     Row j is the first column of the product of the first j+1 matrices
     [[a_i, 1], [1, 0]]; the final row gives the exact value. This plain
-    loop is the reference ProductTree is tested against.
+    loop is the reference convergent_matrix is tested against.
     """
     rows = []
     p_prev, q_prev = 1, 0
@@ -154,7 +155,7 @@ def expand_rational(r, denominator: int | None = None) -> CFExpansion:
     return CFExpansion(tuple(coeffs))
 
 
-# Quotients per leaf of a ProductTree.
+# Quotients whose matrices convergent_matrix multiplies one at a time.
 _LEAF = 32
 
 Matrix = tuple[int, int, int, int]  # [[m00, m01], [m10, m11]], row by row
@@ -167,82 +168,19 @@ def matrix_mul(m: Matrix, n: Matrix) -> Matrix:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-class ProductTree:
-    """Balanced product tree of the matrices [[a, 1], [1, 0]] of a list of
-    coefficients (Bernstein, "Fast multiplication and its applications",
-    2008). The product of a_0..a_m is [[p_m, p_{m-1}], [q_m, q_{m-1}]],
-    with determinant (-1)^(m+1)."""
-
-    def __init__(self, coeffs: Sequence[int]):
-        self._qs = coeffs
-        self._root = self._build(0, len(coeffs))
-
-    def _build(self, i: int, j: int):
-        # (product of qs[i:j], i, j, left, right); a leaf has no children.
-        if j - i <= _LEAF:
-            p, p2, q, q2 = 1, 0, 0, 1
-            for a in self._qs[i:j]:
-                p, p2, q, q2 = a * p + p2, p, a * q + q2, q
-            return (p, p2, q, q2), i, j, None, None
-        mid = (i + j) // 2
-        left, right = self._build(i, mid), self._build(mid, j)
-        return matrix_mul(left[0], right[0]), i, j, left, right
-
-    def product(self, k: int | None = None) -> Matrix:
-        """The product of the first k matrices (all by default)."""
-        node = self._root
-        k = node[2] if k is None else k
-        out = (1, 0, 0, 1)
-        while k:
-            m, i, j, left, right = node
-            if k >= j - i:
-                return matrix_mul(out, m)
-            if left is None:
-                return matrix_mul(out, ProductTree(self._qs[i:i + k]).product())
-            if k <= left[2] - i:
-                node = left
-            else:
-                out = matrix_mul(out, left[0])
-                k -= left[2] - i
-                node = right
-        return out
-
-    def follow(self, p: int, q: int) -> int:
-        """How many leading coefficients are also the leading Euclidean
-        quotients of p/q, for p > q > 0 and coefficients >= 1.
-
-        This checks Euclid's quotients instead of computing them. A block
-        b_1..b_k with product M maps the pair to (A, B) = M^-1 (p, q), so
-        p/q = [b_1; ..., b_k, A/B]; as in expand_rational, a block with
-        0 < B < A is exactly Euclid's next k quotients and (A, B) its
-        remainder pair. A block that fails is split into its two halves,
-        and a failing leaf is walked by single divmod steps to the exact
-        quotient where p/q leaves the list or its expansion ends.
-        """
-        return self._follow(self._root, p, q)[0] if self._qs else 0
-
-    def _follow(self, node, p: int, q: int) -> tuple[int, int, int]:
-        (m00, m01, m10, m11), i, j, left, right = node
-        det = -1 if (j - i) % 2 else 1
-        a, b = det * (m11 * p - m01 * q), det * (m00 * q - m10 * p)
-        if 0 < b < a:
-            return j - i, a, b
-        if left is None:
-            count = 0
-            for quotient in self._qs[i:j]:
-                if not q:
-                    break
-                d, rem = divmod(p, q)
-                if d != quotient:
-                    break
-                count += 1
-                p, q = q, rem
-            return count, p, q
-        count, p, q = self._follow(left, p, q)
-        if count < left[2] - i:
-            return count, p, q
-        more, p, q = self._follow(right, p, q)
-        return count + more, p, q
+def convergent_matrix(coeffs: Sequence[int]) -> Matrix:
+    """The product of the matrices [[a, 1], [1, 0]] of a_0..a_m, which is
+    [[p_m, p_{m-1}], [q_m, q_{m-1}]] with determinant (-1)^(m+1); the
+    identity for no coefficients. Long lists are split in halves, so the
+    big multiplies pair operands of similar size (a balanced product tree:
+    Bernstein, "Fast multiplication and its applications", 2008)."""
+    if len(coeffs) > _LEAF:
+        mid = len(coeffs) // 2
+        return matrix_mul(convergent_matrix(coeffs[:mid]), convergent_matrix(coeffs[mid:]))
+    p, p2, q, q2 = 1, 0, 0, 1
+    for a in coeffs:
+        p, p2, q, q2 = a * p + p2, p, a * q + q2, q
+    return p, p2, q, q2
 
 
 def normalize_zeros(raw: Sequence[int]) -> CFExpansion:

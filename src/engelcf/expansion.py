@@ -27,16 +27,20 @@ Two mechanisms produce the coefficients:
     The intervals nest, so each advance resumes where the last one
     stopped (Gosper, HAKMEM item 101, 1972). The stream keeps the product
     M of the matrices [[a, 1], [1, 0]] of the c emitted coefficients, with
-    det M = (-1)^c, and maps both endpoints, as integer pairs with no gcd,
-    through M^-1. A mapped pair (A, B) with A > B > 0 proves that the
-    endpoint expands as the emitted prefix followed by the expansion of
-    A/B. Euclid then expands only the lower endpoint's tail; the upper
-    endpoint is followed, not expanded: blocks of the lower tail's
-    quotients from a product tree are applied to its pair and kept while
-    the pair stays ordered (cf.ProductTree.follow). M grows by the product
-    of the newly certified block. When a check fails, that advance starts
-    again from a_0 with M the identity, and a changed emitted coefficient
-    raises IdentityViolation.
+    det M = (-1)^c, and maps the lower endpoint, as an integer pair with
+    no gcd, through M^-1. A mapped pair (A, B) with A > B > 0 proves that
+    it expands as the emitted prefix followed by the expansion of A/B,
+    which Euclid computes. The upper endpoint is neither mapped nor
+    expanded: with s = z_{n+1}*x_n it is s*lo + (2, 0) exactly, so at each
+    point of the lower tail its mapped pair is s times lo's Euclid
+    remainders plus twice a column of the convergent matrix there. A walk
+    back from the tail's end finds, within two steps, a point where that
+    pair is ordered, and divmod steps from there find where the upper
+    endpoint's expansion leaves the lower one's (see _walk). M becomes the
+    convergent matrix the walk passed at the end of the newly certified
+    block. When a check fails, that advance starts again from a_0 with M
+    the identity, and a changed emitted coefficient raises
+    IdentityViolation.
 
 Partial-sum constructions are pure; a stream is a stateful single-consumer
 object (distinct streams are independent).
@@ -46,8 +50,9 @@ from typing import NamedTuple
 
 from .cf import (
     CFExpansion,
-    ProductTree,
+    Matrix,
     _merge_zeros,
+    convergent_matrix,
     expand_rational,
     matrix_mul,
     normalize_zeros,
@@ -168,10 +173,11 @@ class EngelStream:
     Every other class, and any stream with ``force_oracle``, emits the
     interval oracle's common prefix. The oracle resumes from the matrix of
     the emitted prefix: it expands only the tail of S_n past that prefix
-    and checks the upper endpoint's tail against those quotients. Should
-    either endpoint's mapped tail fail its check, the advance expands from
-    a_0 instead. Emitted coefficients never change; that is proved by the
-    tail checks on a resumed advance and asserted on a restarted one.
+    and places the upper endpoint against those quotients from their last
+    remainders (_walk). Should either endpoint fail its check under that
+    matrix, the advance expands from a_0 instead. Emitted coefficients
+    never change; that is proved by the checks on a resumed advance and
+    asserted on a restarted one.
     """
 
     def __init__(self, source: SourceLike, force_oracle: bool = False):
@@ -231,46 +237,92 @@ class EngelStream:
         n = max(self._n + 1, 2)
         self._n = n
         src = self._src
-        x_next = src.x(n + 1)  # raises when the factor list ends
-        # lo = S_n and hi = S_n + 2/x_{n+1} = S_{n+1} + 1/x_{n+1}, as pairs.
+        src.x(n + 1)  # raises when the factor list ends
+        # lo = S_n as a pair; hi = S_n + 2/x_{n+1} is s*lo + (2, 0).
         lo = (src.numerator(n), src.x(n))
-        hi = (src.numerator(n + 1) + 1, x_next)
-        tails = self._tails(lo, hi)
-        restart = tails is None
+        s = src.factor(n + 1) * lo[1]
+        walk = _walk(self._m, self._m_len, lo, s)
+        restart = walk is None
         if restart:  # start again from a_0
             self._m, self._m_len = _IDENTITY, 0
-            tails = (lo, hi)
-        (lo_p, lo_q), (hi_p, hi_q) = tails
+            walk = _walk(self._m, 0, lo, s)
+        tail, _, shared, f = walk
         c = self._m_len
-        tail = expand_rational(lo_p, lo_q).coeffs
-        tree = ProductTree(tail)
-        shared = tree.follow(hi_p, hi_q)
         self.lengths.append(c + len(tail) + _split_representative(src, n))
         self.n_used = n
         if shared > 1:
             self._set_emitted(self.emitted[:c] + list(tail[:shared - 1]))
-        new = len(self.emitted) - c
-        if new:
+        if len(self.emitted) > c:
             # After a restart the emitted prefix may be longer than this one.
-            block = ProductTree(self.emitted).product() if restart else tree.product(new)
-            self._m, self._m_len = matrix_mul(self._m, block), len(self.emitted)
+            self._m = convergent_matrix(self.emitted) if restart else f
+            self._m_len = len(self.emitted)
 
-    def _tails(self, lo, hi):
-        # M^-1 of each endpoint, M = [[p, p'], [q, q']] the product of the
-        # emitted coefficients' matrices, or None when a check fails. A pair
-        # (A, B) with A > B > 0 is a tail above 1, which proves the endpoint
-        # expands as the emitted prefix followed by the expansion of A/B.
-        p, p2, q, q2 = self._m
-        det = -1 if self._m_len % 2 else 1
-        if p * q2 - p2 * q != det:
+
+def _step_back(f: Matrix, a: int) -> Matrix:
+    # F * [[a, 1], [1, 0]]^-1 = F * [[0, 1], [1, -a]]: drop the last coefficient.
+    p, p2, q, q2 = f
+    return p2, p - a * p2, q2, q - a * q2
+
+
+def _walk(m: Matrix, c: int, lo: tuple[int, int], s: int):
+    """One advance of the interval oracle from M = m, the product of the
+    matrices [[a, 1], [1, 0]] of c emitted coefficients: (tail, start,
+    shared, F), or None when a check fails.
+
+    With det M = (-1)^c and lo = (N_n, x_n) mapped to 0 < B < A, lo
+    expands as the emitted prefix followed by tail, Euclid's expansion of
+    A/B. shared counts the leading tail quotients that are also those of
+    hi = S_n + 2/x_{n+1}, and F is M times the matrices of the first
+    max(shared - 1, 0) of them.
+
+    hi is never mapped through M^-1: x_{n+1} = s*x_n and N_{n+1} =
+    s*N_n + 1, so hi = s*lo + (2, 0). At point k of the tail, F_k =
+    [[p, p'], [q, q']], M times the first k tail matrices, has det
+    D = (-1)^(c+k) and maps lo to Euclid's remainders (r_k, r_{k+1}) of
+    A/B, so it maps hi to H_k = s*(r_k, r_{k+1}) + 2D*(q', -q). The walk
+    starts at k = len(tail), where the remainders are (g, 0) with
+    g = B // q_tail, and steps back (r <- a*r + r', F <- F*[[0, 1],
+    [1, -a]]) until H_k is ordered, 0 < H_k[1] < H_k[0]. As in
+    expand_rational, hi then shares the first k tail quotients. For k up
+    to the shared count H_k is hi's own Euclid pair, ordered unless hi's
+    expansion ends at k, so the walk stops at that count or one before
+    it, and one divmod step from H_k settles which. A step back keeps a
+    pair ordered, so a walk that passes k = 0 is hi's failed check.
+
+    When M is a prefix of lo's expansion (no negative entries), the walk
+    stops by start = L - 2, L = len(tail) >= 2. The last quotient is at
+    least 2, so r_{L-1} >= 2g, r_{L-2} >= 3g and r_{L-2} - r_{L-1} >= g.
+    F_{L-2}'s second row gives x_n = q*r_{L-2} + q'*r_{L-1} >= 3q + 2q',
+    and s >= x_n. So s*r_{L-1} >= 2x_n > 2q and s*(r_{L-2} - r_{L-1})
+    >= x_n > 2(q + q') when q > 0, and q = 0 forces D = p*q' = 1: either
+    way H_{L-2} is ordered.
+    """
+    p, p2, q, q2 = m
+    det = -1 if c % 2 else 1
+    if p * q2 - p2 * q != det:
+        return None
+    num, den = lo
+    a, b = det * (q2 * num - p2 * den), det * (p * den - q * num)
+    if not 0 < b < a:
+        return None
+    tail = expand_rational(a, b).coeffs
+    t = convergent_matrix(tail)
+    k, f = len(tail), matrix_mul(m, t)
+    r, r2 = b // t[2], 0
+    sign = -det if k % 2 else det
+    while True:
+        hp, hq = s * r + 2 * sign * f[3], s * r2 - 2 * sign * f[2]
+        if 0 < hq < hp:
+            break
+        if not k:
             return None
-        out = []
-        for num, den in (lo, hi):
-            a, b = det * (q2 * num - p2 * den), det * (p * den - q * num)
-            if not 0 < b < a:
-                return None
-            out.append((a, b))
-        return out
+        k -= 1
+        r, r2 = tail[k] * r + r2, r
+        f = _step_back(f, tail[k])
+        sign = -sign
+    if k < len(tail) and hp // hq == tail[k]:
+        return tail, k, k + 1, f
+    return tail, k, k, _step_back(f, tail[k - 1]) if k else f
 
 
 def stream(source: SourceLike, count: int, force_oracle: bool = False) -> StreamResult:

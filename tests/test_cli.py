@@ -390,6 +390,22 @@ def test_asymp_output_is_unchanged(capsys, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("flags, digest", [
+    ("--u 3 --K 60000", "cfae5e88a4171b21dc7687e928c6fa4ab27878463a0e4638d708a653c1b07cba"),
+    ("--u 2 --K 60000", "761945290854709a1630383ef82d0968c624742ae644ed0e438818bdee016bcd"),
+    ("--u 7 --K 20000", "57a2ed33df3d4ebe6309d772c5ffe8be11539c60ef8dc61f0e733bea33c26730"),
+    ("--z 5,1,2,1,3,1,1,2,1,4,1,1 --K 100",
+     "e2675d56d57d20b68b212bdcd138ead5f4ba84aacc7737d9c735b27a75a6a9e3"),
+])
+def test_oracle_stream_json_is_unchanged(capsys, flags, digest):
+    # sha256 of the stdout that the oracle printed when it followed the
+    # upper endpoint's mapped pair through a product tree. The JSON carries
+    # n_used and lengths as well as the coefficients.
+    code, out, _ = run(capsys, "stream", *flags.split(), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["--suite", "identities", "--z", "3,2", "--n", "5"],
     ["--suite", "generic", "--maxn", "2"],

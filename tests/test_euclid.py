@@ -1,5 +1,5 @@
-"""expand_rational's batched Euclid, and ProductTree's checked quotients,
-against a plain divmod loop.
+"""expand_rational's batched Euclid, and the reference ProductTree's checked
+quotients, against a plain divmod loop.
 
 Each expand_rational test runs at the module's window and again at a
 16-bit window, where inputs past 64 bits already take accepted batches,
@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engelcf.cf as cf
-from engelcf.cf import ProductTree, convergents, expand_rational
+from engelcf.cf import convergent_matrix, convergents, expand_rational
 from engelcf.expansion import SeriesSource
 from engelcf.sequences import ones_tail
+from oracles import ProductTree
 
 WINDOWS = (cf._WINDOW_BITS, 16)
 
@@ -124,6 +125,15 @@ def test_product_tree_gives_the_convergents(coeffs):
     assert tree.product() == (p, p2, q, q2)
     for k in {0, 1, len(coeffs) // 3, len(coeffs) - 1}:
         assert tree.product(k) == ProductTree(coeffs[:k]).product()
+
+
+@settings(max_examples=60, deadline=None)
+@given(expansions())
+def test_convergent_matrix_is_the_last_two_convergents(coeffs):
+    rows = convergents(coeffs)
+    (p, q), (p2, q2) = rows[-1], rows[-2] if len(rows) > 1 else (1, 0)
+    assert convergent_matrix(coeffs) == (p, p2, q, q2)
+    assert convergent_matrix(()) == (1, 0, 0, 1)
 
 
 @st.composite

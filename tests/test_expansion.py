@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from engelcf import expansion
-from engelcf.cf import convergents, expand_rational, normalize_zeros
+from engelcf.cf import convergent_matrix, convergents, expand_rational, matrix_mul, normalize_zeros
 from engelcf.exceptions import IdentityViolation, InsufficientFactors, InvalidSpec
 from engelcf.expansion import (
     EngelStream,
@@ -21,13 +21,14 @@ from engelcf.expansion import (
 from engelcf.sequences import (
     FactorSequence,
     SecondOrderSpec,
+    ThirdOrderSpec,
     from_factors,
     lift_spec,
     ones_tail,
     partial_sum,
 )
 from engelcf.verify import check_instance, generic_alphabet
-from oracles import evaluate
+from oracles import ProductTree, evaluate
 
 AFFINE = SecondOrderSpec(3, (1, 2))
 
@@ -426,6 +427,99 @@ def test_corrupted_resume_state_never_emits_a_wrong_coefficient(source):
             continue
         assert got == want, bad
         assert es._m == clean._m  # rebuilt after expanding from a_0
+
+
+def _direct_checks(m, c, lo, hi):
+    # Both endpoints mapped through M^-1 directly: hi's pair, or None when
+    # det M != (-1)^c or either mapped pair fails 0 < B < A.
+    p, p2, q, q2 = m
+    det = -1 if c % 2 else 1
+    pairs = [(det * (q2 * num - p2 * den), det * (p * den - q * num)) for num, den in (lo, hi)]
+    if p * q2 - p2 * q != det or not all(0 < b < a for a, b in pairs):
+        return None
+    return pairs[1]
+
+
+def _check_walk(m, c, lo, hi, s):
+    # The walk against the follow of hi's explicitly mapped pair.
+    out = expansion._walk(m, c, lo, s)
+    hi_pair = _direct_checks(m, c, lo, hi)
+    assert (out is None) == (hi_pair is None)
+    if out is not None:
+        tail, start, shared, f = out
+        assert shared == ProductTree(tail).follow(*hi_pair)
+        assert start <= shared <= start + 1
+        assert f == matrix_mul(m, convergent_matrix(tail[:max(shared - 1, 0)]))
+    return out
+
+
+_WALK_SOURCES = st.one_of(
+    st.tuples(st.builds(ones_tail, st.integers(2, 12)), st.integers(1, 4000), st.just(False)),
+    st.tuples(st.builds(lambda z2, rest: FactorSequence((z2, *rest), tail_ones=True),
+                        st.integers(2, 20),
+                        st.lists(st.one_of(st.just(1), st.integers(2, 9)), max_size=6)),
+              st.integers(1, 1000), st.just(False)),
+    st.tuples(st.builds(lambda z2, rest: FactorSequence((z2, *rest)),
+                        st.one_of(st.just(2), st.integers(3, 20)),
+                        st.lists(st.integers(2, 20), min_size=10, max_size=10)),
+              st.integers(1, 300), st.just(True)),
+    st.tuples(st.sampled_from((ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))), lift_spec(AFFINE))),
+              st.integers(1, 200), st.just(True)),
+)
+
+
+@given(_WALK_SOURCES)
+@example((ones_tail(3), 15000, False))
+@example((ones_tail(2), 15000, False))
+@settings(max_examples=60, deadline=None)
+def test_the_walk_from_the_end_finds_the_follows_count(case):
+    # Every advance's walk equals the block-by-block follow of hi's mapped
+    # pair, and stops at most two steps back from the end of the tail, as
+    # _walk's docstring proves for a prefix of lo's expansion.
+    source, count, force = case
+    es = EngelStream(source, force_oracle=force)
+    src = es._src
+    while len(es.emitted) < count:
+        n = max(es._n + 1, 2)
+        lo, hi = (src.numerator(n), src.x(n)), (src.numerator(n + 1) + 1, src.x(n + 1))
+        tail, start, _, _ = _check_walk(es._m, es._m_len, lo, hi, src.factor(n + 1) * src.x(n))
+        assert len(tail) - start <= 2
+        es._advance()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_walk_is_the_direct_check_for_any_multiplier(data):
+    # _walk reads hi as s*lo + (2, 0) for any s >= 1. A small s puts hi far
+    # from lo, so that hi's check fails on long prefixes of lo's expansion
+    # (and the walk passes k = 0); s >= x_n is the store's case.
+    den = data.draw(st.integers(1, 1 << 200))
+    num = data.draw(st.integers(den + 1, 1 << 201))
+    s = data.draw(st.one_of(st.integers(1, 64), st.integers(den, 4 * den)))
+    coeffs = expand_rational(num, den).coeffs
+    c = data.draw(st.integers(0, len(coeffs)))
+    m = convergent_matrix(coeffs[:c])
+    if c >= 2 and data.draw(st.booleans()):
+        m = data.draw(st.sampled_from(list(_corruptions(m, list(coeffs[:c])))))
+    out = _check_walk(m, c, (num, den), (s * num + 2, s * den), s)
+    if out is not None and s >= den and m == convergent_matrix(coeffs[:c]):
+        assert len(out[0]) - out[1] <= 2
+
+
+def test_the_walk_on_small_pairs_where_hi_ends_inside_the_tail():
+    # Every prefix of every num/den in (1, 3) with den < 25, at s = 1..3.
+    # There hi is often a convergent of lo, so the walk stops one point
+    # before the shared count and its divmod step finds one more quotient.
+    steps = 0
+    for den in range(1, 25):
+        for num in range(den + 1, 3 * den):
+            coeffs = expand_rational(num, den).coeffs
+            for s in (1, 2, 3):
+                for c in range(len(coeffs) + 1):
+                    out = _check_walk(convergent_matrix(coeffs[:c]), c, (num, den),
+                                      (s * num + 2, s * den), s)
+                    steps += out is not None and out[2] > out[1]
+    assert steps > 50
 
 
 def test_resumed_oracle_expands_each_coefficient_about_once(monkeypatch):
