@@ -27,7 +27,6 @@ from .exceptions import (
     ZeroCoefficient,
 )
 from .sequences import (
-    BitBudget,
     EngelSequence,
     FactorSequence,
     RecurrenceSpec,
@@ -49,7 +48,6 @@ from .sequences import (
 from .expansion import (
     EngelStream,
     StreamResult,
-    PartialCF,
     enclosure,
     partial_cf,
     partial_lengths,

@@ -1,9 +1,10 @@
 """The value semantics shared by the validated types.
 
-A subclass lists its fields in ``__slots__``, in the order its
-``__init__`` takes them, and sets them once through ``_init``. Equality
-and hash go by those fields within one class, the repr names the class
-and the fields, and assignment raises.
+A subclass lists its fields in ``__slots__``, in the order its ``__init__``
+takes them, sets them once through ``_init`` and raises unless they meet its
+condition, so every instance does, copies included. Equality and hash go by
+those fields within one class, the repr names the class and the fields, and
+assignment raises.
 """
 
 

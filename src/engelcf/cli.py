@@ -24,7 +24,7 @@ from .exceptions import (
 )
 from .expansion import partial_cf, stream
 from .sequences import (
-    BitBudget,
+    DEFAULT_BITS,
     FactorSequence,
     SecondOrderSpec,
     SeriesClass,
@@ -60,8 +60,8 @@ def _add_source(parser: argparse.ArgumentParser):
     parser.add_argument("--u", type=int, default=None, help="power-sum base (factors u,1,1,...)")
     parser.add_argument("--spec-file", type=str, default=None,
                         help="read a one-line recurrence spec from this file")
-    parser.add_argument("--bits", type=int, default=1 << 26,
-                        help="total bit budget for generated terms (default 67108864)")
+    parser.add_argument("--bits", type=int, default=DEFAULT_BITS,
+                        help=f"total bit budget for generated terms (default {DEFAULT_BITS})")
 
 
 def _source_from_args(args):
@@ -71,11 +71,11 @@ def _source_from_args(args):
     if args.d1 is not None or args.G is not None:
         if args.d1 is None or args.G is None:
             raise InvalidSpec("--d1 and --G must be given together")
-        picked.append(SecondOrderSpec(args.d1, parse_ints(args.G, "--G")).validate())
+        picked.append(SecondOrderSpec(args.d1, parse_ints(args.G, "--G")))
     if args.e1 is not None or args.e2 is not None or args.H is not None:
         if None in (args.e1, args.e2, args.H):
             raise InvalidSpec("--e1, --e2 and --H must be given together")
-        picked.append(ThirdOrderSpec(args.e1, args.e2, parse_ints(args.H, "--H", 3)).validate())
+        picked.append(ThirdOrderSpec(args.e1, args.e2, parse_ints(args.H, "--H", 3)))
     if args.u is not None:
         picked.append(ones_tail(args.u))
     if args.spec_file is not None:
@@ -96,7 +96,7 @@ def _store(args, source) -> SeriesSource:
     # the CLI sets one.
     if args.bits < 64:
         raise InvalidSpec("--bits must be at least 64")
-    return SeriesSource(source, BitBudget.from_total(args.bits))
+    return SeriesSource(source, args.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +124,23 @@ def cmd_gen(args) -> tuple[str, int]:
 
 def cmd_cf(args) -> tuple[str, int]:
     src = _store(args, _source_from_args(args))
-    part = partial_cf(src, args.n)
+    cf = partial_cf(src, args.n)
     if args.check == "oracle":
         # normalize_zeros merges the trailing unit of the u = 2 split
         # representative, giving the canonical form the oracle produces.
         oracle = expand_rational(src.numerator(args.n), src.x(args.n))
-        if normalize_zeros(part.cf.coeffs).coeffs != oracle.coeffs:
+        if normalize_zeros(cf.coeffs).coeffs != oracle.coeffs:
             raise IdentityViolation(f"partial expansion disagrees with the Euclidean oracle at n={args.n}")
     if args.json:
         payload = {
-            "n": part.n,
+            "n": args.n,
             "class": src.series_class.value,
-            "cf": cf_text(part.cf),
-            "coefficients": [str(a) for a in part.cf.coeffs],
-            "length": part.length,
+            "cf": cf_text(cf),
+            "coefficients": [str(a) for a in cf.coeffs],
+            "length": len(cf),
         }
         return json.dumps(payload) + "\n", 0
-    return cf_text(part.cf) + "\n", 0
+    return cf_text(cf) + "\n", 0
 
 
 def cmd_stream(args) -> tuple[str, int]:
@@ -200,7 +200,7 @@ def cmd_verify(args) -> tuple[str, int]:
     elif args.suite == "lift":
         if args.d1 is None or args.G is None:
             raise InvalidSpec("--suite lift needs --d1/--G")
-        spec = SecondOrderSpec(args.d1, parse_ints(args.G, "--G")).validate()
+        spec = SecondOrderSpec(args.d1, parse_ints(args.G, "--G"))
         checked = run_lift_suite(spec, args.n)
         line = f"ok lift: factorization identity holds for {checked} terms"
     elif args.suite == "identities":

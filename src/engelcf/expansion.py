@@ -69,17 +69,6 @@ from .sequences import (  # SeriesSource and SourceLike are re-exported from her
 _IDENTITY = (1, 0, 0, 1)
 
 
-class PartialCF(NamedTuple):
-    """Continued fraction of the n-th partial sum."""
-
-    n: int
-    cf: CFExpansion
-
-    @property
-    def length(self) -> int:
-        return len(self.cf)
-
-
 # ---------------------------------------------------------------------------
 # The folding rule
 # ---------------------------------------------------------------------------
@@ -120,7 +109,7 @@ def _split_representative(src: SeriesSource, n: int) -> bool:
     return src.series_class is SeriesClass.ONES_TAIL and src.x(2) == 2 and n >= 4
 
 
-def partial_cf(source: SourceLike, n: int) -> PartialCF:
+def partial_cf(source: SourceLike, n: int) -> CFExpansion:
     """Expansion of S_n for any source, by the folding rule.
 
     The result is the canonical form, except for the ones-tail base u = 2
@@ -134,11 +123,11 @@ def partial_cf(source: SourceLike, n: int) -> PartialCF:
     src = as_store(source)
     src.x(n)  # charging x_n caps the fold too: its length is below 2^n <= 4*bits(x_n)
     if n == 1:
-        return PartialCF(1, CFExpansion((1,)))
+        return CFExpansion((1,))
     cur = _folded(src.factors_through(n))
     if _split_representative(src, n):
-        return PartialCF(n, CFExpansion(tuple(cur)))
-    return PartialCF(n, normalize_zeros(cur))
+        return CFExpansion(tuple(cur))
+    return normalize_zeros(cur)
 
 
 def partial_lengths(source: SourceLike, n_max: int) -> list[int]:

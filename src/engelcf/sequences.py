@@ -21,7 +21,7 @@ silently. The budget is set on the store (SeriesSource) and nowhere else.
 """
 
 import enum
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from ._value import _Value
 from .exceptions import (
@@ -33,44 +33,32 @@ from .exceptions import (
     NegativeGap,
 )
 
-DEFAULT_SINGLE_BITS = 1 << 25
-DEFAULT_TOTAL_BITS = 1 << 26
-
-
-class BitBudget(NamedTuple):
-    """Caps on the bit size of any single term and on the cumulative size."""
-
-    single: int = DEFAULT_SINGLE_BITS
-    total: int = DEFAULT_TOTAL_BITS
-
-    @classmethod
-    def from_total(cls, total: int) -> "BitBudget":
-        return cls(single=max(1, total >> 1), total=total)
+DEFAULT_BITS = 1 << 26
 
 
 class BudgetMeter:
-    """Mutable accumulator charging generated terms against a BitBudget."""
+    """Charges generated terms against ``bits`` in all, and half of it per term."""
 
-    def __init__(self, budget: BitBudget | None = None):
-        self.budget = budget or BitBudget()
+    def __init__(self, bits: int):
+        self.single, self.total = max(1, bits >> 1), bits
         self.total_bits = 0
 
     def check_bound(self, bits: int, what: str = "term"):
         """Raise before forming a value known to have at least ``bits`` bits
         when charging it would fail."""
-        if bits > self.budget.single:
-            raise BitBudgetExceeded(bits, self.budget.single, what, at_least=True)
-        if self.total_bits + bits > self.budget.total:
-            raise BitBudgetExceeded(self.total_bits + bits, self.budget.total,
+        if bits > self.single:
+            raise BitBudgetExceeded(bits, self.single, what, at_least=True)
+        if self.total_bits + bits > self.total:
+            raise BitBudgetExceeded(self.total_bits + bits, self.total,
                                     "cumulative size", at_least=True)
 
     def charge(self, value: int, what: str = "term"):
         bits = value.bit_length()
-        if bits > self.budget.single:
-            raise BitBudgetExceeded(bits, self.budget.single, what)
+        if bits > self.single:
+            raise BitBudgetExceeded(bits, self.single, what)
         self.total_bits += bits
-        if self.total_bits > self.budget.total:
-            raise BitBudgetExceeded(self.total_bits, self.budget.total, "cumulative size")
+        if self.total_bits > self.total:
+            raise BitBudgetExceeded(self.total_bits, self.total, "cumulative size")
 
 
 class SeriesClass(enum.Enum):
@@ -221,8 +209,6 @@ class SecondOrderSpec(_Value):
 
     def __init__(self, d1: int, g: Sequence[int]):
         self._init(d1, tuple(int(c) for c in g))
-
-    def validate(self):
         if self.d1 < 3:
             raise InvalidSpec(f"d1 must be >= 3, got {self.d1}")
         if not self.g:
@@ -235,7 +221,6 @@ class SecondOrderSpec(_Value):
             raise InvalidSpec("leading coefficient of G is zero; drop trailing zeros")
         if self.g1 < 2:
             raise InvalidSpec(f"G(1) must be >= 2, got {self.g1}")
-        return self
 
     @property
     def d2(self) -> int:
@@ -269,8 +254,6 @@ class ThirdOrderSpec(_Value):
 
     def __init__(self, e1: int, e2: int, h: Sequence[tuple[int, int, int]]):
         self._init(e1, e2, tuple(sorted((int(i), int(j), int(c)) for (i, j, c) in h)))
-
-    def validate(self):
         if self.e1 < 1:
             raise InvalidSpec(f"e1 must be >= 1, got {self.e1}")
         if self.e2 < 2:
@@ -290,7 +273,6 @@ class ThirdOrderSpec(_Value):
             raise InvalidSpec("H must not be divisible by either argument")
         if self.h11 < 2:
             raise InvalidSpec(f"H(1,1) must be >= 2, got {self.h11}")
-        return self
 
     @property
     def h11(self) -> int:
@@ -324,9 +306,8 @@ def lift_spec(spec2: SecondOrderSpec) -> ThirdOrderSpec:
 
     The lifted sequence satisfies X_n * X_{n+1} = x_n for all n.
     """
-    spec2.validate()
     terms = tuple((k, k, c) for k, c in enumerate(spec2.g) if c)
-    return ThirdOrderSpec(spec2.d1 - 1, spec2.d1 - 1, terms).validate()
+    return ThirdOrderSpec(spec2.d1 - 1, spec2.d1 - 1, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +418,8 @@ class SeriesSource:
     ``rule`` is the factor list or spec the terms come from.
     """
 
-    def __init__(self, source: "SourceLike", budget: BitBudget | None = None):
-        self._meter = BudgetMeter(budget)
+    def __init__(self, source: "SourceLike", bits: int = DEFAULT_BITS):
+        self._meter = BudgetMeter(bits)
         self._nums: list[int] = [1]  # numerator of S_n over x_n
         if isinstance(source, EngelSequence):
             source = factors_from_sequence(source.x)
@@ -452,8 +433,6 @@ class SeriesSource:
             self.series_class = source.series_class
             self._step, self._terms = _factor_step, [1]
         elif isinstance(source, (SecondOrderSpec, ThirdOrderSpec)):
-            # The step identities hold only for a valid spec.
-            source.validate()
             second = isinstance(source, SecondOrderSpec)
             g1 = source.g1 if second else source.h11
             self.series_class = SeriesClass.GENERIC if g1 >= 3 else SeriesClass.Z2_EQUALS_2
@@ -717,6 +696,8 @@ def parse_spec_line(line: str) -> RecurrenceSpec:
         key, eq, value = token.partition("=")
         if not eq:
             raise InvalidSpec(f"malformed token {token!r}")
+        if key in fields:
+            raise InvalidSpec(f"repeated key {key}=")
         fields[key] = value
     try:
         order = _pop_int(fields, "order")
@@ -741,4 +722,4 @@ def parse_spec_line(line: str) -> RecurrenceSpec:
         raise InvalidSpec(f"unsupported order {order}")
     if fields:
         raise InvalidSpec(f"unknown keys: {sorted(fields)}")
-    return spec.validate()
+    return spec

@@ -51,14 +51,14 @@ def check_instance(zs: FactorSequence, n_max: int) -> int:
     xs = from_factors(src, max(n_max, 1))  # shares src's terms
     checked = 0
     for n in range(4 if z2 else 3, n_max + 1):
-        rec = partial_cf(src, n)
-        if rec.cf.coeffs != expand_rational(partial_sum(xs, n)).coeffs:
+        coeffs = partial_cf(src, n).coeffs
+        if coeffs != expand_rational(partial_sum(xs, n)).coeffs:
             raise IdentityViolation(f"fold != Euclid oracle at n={n}, z={zs.z}")
-        if rec.length != (5 * 2 ** (n - 3) if z2 else 3 * 2 ** (n - 2) - 1):
-            raise IdentityViolation(f"length {rec.length} at n={n}, z={zs.z}")
-        if z2 and rec.cf.coeffs[-1] != 2:
+        if len(coeffs) != (5 * 2 ** (n - 3) if z2 else 3 * 2 ** (n - 2) - 1):
+            raise IdentityViolation(f"length {len(coeffs)} at n={n}, z={zs.z}")
+        if z2 and coeffs[-1] != 2:
             raise IdentityViolation(f"z2 final coefficient != 2 at n={n}, z={zs.z}")
-        if not z2 and not set(rec.cf.coeffs) <= generic_alphabet(zs.z[: n - 1]):
+        if not z2 and not set(coeffs) <= generic_alphabet(zs.z[: n - 1]):
             raise IdentityViolation(f"alphabet violation at n={n}, z={zs.z}")
         checked += 1
     return checked

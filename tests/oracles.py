@@ -1,11 +1,12 @@
 """Independent helpers that only the tests read: exact evaluation of a continued
 fraction, the parser of cf_text's grammar and the writer of parse_spec_line's,
-and a product tree that checks known quotients against a rational."""
+a spec built from random arguments, and a product tree that checks known
+quotients against a rational."""
 
 from fractions import Fraction
 
 from engelcf.cf import _LEAF, CFExpansion, convergent_matrix, matrix_mul
-from engelcf.exceptions import TrailingZero
+from engelcf.exceptions import InvalidSpec, TrailingZero
 from engelcf.sequences import RecurrenceSpec, SecondOrderSpec
 
 
@@ -46,6 +47,15 @@ def spec_line(spec: RecurrenceSpec) -> str:
         return f"order=2 d1={spec.d1} G={','.join(str(c) for c in spec.g)}"
     hs = ";".join(f"{i},{j},{c}" for (i, j, c) in spec.h)
     return f"order=3 e1={spec.e1} e2={spec.e2} H={hs}"
+
+
+def spec_or_none(cls, *args):
+    """cls(*args), or None when the constructor rejects the arguments: a
+    strategy maps random arguments through it and filters out the None."""
+    try:
+        return cls(*args)
+    except InvalidSpec:
+        return None
 
 
 class ProductTree:

@@ -21,7 +21,6 @@ from engelcf.asymptotics import (
 )
 from engelcf.exceptions import BitBudgetExceeded, DegenerateRoot, InvalidSpec
 from engelcf.sequences import (
-    BitBudget,
     FactorSequence,
     SecondOrderSpec,
     SeriesSource,
@@ -31,6 +30,7 @@ from engelcf.sequences import (
     lift_spec,
     ones_tail,
 )
+from oracles import spec_or_none
 
 CUBIC3 = SecondOrderSpec(3, (3,))
 AFFINE = SecondOrderSpec(3, (1, 2))
@@ -130,7 +130,7 @@ def test_empirical_growth_constant():
         lam = dominant_root(3, 1)
         assert abs(c_prime * (1 + lam) - c_parent) < mp.mpf("1e-6")
     with pytest.raises(InvalidSpec):
-        empirical_growth_constant(ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))).validate())
+        empirical_growth_constant(ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))))
 
 
 def test_growth_report_recurrence():
@@ -204,14 +204,14 @@ def test_full_report_shape():
 def test_full_report_forms_no_term_it_does_not_read():
     # The constant C reads a_1..a_5, whose bracket runs stay exact, so
     # x_1..x_5 are formed (x_5 has 113 bits, 153 are charged in all);
-    # every later a_k and every log comes from brackets. So a budget that
-    # admits x_5 but not x_6 (420 bits) changes nothing, even at n = 40,
-    # and one below x_5 still raises.
+    # every later a_k and every log comes from brackets. So a budget of 226
+    # bits, whose single-term cap of 113 admits x_5 but not x_6 (420 bits),
+    # changes nothing, even at n = 40, and 224 bits (cap 112) still raise.
     for n in (8, 11, 40):
-        store = SeriesSource(AFFINE, BitBudget(single=113, total=153))
+        store = SeriesSource(AFFINE, 226)
         assert full_report(store, n) == full_report(AFFINE, n)
     with pytest.raises(BitBudgetExceeded, match="x_5"):
-        full_report(SeriesSource(AFFINE, BitBudget(single=112)), 11)
+        full_report(SeriesSource(AFFINE, 224), 11)
 
 
 def test_a_report_runs_each_bracket_precision_once(monkeypatch):
@@ -248,17 +248,9 @@ def test_growth_table_script_prints_full_report(capsys, monkeypatch):
     assert [line for line in lines if line.startswith(("   lambda", "   C "))] == want
 
 
-def _valid(spec) -> bool:
-    try:
-        spec.validate()
-    except InvalidSpec:
-        return False
-    return True
-
-
 @given(
-    st.builds(SecondOrderSpec, st.integers(3, 6),
-              st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)).filter(_valid),
+    st.builds(spec_or_none, st.just(SecondOrderSpec), st.integers(3, 6),
+              st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)).filter(bool),
     st.integers(2, 9),
     st.integers(1, 4),
     st.sampled_from([15, 50]),

@@ -227,6 +227,8 @@ def test_spec_file_source(tmp_path, capsys):
     (["--spec-file", "order=2 d1=x G=1,2"], "d1=: 'x' is not an integer"),
     (["--spec-file", "order=two d1=3 G=1,2"], "order=: 'two' is not an integer"),
     (["--spec-file", "order=3 e1=2 e2=y H=0,0,1"], "e2=: 'y' is not an integer"),
+    (["--spec-file", "order=2 d1=3 G=1,2 G=3"], "repeated key G="),
+    (["--spec-file", "order=2 d1=3 G=1,2\n\norder=2 d1=4 G=1,1,1"], "repeated key order="),
 ])
 def test_malformed_integer_lists_are_validation_errors(tmp_path, capsys, flags, message):
     if flags[0] == "--spec-file":
@@ -235,6 +237,37 @@ def test_malformed_integer_lists_are_validation_errors(tmp_path, capsys, flags, 
         flags = ["--spec-file", str(path)]
     code, out, err = run(capsys, "gen", *flags, "--n", "3")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# Every rule of the spec constructors that the CLI's integer lists reach,
+# as a spec line (an empty G or H fails as an integer list first).
+SPEC_RULES = [
+    ("order=2 d1=2 G=1,2", "d1 must be >= 3, got 2"),
+    ("order=2 d1=3 G=1,-1", "G must have non-negative coefficients"),
+    ("order=2 d1=3 G=0,2", "G(0) must be nonzero"),
+    ("order=2 d1=3 G=1,2,0", "leading coefficient of G is zero; drop trailing zeros"),
+    ("order=2 d1=3 G=1", "G(1) must be >= 2, got 1"),
+    ("order=3 e1=0 e2=2 H=0,0,3", "e1 must be >= 1, got 0"),
+    ("order=3 e1=1 e2=1 H=0,0,3", "e2 must be >= 2, got 1"),
+    ("order=3 e1=1 e2=2 H=0,0,2;-1,0,1", "H exponents must be non-negative"),
+    ("order=3 e1=1 e2=2 H=0,0,0;1,1,2", "H terms must have positive coefficients"),
+    ("order=3 e1=1 e2=2 H=0,0,1;0,0,2", "duplicate H term for exponents (0,0)"),
+    ("order=3 e1=1 e2=2 H=1,0,2;1,1,1", "H must not be divisible by either argument"),
+    ("order=3 e1=1 e2=2 H=0,0,1", "H(1,1) must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("route", ["flags", "spec-file"])
+@pytest.mark.parametrize("line, message", SPEC_RULES)
+def test_spec_rules_are_validation_errors(tmp_path, capsys, line, message, route):
+    if route == "spec-file":
+        path = tmp_path / "spec.txt"
+        path.write_text(line + "\n")
+        flags = ["--spec-file", str(path)]
+    else:  # --d1/--G or --e1/--e2/--H
+        fields = dict(token.split("=") for token in line.split()[1:])
+        flags = [arg for key, value in fields.items() for arg in ("--" + key, value)]
+    assert run(capsys, "gen", *flags, "--n", "3") == (2, "", f"error: {message}\n")
 
 
 def test_non_ascii_spec_file_is_a_validation_error(tmp_path, capsys):

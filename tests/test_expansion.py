@@ -34,35 +34,35 @@ AFFINE = SecondOrderSpec(3, (1, 2))
 
 
 def test_generic_partial_examples():
-    assert partial_cf(FactorSequence((3, 2, 2)), 4).cf.coeffs == (
+    assert partial_cf(FactorSequence((3, 2, 2)), 4).coeffs == (
         1, 2, 1, 1, 3, 1, 1, 2, 1, 1, 2,
     )
-    assert partial_cf(FactorSequence((3, 9, 81)), 4).cf.coeffs == (
+    assert partial_cf(FactorSequence((3, 9, 81)), 4).coeffs == (
         1, 2, 1, 8, 3, 80, 1, 2, 8, 1, 2,
     )
-    assert partial_cf(FactorSequence((3, 2)), 3).cf.coeffs == (1, 2, 1, 1, 3)
+    assert partial_cf(FactorSequence((3, 2)), 3).coeffs == (1, 2, 1, 1, 3)
 
 
 def test_generic_partial_is_partial_sum():
     zs = FactorSequence((4, 3, 2, 5, 2))
     for n in range(3, 7):
         part = partial_cf(zs, n)
-        assert evaluate(part.cf) == partial_sum(from_factors(zs, n), n)
-        assert part.length == 3 * 2 ** (n - 2) - 1
+        assert evaluate(part) == partial_sum(from_factors(zs, n), n)
+        assert len(part) == 3 * 2 ** (n - 2) - 1
 
 
 def test_z2eq2_partial_examples():
     # Symbolic n = 5 display instantiated at z = (2, z3, z4, z5).
     z3, z4, z5 = 3, 4, 5
-    got = partial_cf(FactorSequence((2, z3, z4, z5)), 5).cf.coeffs
+    got = partial_cf(FactorSequence((2, z3, z4, z5)), 5).coeffs
     assert got == (
         1, 1, 1, z3 - 1, 2, z4 - 1, 1, 1, z3 - 1, 1, 1,
         z5 - 1, 2, z3 - 1, 1, 1, z4 - 1, 2, z3 - 1, 2,
     )
-    assert partial_cf(FactorSequence((2, 6, 300)), 4).cf.coeffs == (
+    assert partial_cf(FactorSequence((2, 6, 300)), 4).coeffs == (
         1, 1, 1, 5, 2, 299, 1, 1, 5, 2,
     )
-    assert partial_cf(FactorSequence((2, 2, 2)), 4).cf.coeffs == (
+    assert partial_cf(FactorSequence((2, 2, 2)), 4).coeffs == (
         1, 1, 1, 1, 2, 1, 1, 1, 1, 2,
     )
 
@@ -72,7 +72,7 @@ def test_z2eq2_equals_normalized_raw_recursion():
     # this raw S_5 with one interior zero; removing it and merging the
     # trailing unit lands on the 20-coefficient z_2 = 2 form.
     raw5 = [1, 1, 1, 2, 2, 3, 1, 1, 2, 1, 1, 4, 1, 0, 1, 2, 1, 1, 3, 2, 2, 1, 1]
-    assert normalize_zeros(raw5).coeffs == partial_cf(FactorSequence((2, 3, 4, 5)), 5).cf.coeffs
+    assert normalize_zeros(raw5).coeffs == partial_cf(FactorSequence((2, 3, 4, 5)), 5).coeffs
     assert len(normalize_zeros(raw5)) == 20
 
 
@@ -108,7 +108,7 @@ def test_fold_matches_euclid_on_every_class(zs):
     # Canonical forms agree with Euclid; every fold returns an odd length.
     src = SeriesSource(zs)
     for n in range(1, 9):
-        got = normalize_zeros(partial_cf(src, n).cf.coeffs).coeffs
+        got = normalize_zeros(partial_cf(src, n).coeffs).coeffs
         assert got == expand_rational(src.partial_sum(n)).coeffs, (zs, n)
     z = src.factors_through(8)
     cur = [1, z[0] - 1, 1]
@@ -155,18 +155,18 @@ def test_stream_finite_z2_exhaustion():
     got = stream(zs, 9)
     # S_4's final coefficient is rewritten by the next step, and z_5 is
     # missing, so only the first 9 of its 10 coefficients are certified.
-    assert got.certified == partial_cf(zs, 4).cf.coeffs[:-1]
+    assert got.certified == partial_cf(zs, 4).coeffs[:-1]
     with pytest.raises(InsufficientFactors):
         stream(zs, 10)
     # With z_5 known, the held-back tail is followed by 1, 1, z_5 - 1.
     got = stream(FactorSequence((2, 3, 4, 5)), 12)
-    assert got.certified == partial_cf(zs, 4).cf.coeffs[:-1] + (1, 1, 4)
+    assert got.certified == partial_cf(zs, 4).coeffs[:-1] + (1, 1, 4)
 
 
 def test_third_order_general_stream_matches_oracle():
     from engelcf.sequences import ThirdOrderSpec
 
-    spec = ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))).validate()
+    spec = ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1)))
     rec = stream(spec, 12).certified
     orc = stream(spec, 12, force_oracle=True).certified
     k = min(len(rec), len(orc))
@@ -188,12 +188,12 @@ def test_stream_is_prefix_of_partials():
     first = stream(zs, 12).certified
     for n in range(5, 8):
         part = partial_cf(zs, n)
-        assert part.cf.coeffs[: len(first)] == first
+        assert part.coeffs[: len(first)] == first
 
     z2 = FactorSequence((2, 3, 4, 5, 6))
     first = stream(z2, 10).certified
     part = partial_cf(z2, 6)
-    assert part.cf.coeffs[: len(first)] == first
+    assert part.coeffs[: len(first)] == first
 
 
 def test_interval_oracle_matches_recursion():
@@ -242,39 +242,39 @@ def test_length_sequences():
 
 
 def test_partial_cf_dispatch():
-    assert partial_cf(FactorSequence((3, 2)), 1).cf.coeffs == (1,)
-    assert partial_cf(FactorSequence((5,)), 2).cf.coeffs == (1, 5)
-    assert partial_cf(FactorSequence((2, 4)), 3).cf.coeffs == (1, 1, 1, 3, 2)
+    assert partial_cf(FactorSequence((3, 2)), 1).coeffs == (1,)
+    assert partial_cf(FactorSequence((5,)), 2).coeffs == (1, 5)
+    assert partial_cf(FactorSequence((2, 4)), 3).coeffs == (1, 1, 1, 3, 2)
     # S_1 and S_2 come before the first fold.
-    assert partial_cf(FactorSequence((2, 4)), 1).cf.coeffs == (1,)
-    assert partial_cf(FactorSequence((2, 4)), 2).cf.coeffs == (1, 2)
-    assert partial_cf(AFFINE, 2).cf.coeffs == (1, 3)
-    assert partial_cf(AFFINE, 4).cf.coeffs == partial_cf(
+    assert partial_cf(FactorSequence((2, 4)), 1).coeffs == (1,)
+    assert partial_cf(FactorSequence((2, 4)), 2).coeffs == (1, 2)
+    assert partial_cf(AFFINE, 2).coeffs == (1, 3)
+    assert partial_cf(AFFINE, 4).coeffs == partial_cf(
         FactorSequence((3, 21, 23877)), 4
-    ).cf.coeffs
+    ).coeffs
     # Mixed factor lists fold too.
     mixed = FactorSequence((5, 1, 2, 1))
     part = partial_cf(mixed, 4)
-    assert evaluate(part.cf) == partial_sum(from_factors(mixed, 4), 4)
+    assert evaluate(part) == partial_sum(from_factors(mixed, 4), 4)
 
 
 def test_u2_split_representative():
     # For u = 2 the reported expansion ends in a unit quotient from n = 4 on;
     # the value is that of the canonical form.
     part = partial_cf(ones_tail(2), 4)
-    assert part.cf.coeffs == (1, 1, 4, 2, 1)
-    assert evaluate(part.cf) == Fraction(29, 16)
+    assert part.coeffs == (1, 1, 4, 2, 1)
+    assert evaluate(part) == Fraction(29, 16)
     assert expand_rational(Fraction(29, 16)).coeffs == (1, 1, 4, 3)
-    assert partial_cf(ones_tail(2), 3).cf.coeffs == (1, 1, 3)
+    assert partial_cf(ones_tail(2), 3).coeffs == (1, 1, 3)
 
 
 def test_verify_step_identities():
     # The fold S_n -> S_{n+1} on final convergents: det M_n = -1,
     # p~ = z_{n+1} q p + 1 and q~ = z_{n+1} q^2 = x_{n+1}.
     def step(zs, n):
-        (p2, q2), (p, q) = convergents(partial_cf(zs, n).cf)[-2:]
+        (p2, q2), (p, q) = convergents(partial_cf(zs, n))[-2:]
         assert p * q2 - p2 * q == -1
-        p_tilde, q_tilde = convergents(partial_cf(zs, n + 1).cf)[-1]
+        p_tilde, q_tilde = convergents(partial_cf(zs, n + 1))[-1]
         z_next = zs.factor(n + 1)
         assert p_tilde == z_next * q * p + 1
         assert q_tilde == z_next * q * q == SeriesSource(zs).x(n + 1)
@@ -293,7 +293,7 @@ def test_convergent_table_shares_rows_with_step_identities():
     zs = FactorSequence((3, 2, 2, 2))
     part = partial_cf(zs, 4)
     # l_n odd makes det of the full product -1.
-    (p2, q2), (p, q) = convergents(part.cf)[-2:]
+    (p2, q2), (p, q) = convergents(part)[-2:]
     assert p * q2 - p2 * q == -1
 
 

@@ -14,7 +14,6 @@ from engelcf.exceptions import (
 )
 from engelcf.expansion import partial_cf
 from engelcf.sequences import (
-    BitBudget,
     EngelSequence,
     FactorSequence,
     SecondOrderSpec,
@@ -146,7 +145,7 @@ def test_square_divisibility_of_recurrences():
 def test_third_order_general_shape():
     # A third-order spec that is not a lift still produces integer terms
     # with the square-divisibility property.
-    spec = ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))).validate()
+    spec = ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1)))
     xs = generate_recurrence(spec, 9)
     assert xs[:3] == [1, 1, 1]
     for k in range(len(xs) - 1):
@@ -165,7 +164,7 @@ def second_order_specs(draw):
         g[-1] = max(g[-1], 1)
     if sum(g) < 2:
         g[0] += 1
-    return SecondOrderSpec(d1, tuple(g)).validate()
+    return SecondOrderSpec(d1, tuple(g))
 
 
 @given(second_order_specs())
@@ -180,6 +179,14 @@ def test_lift_identity_random_specs(spec):
         assert bigxs[k + 1] % bigxs[k] ** 2 == 0
 
 
+@given(second_order_specs())
+@settings(max_examples=40, deadline=None)
+def test_lift_parent_inverts_lift_spec(spec):
+    # The parent of a valid lifted-shape spec is itself valid, so building
+    # it never raises: d1 = e2 + 1 >= 3, and H's (0, 0) term gives G(0) != 0.
+    assert lift_spec(spec).lift_parent() == spec
+
+
 def test_engel_from_spec():
     assert from_factors(AFFINE, 4).x == (1, 3, 189, 852910317)
     assert from_factors(lift_spec(AFFINE), 4).x == (1, 3, 63, 13538259)
@@ -187,40 +194,41 @@ def test_engel_from_spec():
 
 
 def test_spec_validation():
+    # Each rule raises when the spec is built; test_values checks the messages.
     with pytest.raises(InvalidSpec):
-        SecondOrderSpec(2, (1, 2)).validate()  # d1 too small
+        SecondOrderSpec(2, (1, 2))  # d1 too small
     with pytest.raises(InvalidSpec):
-        SecondOrderSpec(3, (0, 2)).validate()  # G(0) = 0
+        SecondOrderSpec(3, (0, 2))  # G(0) = 0
     with pytest.raises(InvalidSpec):
-        SecondOrderSpec(3, (1,)).validate()  # G(1) < 2
+        SecondOrderSpec(3, (1,))  # G(1) < 2
     with pytest.raises(InvalidSpec):
-        SecondOrderSpec(3, (1, -1)).validate()
+        SecondOrderSpec(3, (1, -1))
     assert SeriesSource(SecondOrderSpec(3, (2,))).series_class is SeriesClass.Z2_EQUALS_2
     assert SeriesSource(AFFINE).series_class is not SeriesClass.Z2_EQUALS_2
 
     with pytest.raises(InvalidSpec):
-        ThirdOrderSpec(0, 2, ((0, 0, 3),)).validate()
+        ThirdOrderSpec(0, 2, ((0, 0, 3),))
     with pytest.raises(InvalidSpec):
-        ThirdOrderSpec(1, 1, ((0, 0, 3),)).validate()
+        ThirdOrderSpec(1, 1, ((0, 0, 3),))
     with pytest.raises(InvalidSpec):
         # divisible by the first argument: every term has i >= 1
-        ThirdOrderSpec(1, 2, ((1, 0, 2), (1, 1, 1))).validate()
-    ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))).validate()
+        ThirdOrderSpec(1, 2, ((1, 0, 2), (1, 1, 1)))
+    ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1)))
 
 
 def test_inexact_division_signals_bad_spec():
-    # The step identities need a valid spec; an invalid one never reaches them.
-    bad = SecondOrderSpec(0, (3, 1))
-    with pytest.raises(InvalidSpec):
-        generate_recurrence(bad, 6)
+    # The step identities need a valid spec; an invalid one is never built,
+    # so it never reaches them.
+    with pytest.raises(InvalidSpec, match="d1 must be >= 3, got 0"):
+        SecondOrderSpec(0, (3, 1))
 
 
 def test_bit_budget():
-    tiny = SeriesSource(AFFINE, BitBudget(single=64, total=256))
+    tiny = SeriesSource(AFFINE, 256)
     with pytest.raises(BitBudgetExceeded):
         generate_recurrence(tiny, 8)
     with pytest.raises(BitBudgetExceeded):
-        from_factors(SeriesSource(ones_tail(2), BitBudget(single=1 << 20, total=1 << 10)), 40)
+        from_factors(SeriesSource(ones_tail(2), 1 << 10), 40)
 
 
 def test_partial_sum_examples():
@@ -325,3 +333,14 @@ def test_spec_line_round_trip():
         parse_spec_line("order=4 d1=3 G=3")
     with pytest.raises(InvalidSpec):
         parse_spec_line("order=2 d1=3")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("order=2 d1=3 G=1,2 G=3", "G"),
+    ("order=2 d1=3 G=1,2\n\norder=2 d1=4 G=1,1,1", "order"),
+    ("order=3 e1=2 e2=2 e1=3 H=0,0,1;1,1,2", "e1"),
+])
+def test_spec_line_rejects_a_repeated_key(line, key):
+    with pytest.raises(InvalidSpec) as exc:
+        parse_spec_line(line)
+    assert str(exc.value) == f"repeated key {key}="

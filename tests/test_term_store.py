@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from engelcf.asymptotics import empirical_growth_constant, estimate_C, full_report, roth_exponents
 from engelcf.cli import main
 from engelcf import sequences
-from engelcf.exceptions import BitBudgetExceeded, InsufficientFactors, InvalidSpec
+from engelcf.exceptions import BitBudgetExceeded, InsufficientFactors
 from engelcf.expansion import EngelStream, enclosure, partial_cf, partial_lengths, stream
 from engelcf.sequences import (
-    BitBudget,
     BudgetMeter,
     FactorSequence,
     SecondOrderSpec,
@@ -27,6 +26,7 @@ from engelcf.sequences import (
     ones_tail,
 )
 from engelcf.verify import check_instance
+from oracles import spec_or_none
 
 AFFINE = SecondOrderSpec(3, (1, 2))
 
@@ -105,19 +105,12 @@ def test_store_agrees_with_reference_stepper(spec):
     check_store(spec, engel, zs, sums)
 
 
-def _valid(spec) -> bool:
-    try:
-        spec.validate()
-    except InvalidSpec:
-        return False
-    return True
-
-
 SECOND_ORDER = st.builds(
-    SecondOrderSpec,
+    spec_or_none,
+    st.just(SecondOrderSpec),
     st.integers(3, 5),
     st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple),
-).filter(_valid)
+).filter(bool)
 
 
 @st.composite
@@ -129,10 +122,10 @@ def third_order_specs(draw):
                                            st.integers(1, 3)), max_size=2)):
         terms[i, j] = c
     h = tuple((i, j, c) for (i, j), c in terms.items())
-    return ThirdOrderSpec(draw(st.integers(1, 3)), draw(st.integers(2, 3)), h)
+    return spec_or_none(ThirdOrderSpec, draw(st.integers(1, 3)), draw(st.integers(2, 3)), h)
 
 
-@given(st.one_of(SECOND_ORDER, third_order_specs().filter(_valid)))
+@given(st.one_of(SECOND_ORDER, third_order_specs().filter(bool)))
 @settings(max_examples=60, deadline=None)
 def test_step_identities_on_random_specs(spec):
     # Seven Engel terms: the raw data carry one (second order) or two
@@ -147,7 +140,7 @@ def _exact_head(v: int) -> tuple[int, int]:
 
 HEAD_SOURCES = st.one_of(
     SECOND_ORDER,
-    st.sampled_from([lift_spec(AFFINE), ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))).validate()]),
+    st.sampled_from([lift_spec(AFFINE), ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1)))]),
     st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
         lambda z: FactorSequence((z[0] + 1,) + tuple(z[1:]))),
     st.integers(2, 9).map(ones_tail),
@@ -250,8 +243,8 @@ def test_a_store_is_shared_between_calls(monkeypatch):
 
 
 # Admits x_2..x_4 of AFFINE (40 bits) but not x_5 (113 bits), nor x_5 of
-# its lift (89 bits).
-TINY = BitBudget(single=64, total=128)
+# its lift (89 bits): a single term may take half of the 128 bits.
+TINY = 128
 
 
 @pytest.mark.parametrize("spec, read", [
@@ -290,16 +283,18 @@ def test_cf_past_a_finite_factor_list_is_a_validation_error(capsys):
 
 def test_budget_refuses_a_term_before_forming_it(monkeypatch):
     # x_8 = 3^64 has at least bits(z_8) + 2*bits(x_7) - 2 = 1 + 2*51 - 2 = 101
-    # bits, over a single-term cap of 100: the store raises without
-    # multiplying and keeps x_1..x_7.
-    store = SeriesSource(ones_tail(3), BitBudget(single=100, total=1000))
-    assert store.x(7) == 3 ** 32
+    # bits, and x_2..x_7 have charged 103. One number sets both caps: half of
+    # it for a single term (100 at 200 bits, which x_8 exceeds; 101 at 202,
+    # which it meets) and all of it for the cumulative size (202, which
+    # 103 + 101 exceeds). The store raises without multiplying and keeps
+    # x_1..x_7.
     charged = _record_charges(monkeypatch)
-    with pytest.raises(BitBudgetExceeded, match="x_8 needs at least 101 bits, cap is 100"):
-        store.x(8)
-    assert charged == [] and len(store._terms) == 7
-    # The cumulative cap is checked the same way.
-    store = SeriesSource(ones_tail(3), BitBudget(single=1000, total=150))
-    with pytest.raises(BitBudgetExceeded, match="cumulative size needs at least"):
-        store.x(8)
-    assert len(store._terms) == 7
+    for bits, message in [(200, "x_8 needs at least 101 bits, cap is 100"),
+                          (202, "cumulative size needs at least 204 bits, cap is 202")]:
+        store = SeriesSource(ones_tail(3), bits)
+        assert store.x(7) == 3 ** 32
+        charged.clear()
+        with pytest.raises(BitBudgetExceeded) as exc:
+            store.x(8)
+        assert str(exc.value) == message
+        assert charged == [] and len(store._terms) == 7

@@ -17,9 +17,10 @@ from engelcf.asymptotics import (
 from engelcf.catalog import CheckResult
 from engelcf.cf import CFExpansion
 from engelcf.exceptions import DivisibilityViolation, InvalidSpec, ZeroCoefficient
-from engelcf.expansion import PartialCF, StreamResult
+from engelcf.expansion import StreamResult
 from engelcf.sequences import (
-    BitBudget,
+    DEFAULT_BITS,
+    BudgetMeter,
     EngelSequence,
     FactorSequence,
     SecondOrderSpec,
@@ -34,8 +35,6 @@ _REPORT = dict(lam=2, c_lead=1, alphas=(), C=1, C_bound=0, lambda_n_true=(),
 # cls, keyword arguments, one changed argument, and the bad arguments the
 # type rejects when it is built: (kwargs, exception, message).
 CASES = [
-    (BitBudget, dict(single=8, total=16), dict(total=17), []),
-    (PartialCF, dict(n=2, cf=CFExpansion((1, 2))), dict(n=3), []),
     (StreamResult, dict(series_class=SeriesClass.GENERIC, n_used=3, certified=(1, 2),
                         lengths=(3,)), dict(n_used=4), []),
     (GrowthRow, dict(n=2, exponent=3, holds=True), dict(holds=False), []),
@@ -61,8 +60,29 @@ CASES = [
         (dict(x=(1, 3, -9)), InvalidSpec, "non-positive term at position 3"),
         (dict(x=(1, 3, 10)), DivisibilityViolation, "square of term 2 does not divide term 3"),
     ]),
-    (SecondOrderSpec, dict(d1=3, g=(1, 2)), dict(g=(1, 3)), []),
-    (ThirdOrderSpec, dict(e1=2, e2=2, h=((0, 0, 1), (1, 1, 2))), dict(e2=3), []),
+    (SecondOrderSpec, dict(d1=3, g=(1, 2)), dict(g=(1, 3)), [
+        (dict(d1=2, g=(1, 2)), InvalidSpec, "d1 must be >= 3, got 2"),
+        (dict(d1=3, g=()), InvalidSpec, "G has no coefficients"),
+        (dict(d1=3, g=(1, -1)), InvalidSpec, "G must have non-negative coefficients"),
+        (dict(d1=3, g=(0, 2)), InvalidSpec, "G(0) must be nonzero"),
+        (dict(d1=3, g=(1, 2, 0)), InvalidSpec,
+         "leading coefficient of G is zero; drop trailing zeros"),
+        (dict(d1=3, g=(1,)), InvalidSpec, "G(1) must be >= 2, got 1"),
+    ]),
+    (ThirdOrderSpec, dict(e1=2, e2=2, h=((0, 0, 1), (1, 1, 2))), dict(e2=3), [
+        (dict(e1=0, e2=2, h=((0, 0, 3),)), InvalidSpec, "e1 must be >= 1, got 0"),
+        (dict(e1=1, e2=1, h=((0, 0, 3),)), InvalidSpec, "e2 must be >= 2, got 1"),
+        (dict(e1=1, e2=2, h=()), InvalidSpec, "H has no terms"),
+        (dict(e1=1, e2=2, h=((-1, 0, 1), (0, 0, 2))), InvalidSpec,
+         "H exponents must be non-negative"),
+        (dict(e1=1, e2=2, h=((0, 0, 0), (1, 1, 2))), InvalidSpec,
+         "H terms must have positive coefficients"),
+        (dict(e1=1, e2=2, h=((0, 0, 1), (0, 0, 2))), InvalidSpec,
+         "duplicate H term for exponents (0,0)"),
+        (dict(e1=1, e2=2, h=((1, 0, 2), (1, 1, 1))), InvalidSpec,
+         "H must not be divisible by either argument"),
+        (dict(e1=1, e2=2, h=((0, 0, 1),)), InvalidSpec, "H(1,1) must be >= 2, got 1"),
+    ]),
 ]
 
 
@@ -87,12 +107,14 @@ def test_value_semantics(cls, kwargs, changed, bad):
 
 
 def test_defaults_properties_and_normal_forms():
-    assert BitBudget() == BitBudget(1 << 25, 1 << 26)
-    assert BitBudget.from_total(100) == BitBudget(single=50, total=100)
+    # One number sets both caps: half of it for a single term.
+    meter = BudgetMeter(DEFAULT_BITS)
+    assert (meter.single, meter.total) == (1 << 25, 1 << 26)
+    assert (BudgetMeter(100).single, BudgetMeter(100).total) == (50, 100)
+    assert BudgetMeter(1).single == 1
     assert FactorSequence((3,), tail_ones=True) == ones_tail(3)
     assert FactorSequence([3, 2]) == FactorSequence((3, 2)) != FactorSequence((3, 2), True)
     assert CheckResult("t", "n", True).detail == ""
-    assert PartialCF(2, CFExpansion((1, 2))).length == 2
     assert GrowthReport(2, 0.1, (), 3).ok and not GrowthReport(2, 0.1, (), None).ok
     assert CFExpansion([1, 2]) == CFExpansion((1, 2))
     assert SecondOrderSpec(3, [1, 2]).g == (1, 2)
@@ -100,5 +122,3 @@ def test_defaults_properties_and_normal_forms():
     assert h == ((0, 0, 1), (1, 1, 2))
     # Values of different types never compare equal, even with equal fields.
     assert EngelSequence((1, 3)) != CFExpansion((1, 3))
-    with pytest.raises(InvalidSpec, match="d1 must be >= 3, got 2"):
-        SecondOrderSpec(2, (1, 2)).validate()
