@@ -37,6 +37,7 @@ from .sequences import (
     SecondOrderSpec,
     SeriesSource,
     SourceLike,
+    ThirdOrderSpec,
     _int_head,
     as_store,
 )
@@ -128,6 +129,14 @@ def _lambda_exacts(spec: SecondOrderSpec, lam, alpha, n_max: int, dps: int):
         return tuple(exacts)
 
 
+def _second_order_store(source: SourceLike) -> SeriesSource:
+    # The store of a second-order spec: the only rule the series for C covers.
+    store = as_store(source)
+    if not isinstance(store.rule, SecondOrderSpec):
+        raise InvalidSpec(f"growth analysis needs a second-order spec, got {type(store.rule).__name__}")
+    return store
+
+
 def estimate_C(source: SourceLike, dps: int = DEFAULT_DPS, rel_cut: float = 1e-15):
     """(C, tail_bound) for the leading-order constant in L_n ~ C lam^n of
     a second-order spec, or of a store of one:
@@ -141,7 +150,7 @@ def estimate_C(source: SourceLike, dps: int = DEFAULT_DPS, rel_cut: float = 1e-1
     (the a_k are non-increasing and lam > 2, so the tail is dominated by a
     geometric series).
     """
-    store = as_store(source)
+    store = _second_order_store(source)
     spec = store.rule
     return _estimate_C(spec, dominant_root(spec.d1, spec.d2, dps), _alphas(spec, store), dps, rel_cut)
 
@@ -172,7 +181,7 @@ def empirical_growth_constant(source: SourceLike, n: int = 12, dps: int = DEFAUL
     from the previous index, an estimate of the remaining drift.
     """
     store = as_store(source)
-    parent = store.rule.lift_parent()
+    parent = store.rule.lift_parent() if isinstance(store.rule, ThirdOrderSpec) else None
     if parent is None:
         raise InvalidSpec("empirical growth constant needs a lifted-shape spec")
     lam = dominant_root(parent.d1, parent.d2, dps)
@@ -191,8 +200,6 @@ class GrowthRow(NamedTuple):
 
 
 class GrowthReport(NamedTuple):
-    lam: object
-    epsilon: float
     rows: tuple[GrowthRow, ...]
     holds_from: int | None
 
@@ -233,7 +240,7 @@ def growth_report(
         if not row.holds:
             break
         holds_from = row.n
-    return GrowthReport(lam, float(epsilon), tuple(rows), holds_from)
+    return GrowthReport(tuple(rows), holds_from)
 
 
 class RothRecord(NamedTuple):
@@ -261,14 +268,11 @@ class AsymptoticsReport(NamedTuple):
     """Everything the growth analysis of one second-order spec produces."""
 
     lam: object
-    c_lead: int
-    alphas: tuple            # a_k for k = 1..n_max-1, at dps + 10 digits
     C: object
     C_bound: object
-    lambda_n_true: tuple     # log x_n for n = 0..n_max
-    lambda_n_exact: tuple    # formula reconstruction, same indices
-    growth_exponents: tuple  # (n, log x_{n+1} / log x_n) for n = 2..n_max
-    roth: "RothReport"
+    lambda_n_true: tuple   # log x_n for n = 0..n_max
+    lambda_n_exact: tuple  # formula reconstruction, same indices
+    roth: "RothReport"     # upper brackets: the growth exponents log x_{n+1} / log x_n
 
 
 def full_report(source: SourceLike, n_max: int = 10, dps: int = DEFAULT_DPS) -> AsymptoticsReport:
@@ -278,7 +282,7 @@ def full_report(source: SourceLike, n_max: int = 10, dps: int = DEFAULT_DPS) -> 
     bracket runs."""
     if n_max < 3:
         raise InvalidSpec("n_max must be >= 3")
-    store = as_store(source)
+    store = _second_order_store(source)
     spec = store.rule
     lam = dominant_root(spec.d1, spec.d2, dps)
     alpha = _alphas(spec, store)
@@ -286,17 +290,12 @@ def full_report(source: SourceLike, n_max: int = 10, dps: int = DEFAULT_DPS) -> 
     exacts = _lambda_exacts(spec, lam, alpha, n_max, dps)
     heads = [store.head(n) if n else (1, 1) for n in range(n_max + 2)]
     logs = [log_big(h, dps) for h in heads]
-    with workdps(dps):
-        growth = tuple((n, logs[n + 1] / logs[n]) for n in range(2, n_max + 1))
     return AsymptoticsReport(
         lam=lam,
-        c_lead=spec.c,
-        alphas=tuple(alpha(k) for k in range(1, n_max)),
         C=c_value,
         C_bound=c_bound,
         lambda_n_true=tuple(logs[:n_max + 1]),
         lambda_n_exact=exacts,
-        growth_exponents=growth,
         roth=_roth(heads, logs, n_max - 1, dps),
     )
 

@@ -79,7 +79,6 @@ class CheckResult(NamedTuple):
     tag: str
     name: str
     ok: bool
-    detail: str = ""
 
 
 def _value_matches(source, target: str, tol: Fraction) -> bool:
@@ -100,7 +99,7 @@ def check_cubic3() -> list[CheckResult]:
     seq = generate_recurrence(CUBIC3_SPEC, 6)
     out.append(CheckResult("cubic3", "sequence", seq == CUBIC3_SEQ))
     got = list(stream(CUBIC3_SPEC, 11).certified)
-    out.append(CheckResult("cubic3", "stream", got == CUBIC3_STREAM, str(got)))
+    out.append(CheckResult("cubic3", "stream", got == CUBIC3_STREAM))
     # With x_n = 3^(s_n), the recurrence x_{n+2} x_n = 3 x_{n+1}^3 forces
     # s_{n+2} = 3 s_{n+1} - s_n + 1 from s_0 = s_1 = 0; equivalently
     # t_n = s_n + 1 satisfies t_{n+2} = 3 t_{n+1} - t_n with t_0 = t_1 = 1.
@@ -118,16 +117,13 @@ def check_affine() -> list[CheckResult]:
     seq = generate_recurrence(AFFINE_SPEC, 6)
     out.append(CheckResult("affine", "sequence", seq == AFFINE_SEQ))
     got = list(stream(AFFINE_SPEC, 11).certified)
-    out.append(CheckResult("affine", "stream", got == AFFINE_STREAM, str(got)))
+    out.append(CheckResult("affine", "stream", got == AFFINE_STREAM))
     lam = dominant_root(3, 1)
     with workdps(60):
         ok = abs(lam - (2 + mp.sqrt(3))) < mp.mpf("1e-45")
     out.append(CheckResult("affine", "dominant root 2+sqrt(3)", ok))
     c_value, _ = estimate_C(AFFINE_SPEC)
-    out.append(
-        CheckResult("affine", "growth constant", _mp_close(c_value, AFFINE_C, AFFINE_C_TOL),
-                    mp.nstr(c_value, 12))
-    )
+    out.append(CheckResult("affine", "growth constant", _mp_close(c_value, AFFINE_C, AFFINE_C_TOL)))
     out.append(
         CheckResult("affine", "certified value", _value_matches(AFFINE_SPEC, AFFINE_S, AFFINE_S_TOL))
     )
@@ -140,12 +136,9 @@ def check_lift() -> list[CheckResult]:
     seq = generate_recurrence(lifted, 7)
     out.append(CheckResult("lift", "sequence", seq == LIFT_SEQ))
     got = list(stream(lifted, 11).certified)
-    out.append(CheckResult("lift", "stream", got == LIFT_STREAM, str(got)))
+    out.append(CheckResult("lift", "stream", got == LIFT_STREAM))
     c_value, _ = empirical_growth_constant(lifted, n=12)
-    out.append(
-        CheckResult("lift", "growth constant", _mp_close(c_value, LIFT_C, LIFT_C_TOL),
-                    mp.nstr(c_value, 10))
-    )
+    out.append(CheckResult("lift", "growth constant", _mp_close(c_value, LIFT_C, LIFT_C_TOL)))
     out.append(CheckResult("lift", "certified value", _value_matches(lifted, LIFT_S, LIFT_S_TOL)))
     xs = generate_recurrence(AFFINE_SPEC, 10)
     bigxs = generate_recurrence(lifted, 11)
@@ -161,12 +154,9 @@ def check_degenerate() -> list[CheckResult]:
     seq = generate_recurrence(DEGEN_SPEC, 6)
     out.append(CheckResult("degenerate", "sequence", seq == DEGEN_SEQ))
     got = list(stream(DEGEN_SPEC, 17).certified)[:17]
-    out.append(CheckResult("degenerate", "stream", got == DEGEN_STREAM, str(got)))
+    out.append(CheckResult("degenerate", "stream", got == DEGEN_STREAM))
     c_value, _ = estimate_C(DEGEN_SPEC)
-    out.append(
-        CheckResult("degenerate", "growth constant", _mp_close(c_value, DEGEN_C, DEGEN_C_TOL),
-                    mp.nstr(c_value, 12))
-    )
+    out.append(CheckResult("degenerate", "growth constant", _mp_close(c_value, DEGEN_C, DEGEN_C_TOL)))
     out.append(
         CheckResult("degenerate", "certified value", _value_matches(DEGEN_SPEC, DEGEN_S, DEGEN_S_TOL))
     )
@@ -179,7 +169,7 @@ def check_upow() -> list[CheckResult]:
         src = ones_tail(u)
         got = list(stream(src, 17).certified)
         ok = got[:17] == upow_pattern(u) and set(got) <= upow_alphabet(u)
-        out.append(CheckResult("upow", f"u={u} pattern and alphabet", ok, str(got[:17])))
+        out.append(CheckResult("upow", f"u={u} pattern and alphabet", ok))
     out.append(CheckResult("upow", "lengths", partial_lengths(ones_tail(4), 6) == UPOW_LENGTHS))
     return out
 
@@ -188,7 +178,7 @@ def check_kempner2() -> list[CheckResult]:
     out = []
     src = ones_tail(2)
     got = list(stream(src, 19).certified)[:19]
-    out.append(CheckResult("kempner-u2", "stream", got == KEMPNER2_STREAM, str(got)))
+    out.append(CheckResult("kempner-u2", "stream", got == KEMPNER2_STREAM))
     out.append(CheckResult("kempner-u2", "lengths", partial_lengths(src, 6) == KEMPNER2_LENGTHS))
     xs = from_factors(src, 10)
     with workdps(60):

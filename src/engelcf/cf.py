@@ -89,12 +89,11 @@ def convergents(cf: CFLike) -> tuple[tuple[int, int], ...]:
     return tuple(rows)
 
 
-def expand_rational(r, denominator: int | None = None) -> CFExpansion:
-    """Canonical continued fraction of a non-negative rational.
+def expand_rational(p: int, q: int) -> CFExpansion:
+    """Canonical continued fraction of p/q for integers p >= 0, q > 0.
 
-    With ``denominator``, ``r`` is an integer numerator and the pair is
-    expanded as given, with no gcd: Euclid's quotients do not change when
-    both operands share a factor.
+    The pair is expanded as given, with no gcd: Euclid's quotients do not
+    change when both operands share a factor.
 
     The Euclidean algorithm already yields the canonical representative:
     the last quotient divides exactly with remainder strictly smaller, so
@@ -116,17 +115,8 @@ def expand_rational(r, denominator: int | None = None) -> CFExpansion:
     window) takes one divmod step instead, so the output is Euclid's
     exactly.
     """
-    if denominator is None:
-        from fractions import Fraction
-
-        r = Fraction(r)
-        if r < 0:
-            raise InvalidSpec(f"negative rational {r}")
-        p, q = r.numerator, r.denominator
-    else:
-        p, q = r, denominator
-        if p < 0 or q <= 0:
-            raise InvalidSpec(f"need p >= 0 and q > 0, got {p}/{q}")
+    if p < 0 or q <= 0:
+        raise InvalidSpec(f"need p >= 0 and q > 0, got {p}/{q}")
     coeffs = []
     w = _WINDOW_BITS
     while q:

@@ -163,24 +163,21 @@ def cmd_stream(args) -> tuple[str, int]:
 
 def cmd_asymp(args) -> tuple[str, int]:
     source = _source_from_args(args)
-    if not isinstance(source, SecondOrderSpec):
-        raise InvalidSpec("asymp reports need a second-order spec (--d1/--G)")
     if args.n < 3:
         raise InvalidSpec("--n must be >= 3")
     if args.digits < 1:
         raise InvalidSpec("--digits must be >= 1")
     report = full_report(_store(args, source), args.n, args.digits)
+    digits = min(args.digits, 15)  # no more than the working precision gives
     rows = []
-    growth = dict(report.growth_exponents)
-    roth = {r.n: r for r in report.roth.records}
-    for n in range(2, args.n + 1):
+    for r in report.roth.records:  # n = 2..--n; the upper bracket is the growth exponent
         rows.append({
-            "n": n,
-            "log_x": mp.nstr(report.lambda_n_true[n], 15),
-            "exact": mp.nstr(report.lambda_n_exact[n], 15),
-            "growth_exp": mp.nstr(growth[n], 15),
-            "roth_lo": mp.nstr(roth[n].lower, 15),
-            "roth_hi": mp.nstr(roth[n].upper, 15),
+            "n": r.n,
+            "log_x": mp.nstr(report.lambda_n_true[r.n], digits),
+            "exact": mp.nstr(report.lambda_n_exact[r.n], digits),
+            "growth_exp": mp.nstr(r.upper, digits),
+            "roth_lo": mp.nstr(r.lower, digits),
+            "roth_hi": mp.nstr(r.upper, digits),
         })
     payload = {
         "lambda": mp.nstr(report.lam, args.digits),

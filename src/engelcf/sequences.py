@@ -411,20 +411,17 @@ class SeriesSource:
     """The memoized term store: lazy terms x_n, factors z_j and exact
     partial sums S_n of one series.
 
-    Accepts explicit factors, a recurrence spec (terms re-indexed so that
-    x_1 = 1), or an already-built sequence. Each term is generated, and
-    charged against the store's bit budget, once; functions that accept a
-    ``SourceLike`` share the terms and the budget of a store passed to them.
-    ``rule`` is the factor list or spec the terms come from.
+    Accepts explicit factors or a recurrence spec (terms re-indexed so that
+    x_1 = 1); factors_from_sequence turns a built sequence into factors.
+    Each term is generated, and charged against the store's bit budget,
+    once; functions that accept a ``SourceLike`` share the terms and the
+    budget of a store passed to them. ``rule`` is the factor list or spec
+    the terms come from.
     """
 
     def __init__(self, source: "SourceLike", bits: int = DEFAULT_BITS):
         self._meter = BudgetMeter(bits)
         self._nums: list[int] = [1]  # numerator of S_n over x_n
-        if isinstance(source, EngelSequence):
-            source = factors_from_sequence(source.x)
-        elif isinstance(source, (list, tuple)):
-            source = factors_from_sequence(source)
         self.rule = source
         # _terms is the raw sequence: a spec's all-ones initial data, then
         # x_2, x_3, ...; x_n sits at _terms[n - 1 + _pad] and z_n at the
@@ -549,8 +546,7 @@ class SeriesSource:
         return Fraction(self.numerator(n), self.x(n))
 
 
-SourceLike = Union[SeriesSource, FactorSequence, SecondOrderSpec, ThirdOrderSpec,
-                   EngelSequence, Sequence[int]]
+SourceLike = Union[SeriesSource, FactorSequence, SecondOrderSpec, ThirdOrderSpec]
 
 
 def as_store(source: SourceLike) -> SeriesSource:

@@ -52,7 +52,8 @@ def check_instance(zs: FactorSequence, n_max: int) -> int:
     checked = 0
     for n in range(4 if z2 else 3, n_max + 1):
         coeffs = partial_cf(src, n).coeffs
-        if coeffs != expand_rational(partial_sum(xs, n)).coeffs:
+        s_n = partial_sum(xs, n)  # checks that the pair (N_n, x_n) is reduced
+        if coeffs != expand_rational(s_n.numerator, s_n.denominator).coeffs:
             raise IdentityViolation(f"fold != Euclid oracle at n={n}, z={zs.z}")
         if len(coeffs) != (5 * 2 ** (n - 3) if z2 else 3 * 2 ** (n - 2) - 1):
             raise IdentityViolation(f"length {len(coeffs)} at n={n}, z={zs.z}")

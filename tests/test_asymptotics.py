@@ -189,16 +189,16 @@ def test_roth_single_record():
 
 def test_full_report_shape():
     report = full_report(AFFINE, n_max=6)
-    assert report.c_lead == 2
     assert len(report.lambda_n_true) == 7 and len(report.lambda_n_exact) == 7
     assert report.lambda_n_true[0] == 0 and report.lambda_n_true[1] == 0
-    assert [n for n, _ in report.growth_exponents] == [2, 3, 4, 5, 6]
     assert [r.n for r in report.roth.records] == [2, 3, 4, 5, 6]
     with workdps(50):
         for n in range(7):
             assert abs(report.lambda_n_true[n] - report.lambda_n_exact[n]) < mp.mpf("1e-9")
-        assert len(report.alphas) == 5
-        assert abs(report.alphas[0] - mp.log(mp.mpf(3) / 2)) < mp.mpf("1e-30")
+    with workdps(60):
+        # a_1 = log(G(x_1) / (c x_1^d2)) = log(3/2) at x_1 = 1.
+        a_1 = _alphas(AFFINE, SeriesSource(AFFINE))(1)
+        assert abs(a_1 - mp.log(mp.mpf(3) / 2)) < mp.mpf("1e-30")
 
 
 def test_full_report_forms_no_term_it_does_not_read():
@@ -302,6 +302,20 @@ def test_alpha_doubles_its_precision_then_forms_the_term(monkeypatch):
             assert got == _alpha(AFFINE, exact.x(k))
         assert precisions == tried
         assert len(store._terms) - store._pad == formed_after
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: full_report(ones_tail(3), 5),
+     "growth analysis needs a second-order spec, got FactorSequence"),
+    (lambda: estimate_C(lift_spec(AFFINE)),
+     "growth analysis needs a second-order spec, got ThirdOrderSpec"),
+    (lambda: empirical_growth_constant(AFFINE),
+     "empirical growth constant needs a lifted-shape spec"),
+], ids=["full_report", "estimate_C", "empirical_growth_constant"])
+def test_a_source_of_the_wrong_kind_is_invalid(call, message):
+    with pytest.raises(InvalidSpec) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_invalid_arguments_raise_invalid_spec():

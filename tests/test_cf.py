@@ -43,17 +43,19 @@ def test_evaluate_examples():
 
 
 def test_expand_rational_examples():
-    assert expand_rational(Fraction(25, 18)).coeffs == (1, 2, 1, 1, 3)
-    assert expand_rational(7).coeffs == (7,)
-    assert expand_rational(Fraction(3, 2)).coeffs == (1, 2)
-    assert expand_rational(0).coeffs == (0,)
+    assert expand_rational(25, 18).coeffs == (1, 2, 1, 1, 3)
+    assert expand_rational(7, 1).coeffs == (7,)
+    assert expand_rational(3, 2).coeffs == (1, 2)
+    assert expand_rational(0, 1).coeffs == (0,)
 
 
 def test_expand_rational_rejects_negative():
     with pytest.raises(InvalidSpec):
-        expand_rational(Fraction(-1, 2))
+        expand_rational(-1, 2)
     with pytest.raises(InvalidSpec):
         expand_rational(3, 0)
+    with pytest.raises(TypeError):  # the integer pair only, not a Fraction
+        expand_rational(Fraction(3, 2))
 
 
 def test_normalize_zeros_examples():
@@ -112,7 +114,8 @@ def canonical_cfs(draw):
 
 @given(canonical_cfs())
 def test_round_trip_exact(cf):
-    assert expand_rational(evaluate(cf)).coeffs == cf.coeffs
+    value = evaluate(cf)
+    assert expand_rational(value.numerator, value.denominator).coeffs == cf.coeffs
 
 
 @given(

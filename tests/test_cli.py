@@ -7,8 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from mpmath import mp, workdps
 
 from engelcf import cli, expansion
+from engelcf.asymptotics import full_report
 from engelcf.cli import COMMANDS, build_parser, main
 from engelcf.exceptions import IdentityViolation
 from engelcf.expansion import stream
@@ -136,9 +138,57 @@ def test_asymp_report(capsys):
     assert report["rows"][0]["log_x"].startswith("1.0986")
 
 
-def test_asymp_rejects_other_sources(capsys):
-    code, _, err = run(capsys, "asymp", "--z", "3,2,2", "--n", "5")
-    assert code == 2
+@pytest.mark.parametrize("flags, kind", [
+    ("--z 3,2,2", "FactorSequence"),
+    ("--u 3", "FactorSequence"),
+    ("--e1 2 --e2 2 --H 0,0,1;1,1,2", "ThirdOrderSpec"),
+])
+def test_asymp_rejects_other_sources(capsys, flags, kind):
+    code, out, err = run(capsys, "asymp", *flags.split(), "--n", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: growth analysis needs a second-order spec, got {kind}\n"
+
+
+def _significant_digits(text: str) -> int:
+    # mp.nstr writes an integral value with a trailing ".0", as in "15142.0".
+    mantissa = text.split("e")[0].lstrip("-")
+    if "." in mantissa:
+        mantissa = mantissa.rstrip("0")
+    return len(mantissa.replace(".", "").lstrip("0"))
+
+
+@pytest.mark.parametrize("n", [4, 11])
+def test_asymp_rows_stop_at_the_working_precision(capsys, n):
+    code, out, _ = run(capsys, "asymp", *AFFINE_FLAGS, "--n", str(n), "--digits", "5")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows[0]["log_x"] == "1.0986"  # log 3 = 1.0986122886681...
+    for row in rows:
+        for key, value in row.items():
+            if key != "n":
+                assert _significant_digits(value) <= 5, (row["n"], key, value)
+
+
+@pytest.mark.parametrize("spec, n", [
+    (AFFINE, 40),
+    (SecondOrderSpec(4, (1, 1, 1)), 30),
+    (SecondOrderSpec(3, (1, 1)), 20),
+    (SecondOrderSpec(3, (3,)), 12),
+])
+def test_asymp_growth_exponent_is_the_upper_roth_bracket(capsys, spec, n):
+    # The growth exponent log x_{k+1} / log x_k is the upper bracket
+    # log x_{k+1} / log q of the exponent at S_k = p/q, as q = x_k.
+    flags = ["--d1", str(spec.d1), "--G", ",".join(map(str, spec.g))]
+    code, out, _ = run(capsys, "asymp", *flags, "--n", str(n))
+    assert code == 0
+    logs = full_report(spec, n + 1).lambda_n_true
+    rows = json.loads(out)["rows"]
+    assert [row["n"] for row in rows] == list(range(2, n + 1))
+    for row in rows:
+        k = row["n"]
+        with workdps(50):
+            growth = mp.nstr(logs[k + 1] / logs[k], 15)
+        assert row["growth_exp"] == row["roth_hi"] == growth
 
 
 @pytest.mark.parametrize("digits", ["0", "-3"])

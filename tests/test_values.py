@@ -29,8 +29,8 @@ from engelcf.sequences import (
     ones_tail,
 )
 
-_REPORT = dict(lam=2, c_lead=1, alphas=(), C=1, C_bound=0, lambda_n_true=(),
-               lambda_n_exact=(), growth_exponents=(), roth=RothReport((), 0))
+_REPORT = dict(lam=2, C=1, C_bound=0, lambda_n_true=(), lambda_n_exact=(),
+               roth=RothReport((), 0))
 
 # cls, keyword arguments, one changed argument, and the bad arguments the
 # type rejects when it is built: (kwargs, exception, message).
@@ -38,11 +38,11 @@ CASES = [
     (StreamResult, dict(series_class=SeriesClass.GENERIC, n_used=3, certified=(1, 2),
                         lengths=(3,)), dict(n_used=4), []),
     (GrowthRow, dict(n=2, exponent=3, holds=True), dict(holds=False), []),
-    (GrowthReport, dict(lam=2, epsilon=0.1, rows=(), holds_from=None), dict(holds_from=2), []),
+    (GrowthReport, dict(rows=(), holds_from=None), dict(holds_from=2), []),
     (RothRecord, dict(n=2, q_bits=2, lower=2, upper=3), dict(upper=4), []),
     (RothReport, dict(records=(), delta=0), dict(delta=1), []),
     (AsymptoticsReport, _REPORT, dict(C=2), []),
-    (CheckResult, dict(tag="t", name="n", ok=True, detail=""), dict(ok=False), []),
+    (CheckResult, dict(tag="t", name="n", ok=True), dict(ok=False), []),
     (CFExpansion, dict(coeffs=(1, 2, 3)), dict(coeffs=(1, 2, 4)), [
         (dict(coeffs=()), InvalidSpec, "empty continued fraction"),
         (dict(coeffs=(-1, 2)), InvalidSpec, "a_0 must be non-negative, got -1"),
@@ -106,6 +106,13 @@ def test_value_semantics(cls, kwargs, changed, bad):
         assert str(exc.value) == message
 
 
+def test_records_carry_only_the_fields_something_reads():
+    fields = ("lam", "C", "C_bound", "lambda_n_true", "lambda_n_exact", "roth")
+    assert AsymptoticsReport._fields == fields
+    assert GrowthReport._fields == ("rows", "holds_from")
+    assert CheckResult._fields == ("tag", "name", "ok")
+
+
 def test_defaults_properties_and_normal_forms():
     # One number sets both caps: half of it for a single term.
     meter = BudgetMeter(DEFAULT_BITS)
@@ -114,8 +121,7 @@ def test_defaults_properties_and_normal_forms():
     assert BudgetMeter(1).single == 1
     assert FactorSequence((3,), tail_ones=True) == ones_tail(3)
     assert FactorSequence([3, 2]) == FactorSequence((3, 2)) != FactorSequence((3, 2), True)
-    assert CheckResult("t", "n", True).detail == ""
-    assert GrowthReport(2, 0.1, (), 3).ok and not GrowthReport(2, 0.1, (), None).ok
+    assert GrowthReport((), 3).ok and not GrowthReport((), None).ok
     assert CFExpansion([1, 2]) == CFExpansion((1, 2))
     assert SecondOrderSpec(3, [1, 2]).g == (1, 2)
     h = ThirdOrderSpec(2, 2, [(1, 1, 2), (0, 0, 1)]).h
