@@ -1,22 +1,24 @@
 """The value semantics shared by the validated types.
 
-A subclass lists its fields in ``__slots__``, in the order its ``__init__``
+A subclass lists its fields in ``_fields``, in the order its ``__init__``
 takes them, sets them once through ``_init`` and raises unless they meet its
 condition, so every instance does, copies included. Equality and hash go by
 those fields within one class, the repr names the class and the fields, and
-assignment raises.
+assignment raises. ``__slots__`` holds the fields and any cached attribute
+that is not part of the value.
 """
 
 
 class _Value:
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def _init(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+        for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -27,7 +29,7 @@ class _Value:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):

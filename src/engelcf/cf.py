@@ -14,6 +14,15 @@ interval oracle (expansion._walk) uses the same test the other way round:
 an ordered pair at some point of a known expansion proves that a second
 rational shares every quotient before that point.
 
+A kept batch's quotients multiply out to the inverse of its cosequence
+matrix [[u0, v0], [u1, v1]]: (-1)^k [[v1, -v0], [-u1, u0]] for k
+quotients. expand_rational records that product for every kept batch and
+returns the gcd of its pair, so the oracle reads the expansion's
+convergent matrix (CFExpansion.matrix) without multiplying its quotients
+out again. The matrix is formed only when read, as a balanced product of
+the batches' products and of convergent_matrix over the single divmod
+steps between them; callers that read only the coefficients pay nothing.
+
 Everything here is a pure function of immutable values and safe to call
 concurrently.
 
@@ -33,14 +42,22 @@ from .exceptions import InvalidSpec, TrailingZero, ZeroCoefficient
 class CFExpansion(_Value):
     """A finite continued fraction [a_0; a_1, ..., a_m] with no zero entries
     after a_0. Raw coefficient lists that may contain zeros stay plain
-    sequences; see normalize_zeros."""
+    sequences; see normalize_zeros.
 
-    __slots__ = ("coeffs",)
+    Besides its value, the coeffs, an expansion carries the pair it stands
+    for: ``gcd * (matrix[0], matrix[2])``. Built from coefficients, gcd is 1;
+    from expand_rational(p, q), gcd is gcd(p, q) and ``matrix`` is formed
+    from the batches Euclid kept. Neither takes part in equality, hash, repr
+    or pickling."""
+
+    __slots__ = ("coeffs", "gcd", "_batches", "_matrix")
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int]):
         if not coeffs:
             raise InvalidSpec("empty continued fraction")
         self._init(tuple(map(int, coeffs)))
+        self._pair(1, ())
         if self.coeffs[0] < 0:
             raise InvalidSpec(f"a_0 must be non-negative, got {self.coeffs[0]}")
         if min(self.coeffs[1:], default=1) > 0:
@@ -50,6 +67,40 @@ class CFExpansion(_Value):
                 raise ZeroCoefficient(f"a_{j} = 0")
             if a < 0:
                 raise InvalidSpec(f"a_{j} must be positive, got {a}")
+
+    @classmethod
+    def _from_euclid(cls, coeffs: list[int], gcd: int, batches: list) -> "CFExpansion":
+        # expand_rational's result. Euclid's quotients are ints, a_0 >= 0
+        # and the rest >= 1, so __init__'s checks are not run again.
+        out = cls.__new__(cls)
+        out._init(tuple(coeffs))
+        out._pair(gcd, batches)
+        return out
+
+    def _pair(self, gcd: int, batches):
+        # gcd, and the (start, stop, product) of each batch of quotients
+        # whose matrix product is known; the matrix is formed when read.
+        object.__setattr__(self, "gcd", gcd)
+        object.__setattr__(self, "_batches", batches)
+        object.__setattr__(self, "_matrix", None)
+
+    @property
+    def matrix(self) -> "Matrix":
+        """The convergent matrix [[p_m, p_{m-1}], [q_m, q_{m-1}]], the product
+        of the matrices [[a, 1], [1, 0]] of a_0..a_m. It is formed on first
+        read, as a balanced product of the kept batches' products and
+        convergent_matrix of the runs between them."""
+        if self._matrix is None:
+            coeffs, mats, done = self.coeffs, [], 0
+            for start, stop, m in self._batches:
+                if start > done:
+                    mats.append(convergent_matrix(coeffs[done:start]))
+                mats.append(m)
+                done = stop
+            if done < len(coeffs):
+                mats.append(convergent_matrix(coeffs[done:]))
+            object.__setattr__(self, "_matrix", _product(mats))
+        return self._matrix
 
     def __len__(self):
         return len(self.coeffs)
@@ -90,10 +141,12 @@ def convergents(cf: CFLike) -> tuple[tuple[int, int], ...]:
 
 
 def expand_rational(p: int, q: int) -> CFExpansion:
-    """Canonical continued fraction of p/q for integers p >= 0, q > 0.
+    """Canonical continued fraction of p/q for integers p >= 0, q > 0, with
+    gcd(p, q) as its ``gcd``.
 
     The pair is expanded as given, with no gcd: Euclid's quotients do not
-    change when both operands share a factor.
+    change when both operands share a factor, and its last nonzero
+    remainder is that factor.
 
     The Euclidean algorithm already yields the canonical representative:
     the last quotient divides exactly with remainder strictly smaller, so
@@ -105,44 +158,65 @@ def expand_rational(p: int, q: int) -> CFExpansion:
     batches (Lehmer, "Euclid's algorithm for large numbers", 1938): plain
     Euclid on the top 2*_WINDOW_BITS bits of p > q gives quotients
     a_1..a_k, stopping while the small remainder still has more than
-    _WINDOW_BITS bits, and their cosequence matrix gives the pair (A, B)
-    with p/q = [a_1; ..., a_k, A/B] from the full integers in four
-    multiplies. That identity holds for any a_i; the batch is kept only if
-    0 < B < A. Then the tail A/B exceeds 1 and every a_i >= 1, so each
-    partial value [a_i; ..., a_k, A/B] has integer part a_i and a fractional
-    part in (0, 1): a_1..a_k are Euclid's next quotients and (A, B) its
-    remainder pair. A rejected or empty batch (a quotient too large for the
-    window) takes one divmod step instead, so the output is Euclid's
-    exactly.
+    _WINDOW_BITS bits, and their cosequence matrix C = [[u0, v0], [u1, v1]]
+    gives the pair (A, B) = C (p, q) with p/q = [a_1; ..., a_k, A/B] from
+    the full integers in four multiplies. That identity holds for any a_i;
+    the batch is kept only if 0 < B < A. Then the tail A/B exceeds 1 and
+    every a_i >= 1, so each partial value [a_i; ..., a_k, A/B] has integer
+    part a_i and a fractional part in (0, 1): a_1..a_k are Euclid's next
+    quotients and (A, B) its remainder pair. A rejected or empty batch (a
+    quotient too large for the window) takes one divmod step instead, so
+    the output is Euclid's exactly. The rest, from 4*_WINDOW_BITS bits
+    down, is plain divmod.
+
+    The small Euclid updates only u0 and u1: C maps the window pair
+    (x0, y0) to the last small pair (x, y), so v0 = (x - u0*x0)/y0 and
+    v1 = (y - u1*x0)/y0, both exact. C is the product of the inverses
+    [[0, 1], [1, -a_i]], and det C = (-1)^k, so the product of the batch's
+    matrices [[a_i, 1], [1, 0]] is C^-1 = (-1)^k [[v1, -v0], [-u1, u0]].
+    Each kept batch records it, which costs nothing on entries of
+    _WINDOW_BITS bits; the result's ``matrix`` is formed only when read.
     """
     if p < 0 or q <= 0:
         raise InvalidSpec(f"need p >= 0 and q > 0, got {p}/{q}")
-    coeffs = []
     w = _WINDOW_BITS
+    low, batched = 1 << w, 1 << 4 * w
+    a, r = divmod(p, q)
+    coeffs = [a]
+    append = coeffs.append
+    batches = []
+    p, q = q, r
+    # Past a_0, p > q: each proposed quotient is >= 1.
+    while q >= batched:
+        shift = p.bit_length() - 2 * w
+        x0, y0 = x, y = p >> shift, q >> shift
+        u0, u1 = 1, 0
+        start = len(coeffs)
+        while y >= low:
+            a, z = divmod(x, y)
+            if z < low:
+                break
+            append(a)
+            x, y = y, z
+            u0, u1 = u1, u0 - a * u1
+        stop = len(coeffs)
+        if stop > start:
+            v0, v1 = (x - u0 * x0) // y0, (y - u1 * x0) // y0
+            big_a, big_b = u0 * p + v0 * q, u1 * p + v1 * q
+            if 0 < big_b < big_a:
+                m = (v1, -v0, -u1, u0) if (stop - start) % 2 == 0 else (-v1, v0, u1, -u0)
+                batches.append((start, stop, m))
+                p, q = big_a, big_b
+                continue
+            del coeffs[start:]
+        a, r = divmod(p, q)
+        append(a)
+        p, q = q, r
     while q:
-        # Past a_0, p > q: each proposed quotient is >= 1.
-        if coeffs and q.bit_length() > 4 * w:
-            shift = p.bit_length() - 2 * w
-            x, y = p >> shift, q >> shift
-            u0, v0, u1, v1 = 1, 0, 0, 1
-            batch = []
-            while y >> w:
-                a, z = divmod(x, y)
-                if not z >> w:
-                    break
-                batch.append(a)
-                x, y = y, z
-                u0, v0, u1, v1 = u1, v1, u0 - a * u1, v0 - a * v1
-            if batch:
-                big_a, big_b = u0 * p + v0 * q, u1 * p + v1 * q
-                if 0 < big_b < big_a:
-                    coeffs += batch
-                    p, q = big_a, big_b
-                    continue
-        a, rem = divmod(p, q)
-        coeffs.append(a)
-        p, q = q, rem
-    return CFExpansion(tuple(coeffs))
+        a, r = divmod(p, q)
+        append(a)
+        p, q = q, r
+    return CFExpansion._from_euclid(coeffs, p, batches)
 
 
 # Quotients whose matrices convergent_matrix multiplies one at a time.
@@ -171,6 +245,14 @@ def convergent_matrix(coeffs: Sequence[int]) -> Matrix:
     for a in coeffs:
         p, p2, q, q2 = a * p + p2, p, a * q + q2, q
     return p, p2, q, q2
+
+
+def _product(mats: list[Matrix]) -> Matrix:
+    # The balanced product of one or more matrices, as in convergent_matrix.
+    if len(mats) == 1:
+        return mats[0]
+    mid = len(mats) // 2
+    return matrix_mul(_product(mats[:mid]), _product(mats[mid:]))
 
 
 def normalize_zeros(raw: Sequence[int]) -> CFExpansion:

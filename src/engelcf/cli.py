@@ -163,8 +163,6 @@ def cmd_stream(args) -> tuple[str, int]:
 
 def cmd_asymp(args) -> tuple[str, int]:
     source = _source_from_args(args)
-    if args.n < 3:
-        raise InvalidSpec("--n must be >= 3")
     if args.digits < 1:
         raise InvalidSpec("--digits must be >= 1")
     report = full_report(_store(args, source), args.n, args.digits)

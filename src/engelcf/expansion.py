@@ -30,17 +30,18 @@ Two mechanisms produce the coefficients:
     det M = (-1)^c, and maps the lower endpoint, as an integer pair with
     no gcd, through M^-1. A mapped pair (A, B) with A > B > 0 proves that
     it expands as the emitted prefix followed by the expansion of A/B,
-    which Euclid computes. The upper endpoint is neither mapped nor
-    expanded: with s = z_{n+1}*x_n it is s*lo + (2, 0) exactly, so at each
-    point of the lower tail its mapped pair is s times lo's Euclid
-    remainders plus twice a column of the convergent matrix there. A walk
-    back from the tail's end finds, within two steps, a point where that
-    pair is ordered, and divmod steps from there find where the upper
-    endpoint's expansion leaves the lower one's (see _walk). M becomes the
-    convergent matrix the walk passed at the end of the newly certified
-    block. When a check fails, that advance starts again from a_0 with M
-    the identity, and a changed emitted coefficient raises
-    IdentityViolation.
+    which Euclid computes, along with the tail's convergent matrix T (from
+    the products of its batches) and gcd(A, B). The upper endpoint is
+    neither mapped nor expanded: with s = z_{n+1}*x_n it is s*lo + (2, 0)
+    exactly, so at each point of the lower tail its mapped pair is s times
+    lo's Euclid remainders plus twice a column of the convergent matrix
+    there. A walk back from the tail's end finds, within two steps, a point
+    where that pair is ordered, and divmod steps from there find where the
+    upper endpoint's expansion leaves the lower one's (see _walk). The newly
+    certified block extends the emitted prefix in place, and M becomes the
+    convergent matrix the walk passed at its end. When a check fails, that
+    advance starts again from a_0 with M the identity, and a changed
+    emitted coefficient raises IdentityViolation.
 
 Partial-sum constructions are pure; a stream is a stateful single-consumer
 object (distinct streams are independent).
@@ -239,12 +240,19 @@ class EngelStream:
         c = self._m_len
         self.lengths.append(c + len(tail) + _split_representative(src, n))
         self.n_used = n
-        if shared > 1:
-            self._set_emitted(self.emitted[:c] + list(tail[:shared - 1]))
-        if len(self.emitted) > c:
-            # After a restart the emitted prefix may be longer than this one.
-            self._m = convergent_matrix(self.emitted) if restart else f
-            self._m_len = len(self.emitted)
+        if restart:
+            # The emitted prefix may be longer than this one, and nothing
+            # proved that the two agree.
+            if shared > 1:
+                self._set_emitted(list(tail[:shared - 1]))
+            self._m = convergent_matrix(self.emitted)
+        elif shared > 1:
+            # M is the matrix of the c emitted coefficients, and _walk's
+            # checks proved that lo's expansion continues them: the new
+            # coefficients extend them in place.
+            self.emitted += tail[:shared - 1]
+            self._m = f
+        self._m_len = len(self.emitted)
 
 
 def _step_back(f: Matrix, a: int) -> Matrix:
@@ -270,8 +278,10 @@ def _walk(m: Matrix, c: int, lo: tuple[int, int], s: int):
     D = (-1)^(c+k) and maps lo to Euclid's remainders (r_k, r_{k+1}) of
     A/B, so it maps hi to H_k = s*(r_k, r_{k+1}) + 2D*(q', -q). The walk
     starts at k = len(tail), where the remainders are (g, 0) with
-    g = B // q_tail, and steps back (r <- a*r + r', F <- F*[[0, 1],
-    [1, -a]]) until H_k is ordered, 0 < H_k[1] < H_k[0]. As in
+    g = gcd(A, B) and F = M*T for the tail's convergent matrix T. The
+    Euclid pass that expands A/B yields both g and T, so no quotient is
+    multiplied out twice. The walk steps back (r <- a*r + r',
+    F <- F*[[0, 1], [1, -a]]) until H_k is ordered, 0 < H_k[1] < H_k[0]. As in
     expand_rational, hi then shares the first k tail quotients. For k up
     to the shared count H_k is hi's own Euclid pair, ordered unless hi's
     expansion ends at k, so the walk stops at that count or one before
@@ -294,10 +304,9 @@ def _walk(m: Matrix, c: int, lo: tuple[int, int], s: int):
     a, b = det * (q2 * num - p2 * den), det * (p * den - q * num)
     if not 0 < b < a:
         return None
-    tail = expand_rational(a, b).coeffs
-    t = convergent_matrix(tail)
-    k, f = len(tail), matrix_mul(m, t)
-    r, r2 = b // t[2], 0
+    euclid = expand_rational(a, b)
+    tail, f, r, r2 = euclid.coeffs, matrix_mul(m, euclid.matrix), euclid.gcd, 0
+    k = len(tail)
     sign = -det if k % 2 else det
     while True:
         hp, hq = s * r + 2 * sign * f[3], s * r2 - 2 * sign * f[2]

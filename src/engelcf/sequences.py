@@ -76,7 +76,7 @@ class FactorSequence(_Value):
     u^(-4) + ... arise (all factors 1 from z_3 on).
     """
 
-    __slots__ = ("z", "tail_ones")
+    __slots__ = _fields = ("z", "tail_ones")
 
     def __init__(self, z: Sequence[int], tail_ones: bool = False):
         self._init(tuple(int(v) for v in z), tail_ones)
@@ -141,7 +141,7 @@ def _factor_walk(xs: Sequence[int]) -> list[int]:
 class EngelSequence(_Value):
     """Terms x_1 = 1 < x_2 <= x_3 ... with x_n^2 | x_{n+1}."""
 
-    __slots__ = ("x",)
+    __slots__ = _fields = ("x",)
 
     def __init__(self, x: Sequence[int]):
         xs = tuple(int(v) for v in x)
@@ -205,7 +205,7 @@ class SecondOrderSpec(_Value):
     degenerate family whose series has z_2 = 2.
     """
 
-    __slots__ = ("d1", "g")
+    __slots__ = _fields = ("d1", "g")
 
     def __init__(self, d1: int, g: Sequence[int]):
         self._init(d1, tuple(int(c) for c in g))
@@ -250,7 +250,7 @@ class ThirdOrderSpec(_Value):
     either argument, i.e. some term has i = 0 and some term has j = 0.
     """
 
-    __slots__ = ("e1", "e2", "h")
+    __slots__ = _fields = ("e1", "e2", "h")
 
     def __init__(self, e1: int, e2: int, h: Sequence[tuple[int, int, int]]):
         self._init(e1, e2, tuple(sorted((int(i), int(j), int(c)) for (i, j, c) in h)))

@@ -191,6 +191,12 @@ def test_asymp_growth_exponent_is_the_upper_roth_bracket(capsys, spec, n):
         assert row["growth_exp"] == row["roth_hi"] == growth
 
 
+@pytest.mark.parametrize("n", ["2", "0"])
+def test_asymp_rejects_n_below_3(capsys, n):
+    # full_report holds the only check on n.
+    assert run(capsys, "asymp", *AFFINE_FLAGS, "--n", n) == (2, "", "error: n_max must be >= 3\n")
+
+
 @pytest.mark.parametrize("digits", ["0", "-3"])
 def test_asymp_rejects_non_positive_digits(capsys, digits):
     code, out, err = run(capsys, "asymp", "--d1", "3", "--G", "1,2", "--n", "5", "--digits", digits)
@@ -479,6 +485,9 @@ def test_asymp_output_is_unchanged(capsys, n, digest):
     ("--u 7 --K 20000", "57a2ed33df3d4ebe6309d772c5ffe8be11539c60ef8dc61f0e733bea33c26730"),
     ("--z 5,1,2,1,3,1,1,2,1,4,1,1 --K 100",
      "e2675d56d57d20b68b212bdcd138ead5f4ba84aacc7737d9c735b27a75a6a9e3"),
+    # Factors above 2^256 give quotients wider than Euclid's window.
+    (f"--z 3,1,{2 ** 256 + 297},1,2,1,1,{3 ** 300},1,1,1,1,1 --K 3000",
+     "5f41292e90de0bce0203d7115f899b10948c24242658585477a8775e2dad89cb"),
 ])
 def test_oracle_stream_json_is_unchanged(capsys, flags, digest):
     # sha256 of the stdout that the oracle printed when it followed the

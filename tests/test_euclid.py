@@ -3,9 +3,12 @@ quotients, against a plain divmod loop.
 
 Each expand_rational test runs at the module's window and again at a
 16-bit window, where inputs past 64 bits already take accepted batches,
-rejected batches and single-step fallbacks.
+rejected batches and single-step fallbacks. It also checks the convergent
+matrix and gcd that the same pass yields, and that neither is part of the
+expansion's value.
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engelcf.cf as cf
-from engelcf.cf import convergent_matrix, convergents, expand_rational
+from engelcf.cf import CFExpansion, convergent_matrix, convergents, expand_rational
 from engelcf.expansion import SeriesSource
 from engelcf.sequences import ones_tail
 from oracles import ProductTree
@@ -32,12 +35,18 @@ def euclid_reference(p: int, q: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def check(r: Fraction, window: int):
+def check(p: int, q: int, window: int):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cf, "_WINDOW_BITS", window)
-        got = expand_rational(r.numerator, r.denominator).coeffs
-    assert got == euclid_reference(r.numerator, r.denominator)
-    return got
+        got = expand_rational(p, q)
+    coeffs = euclid_reference(p, q)
+    assert got.coeffs == coeffs
+    assert got.matrix == convergent_matrix(coeffs)
+    assert (got.gcd * got.matrix[0], got.gcd * got.matrix[2]) == (p, q)
+    plain = CFExpansion(coeffs)
+    assert (got, hash(got), repr(got)) == (plain, hash(plain), repr(plain))
+    assert pickle.dumps(got) == pickle.dumps(plain)
+    return coeffs
 
 
 def _sized(bits: int):
@@ -46,12 +55,12 @@ def _sized(bits: int):
 
 @st.composite
 def rationals_around_threshold(draw, window):
-    # Numerator and denominator sizes on both sides of the batching
-    # threshold 4 * window, with either one the larger.
+    # A pair (p, q), not reduced, with sizes on both sides of the batching
+    # threshold 4 * window and either one the larger.
     top = 8 * window + 64
     p = draw(st.integers(0, top).flatmap(_sized))
     q = draw(st.integers(1, top).flatmap(_sized))
-    return Fraction(p, q)
+    return p, q
 
 
 @st.composite
@@ -75,7 +84,7 @@ def expansions(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_random_rationals_match_plain_euclid(window, data):
-    check(data.draw(rationals_around_threshold(window)), window)
+    check(*data.draw(rationals_around_threshold(window)), window)
 
 
 @pytest.mark.parametrize("window", WINDOWS)
@@ -83,17 +92,19 @@ def test_random_rationals_match_plain_euclid(window, data):
 @given(expansions())
 def test_built_expansions_come_back(window, coeffs):
     p, q = convergents(coeffs)[-1]
-    assert check(Fraction(p, q), window) == coeffs
+    assert check(p, q, window) == coeffs
 
 
 @pytest.mark.parametrize("window", WINDOWS)
 def test_edge_values(window):
     big = 3 ** 2000
-    assert check(Fraction(0), window) == (0,)
-    assert check(Fraction(big), window) == (big,)  # q = 1
-    assert check(Fraction(big - 1, big), window)[0] == 0  # p < q
-    assert check(Fraction(1, big), window) == (0, big)
-    assert check(Fraction(big, big + 1), window)[:2] == (0, 1)
+    assert check(0, 1, window) == (0,)
+    assert check(0, big, window) == (0,)  # the gcd is q
+    assert check(big, 1, window) == (big,)  # q = 1
+    assert check(big - 1, big, window)[0] == 0  # p < q
+    assert check(1, big, window) == (0, big)
+    assert check(big, big + 1, window)[:2] == (0, 1)
+    assert check(big * (big + 2), big * (big - 1), window)[0] == 1  # the gcd is big
 
 
 @pytest.mark.parametrize("window", WINDOWS)
@@ -103,17 +114,17 @@ def test_ones_tail_oracle_endpoints(window):
     lo = src.partial_sum(16)
     hi = lo + Fraction(2, src.x(17))
     assert (lo.denominator.bit_length(), hi.denominator.bit_length()) == (25969, 51937)
-    check(lo, window)
-    check(hi, window)
+    check(lo.numerator, lo.denominator, window)
+    check(hi.numerator, hi.denominator, window)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pair_expansion_needs_no_gcd(data):
-    r = data.draw(rationals_around_threshold(cf._WINDOW_BITS))
+    p0, q0 = data.draw(rationals_around_threshold(cf._WINDOW_BITS))
     g = data.draw(st.integers(1, 1 << 100))
-    p, q = r.numerator * g, r.denominator * g
-    reduced = expand_rational(r.numerator, r.denominator).coeffs
+    p, q = p0 * g, q0 * g
+    reduced = expand_rational(p0, q0).coeffs
     assert expand_rational(p, q).coeffs == euclid_reference(p, q) == reduced
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from engelcf import expansion
+from engelcf import cf, expansion
 from engelcf.cf import convergent_matrix, convergents, expand_rational, matrix_mul, normalize_zeros
 from engelcf.exceptions import IdentityViolation, InsufficientFactors, InvalidSpec
 from engelcf.expansion import (
@@ -542,3 +542,22 @@ def test_resumed_oracle_expands_each_coefficient_about_once(monkeypatch):
     monkeypatch.setattr(expansion, "expand_rational", counting)
     got = stream(ones_tail(3), 15000)
     assert len(got.certified) <= sum(returned) <= 2 * len(got.certified)
+
+
+def test_the_oracle_multiplies_out_under_half_of_its_quotients(monkeypatch):
+    # Euclid's kept batches hand the walk their quotient products, so only
+    # its single divmod steps go through convergent_matrix's per-quotient
+    # loop. Multiplying every tail quotient out again would count more
+    # than the certified coefficients.
+    looped = [0]
+    original = cf.convergent_matrix
+
+    def counting(coeffs):
+        if len(coeffs) <= cf._LEAF:
+            looped[0] += len(coeffs)
+        return original(coeffs)
+
+    monkeypatch.setattr(cf, "convergent_matrix", counting)
+    monkeypatch.setattr(expansion, "convergent_matrix", counting)
+    got = stream(ones_tail(3), 15000)
+    assert 0 < looped[0] < len(got.certified) / 2
