@@ -27,7 +27,6 @@ from .exceptions import (
     ZeroCoefficient,
 )
 from .sequences import (
-    EngelSequence,
     FactorSequence,
     RecurrenceSpec,
     SecondOrderSpec,

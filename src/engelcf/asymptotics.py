@@ -137,7 +137,7 @@ def _second_order_store(source: SourceLike) -> SeriesSource:
     return store
 
 
-def estimate_C(source: SourceLike, dps: int = DEFAULT_DPS, rel_cut: float = 1e-15):
+def estimate_C(source: SourceLike, dps: int = DEFAULT_DPS):
     """(C, tail_bound) for the leading-order constant in L_n ~ C lam^n of
     a second-order spec, or of a store of one:
 
@@ -145,20 +145,21 @@ def estimate_C(source: SourceLike, dps: int = DEFAULT_DPS, rel_cut: float = 1e-1
             + (1/(lam-1/lam)) * sum_{k>=1} lam^-k a_k.
 
     Terms are non-negative and decay doubly exponentially; summation stops
-    once the next term falls below ``rel_cut`` of the running value (or
-    after 60 terms), and the dropped tail is bounded by twice that term
-    (the a_k are non-increasing and lam > 2, so the tail is dominated by a
-    geometric series).
+    once twice the next term falls below _C_REL_CUT of the running value
+    (or after _C_MAX_TERMS terms), and the dropped tail is bounded by twice
+    that term (the a_k are non-increasing and lam > 2, so the tail is
+    dominated by a geometric series).
     """
     store = _second_order_store(source)
     spec = store.rule
-    return _estimate_C(spec, dominant_root(spec.d1, spec.d2, dps), _alphas(spec, store), dps, rel_cut)
+    return _estimate_C(spec, dominant_root(spec.d1, spec.d2, dps), _alphas(spec, store), dps)
 
 
 _C_MAX_TERMS = 60  # the most terms lam^-k a_k that C sums
+_C_REL_CUT = 1e-15  # the share of C below which twice the next term stops the sum
 
 
-def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int, rel_cut: float = 1e-15):
+def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int):
     with workdps(dps + 10):
         lami = 1 / lam
         denom = lam - lami
@@ -168,7 +169,7 @@ def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int, rel_cut: float = 1e
             k += 1
             c_value += lami**k * alpha(k) / denom
             next_term = lami ** (k + 1) * alpha(k + 1) / denom
-            if 2 * next_term < rel_cut * c_value or k >= _C_MAX_TERMS:
+            if 2 * next_term < _C_REL_CUT * c_value or k >= _C_MAX_TERMS:
                 return c_value, 2 * next_term
 
 

@@ -182,7 +182,7 @@ def check_kempner2() -> list[CheckResult]:
     out.append(CheckResult("kempner-u2", "lengths", partial_lengths(src, 6) == KEMPNER2_LENGTHS))
     xs = from_factors(src, 10)
     with workdps(60):
-        report = growth_report(xs.x, 2 + mp.sqrt(3), 0.1)
+        report = growth_report(xs, 2 + mp.sqrt(3), 0.1)
         flat = all(abs(row.exponent - 2) < mp.mpf("1e-12") for row in report.rows)
     out.append(CheckResult("kempner-u2", "squaring growth", flat and not report.ok))
     return out

@@ -76,22 +76,16 @@ _IDENTITY = (1, 0, 0, 1)
 
 
 def _fold(cur: list[int], z: int) -> list[int]:
-    # The odd-length representative of S_n to that of S_{n+1}: fold, remove
-    # the junction's zeros, and split a canonical result of even length.
-    # Only z-1 and a_l-1 can be 0, and [a, 0, b] -> [a+b] never forms a 0,
-    # so normalize_zeros' rule repairs the window [a_l, z-1, 1, a_l-1, a_{l-1}].
+    # The odd-length representative of S_n to that of S_{n+1}: fold and
+    # remove the junction's zeros. Only z-1 and a_l-1 can be 0, and
+    # [a, 0, b] -> [a+b] never forms a 0, so normalize_zeros' rule repairs
+    # the window [a_l, z-1, 1, a_l-1, a_{l-1}]. From L = len(cur) entries
+    # and m merges the result has (L-1) + (5-2m) + (L-3) = 2L+1-2m: odd.
     window = [cur[-1], z - 1, 1, cur[-1] - 1, cur[-2]]
     _merge_zeros(window)
     out = cur[:-1]
     out += window
     out += cur[-3:0:-1]
-    if len(out) % 2 == 0:
-        # The other representative of the same value: merge a final 1,
-        # or split a final a >= 2 into a-1, 1.
-        if out[-1] == 1:
-            out[-2:] = [out[-2] + 1]
-        else:
-            out[-1:] = [out[-1] - 1, 1]
     return out
 
 
@@ -181,8 +175,8 @@ class EngelStream:
         self._cur: list[int] | None = None
         self._n = 1
         # The oracle's resume state: the product of the matrices
-        # [[a, 1], [1, 0]] of the first _m_len emitted coefficients.
-        self._m, self._m_len = _IDENTITY, 0
+        # [[a, 1], [1, 0]] of the emitted coefficients.
+        self._m = _IDENTITY
 
     def take(self, count: int) -> list[int]:
         """Advance until at least ``count`` coefficients are certified and
@@ -231,13 +225,13 @@ class EngelStream:
         # lo = S_n as a pair; hi = S_n + 2/x_{n+1} is s*lo + (2, 0).
         lo = (src.numerator(n), src.x(n))
         s = src.factor(n + 1) * lo[1]
-        walk = _walk(self._m, self._m_len, lo, s)
+        c = len(self.emitted)
+        walk = _walk(self._m, c, lo, s)
         restart = walk is None
         if restart:  # start again from a_0
-            self._m, self._m_len = _IDENTITY, 0
+            self._m, c = _IDENTITY, 0
             walk = _walk(self._m, 0, lo, s)
         tail, _, shared, f = walk
-        c = self._m_len
         self.lengths.append(c + len(tail) + _split_representative(src, n))
         self.n_used = n
         if restart:
@@ -252,7 +246,6 @@ class EngelStream:
             # coefficients extend them in place.
             self.emitted += tail[:shared - 1]
             self._m = f
-        self._m_len = len(self.emitted)
 
 
 def _step_back(f: Matrix, a: int) -> Matrix:

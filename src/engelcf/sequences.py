@@ -10,7 +10,10 @@ recurrences whose all-ones initial data force integrality, and from
 power-sum exponent lists; it also inverts a sequence back to its factors
 and computes exact partial sums of the reciprocals.
 
-Every source supplies z_{k+1} and the term store forms x_{k+1}. A
+Every source supplies z_{k+1} and the term store forms x_{k+1}, so the
+terms it hands out satisfy x_k^2 | x_{k+1} by construction and are never
+re-checked. Terms from outside the program are checked where they come in:
+factors_from_sequence and partial_sum divide each one exactly. A
 recurrence supplies it by step identities that write z_{k+1} as a product
 of integer powers, so nothing is divided; the tests keep the dividing
 recurrence as the oracle.
@@ -138,29 +141,15 @@ def _factor_walk(xs: Sequence[int]) -> list[int]:
     return z
 
 
-class EngelSequence(_Value):
-    """Terms x_1 = 1 < x_2 <= x_3 ... with x_n^2 | x_{n+1}."""
-
-    __slots__ = _fields = ("x",)
-
-    def __init__(self, x: Sequence[int]):
-        xs = tuple(int(v) for v in x)
-        self._init(xs)
-        if not xs or xs[0] != 1:
-            raise InvalidSpec("sequence must start with x_1 = 1")
-        _factor_walk(xs)
-
-    def __len__(self):
-        return len(self.x)
-
-
-def from_factors(source: "SourceLike", n: int) -> EngelSequence:
-    """x_1..x_n of any source in the Engel indexing (leading 1s collapsed)."""
+def from_factors(source: "SourceLike", n: int) -> list[int]:
+    """x_1..x_n of any source in the Engel indexing (leading 1s collapsed),
+    as a new list. The store forms x_{k+1} = z_{k+1} * x_k^2, so x_k^2
+    divides x_{k+1} by construction and no term is divided again."""
     if n < 1:
         raise InvalidSpec("n must be >= 1")
     src = as_store(source)
     src._grow(n + src._pad)
-    return EngelSequence(tuple(src._terms[src._pad:n + src._pad]))
+    return src._terms[src._pad:n + src._pad]
 
 
 def strip_leading_ones(raw: Sequence[int]) -> tuple[int, ...]:
@@ -597,8 +586,12 @@ def closed_form_numerator(z: Sequence[int], n: int) -> int:
     return total
 
 
-def partial_sum(x: EngelSequence | Sequence[int], n: int) -> "Fraction":
-    """Exact S_n = sum_{j=1}^{n} 1/x_j.
+def partial_sum(x: Sequence[int], n: int) -> "Fraction":
+    """Exact S_n = sum_{j=1}^{n} 1/x_j of a list of terms x_1, x_2, ...
+
+    The terms may come from anywhere, so x_1..x_n are checked before they
+    are summed: InvalidSpec unless x_1 = 1 and every term is positive,
+    DivisibilityViolation where x_{j-1}^2 does not divide x_j.
 
     The reduced denominator equals x_n: the closed-form numerator is
     congruent to 1 modulo every prime dividing x_n. The naive summation is
@@ -606,15 +599,18 @@ def partial_sum(x: EngelSequence | Sequence[int], n: int) -> "Fraction":
     """
     from fractions import Fraction
 
-    xs = x.x if isinstance(x, EngelSequence) else tuple(int(v) for v in x)
+    xs = tuple(int(v) for v in x)
     if not 1 <= n <= len(xs):
         raise InvalidSpec(f"n must be in 1..{len(xs)}")
+    if xs[0] != 1:
+        raise InvalidSpec("sequence must start with x_1 = 1")
+    z = _factor_walk(xs[:n])
     naive = Fraction(0)
     for v in xs[:n]:
         naive += Fraction(1, v)
     if naive.denominator != xs[n - 1]:
         raise IdentityViolation(f"reduced denominator {naive.denominator} != x_{n}")
-    if closed_form_numerator(_factor_walk(xs[:n]), n) != naive.numerator:
+    if closed_form_numerator(z, n) != naive.numerator:
         raise IdentityViolation(f"closed-form numerator mismatch at n = {n}")
     return naive
 

@@ -153,7 +153,7 @@ def test_criterion_6_power_sum_series():
     assert got[:19] == [1, 1, 4, 2, 4, 4, 6, 4, 2, 4, 6, 2, 4, 6, 4, 4, 2, 4, 6]
     assert partial_lengths(ones_tail(2), 6) == [1, 2, 3, 5, 7, 11]
     xs = from_factors(ones_tail(2), 10)
-    report = growth_report(xs.x, dominant_root(3, 1), 0.1)
+    report = growth_report(xs, dominant_root(3, 1), 0.1)
     assert all(abs(row.exponent - 2) < mp.mpf("1e-12") for row in report.rows)
     assert not report.ok  # the squaring regime never reaches lam - eps > 2
     _report(6, "power-sum series displays and lengths", t0, 10.0)

@@ -102,9 +102,10 @@ def test_estimate_C_reference_values():
         assert bound == 0
 
 
-def test_estimate_C_truncation_shrinks():
-    loose, loose_bound = estimate_C(AFFINE, rel_cut=1e-6)
-    tight, tight_bound = estimate_C(AFFINE, rel_cut=1e-15)
+def test_estimate_C_truncation_shrinks(monkeypatch):
+    tight, tight_bound = estimate_C(AFFINE)
+    monkeypatch.setattr(asymptotics, "_C_REL_CUT", 1e-6)
+    loose, loose_bound = estimate_C(AFFINE)
     assert abs(loose - tight) <= loose_bound
     assert tight_bound <= loose_bound
 
@@ -146,7 +147,7 @@ def test_growth_report_recurrence():
 def test_growth_report_ones_tail():
     lam = dominant_root(3, 1)
     xs = from_factors(ones_tail(5), 9)
-    report = growth_report(xs.x, lam, 0.1)
+    report = growth_report(xs, lam, 0.1)
     assert all(abs(row.exponent - 2) < mp.mpf("1e-12") for row in report.rows)
     assert not report.ok
 

@@ -22,7 +22,7 @@ def test_convergents_single_coefficient():
 def test_final_denominator_is_x3():
     # S_3 for factors (3, 9): the final convergent denominator must be x_3.
     xs = from_factors(FactorSequence((3, 9)), 3)
-    assert xs.x == (1, 3, 81)
+    assert xs == [1, 3, 81]
     p, q = convergents([1, 2, 1, 8, 3])[-1]
     assert Fraction(p, q) == Fraction(1, 1) + Fraction(1, 3) + Fraction(1, 81)
     assert q == 81

@@ -37,12 +37,16 @@ def test_gen_recurrence(capsys):
     assert lines[1:] == [
         "1", "1", "3", "189", "852910317", "5599917937724687764238078261637795",
     ]
+    code, out, _ = run(capsys, "gen", "--d1", "3", "--G", "1,2", "--n", "5", "--json")
+    assert (code, out) == (0, '{"x": ["1", "1", "3", "189", "852910317"]}\n')
 
 
 def test_gen_factors_with_comment(capsys):
     code, out, _ = run(capsys, "gen", "--z", "3,9,81", "--n", "4")
     assert code == 0
     assert out.splitlines() == ["# engel-seq v1", "# z: 3,9,81", "1", "3", "81", "531441"]
+    code, out, _ = run(capsys, "gen", "--z", "3,9", "--n", "3", "--json")
+    assert (code, out) == (0, '{"x": ["1", "3", "81"], "z": "3,9"}\n')
 
 
 def test_gen_validation_exit_code(capsys):
@@ -111,6 +115,7 @@ def test_stream_examples(capsys):
     assert (code, out) == (0, "[1;2,1,20,3,23876,1,2,20,1,2]\n")
     code, out, _ = run(capsys, "stream", "--z", "5,1,2,1", "--K", "5")
     assert (code, out) == (0, "[1;4,6,1,1]\n")
+    assert run(capsys, "stream", "--u", "3", "--K", "0") == (2, "", "error: --K must be >= 1\n")
 
 
 def test_stream_json_record(capsys):
@@ -221,6 +226,13 @@ def test_verify_suites(capsys):
     assert code == 0 and "7 terms" in out
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--z", "3,2,2,2", "--n", "5")
     assert code == 0 and "2 doubling steps" in out
+    code, out, _ = run(capsys, "verify", "--suite", "generic", "--trials", "2", "--json")
+    record = json.loads(out)
+    assert code == 0 and list(record) == ["ok", "detail"]
+    assert record == {"ok": True, "detail": ["ok generic: 2 trials, 10 expansions checked"]}
+    for suite, message in [("lift", "--suite lift needs --d1/--G"),
+                           ("identities", "--suite identities needs --z")]:
+        assert run(capsys, "verify", "--suite", suite) == (2, "", f"error: {message}\n")
 
 
 def test_paper_examples_all_pass(capsys):
@@ -238,6 +250,11 @@ def test_paper_examples_only(capsys):
     assert body and all("affine" in line for line in body)
     code, out, _ = run(capsys, "paper-examples", "--only", "kempner-u2")
     assert code == 0
+    code, out, _ = run(capsys, "paper-examples", "--only", "upow", "--json")
+    record = json.loads(out)
+    assert code == 0 and record["ok"] is True
+    assert len(record["results"]) == 9
+    assert all(r["tag"] == "upow" and r["ok"] for r in record["results"])
     code, _, err = run(capsys, "paper-examples", "--only", "nosuch")
     assert code == 2
     assert err.startswith("error: unknown example tag 'nosuch'")
@@ -285,13 +302,22 @@ def test_spec_file_source(tmp_path, capsys):
     (["--spec-file", "order=3 e1=2 e2=y H=0,0,1"], "e2=: 'y' is not an integer"),
     (["--spec-file", "order=2 d1=3 G=1,2 G=3"], "repeated key G="),
     (["--spec-file", "order=2 d1=3 G=1,2\n\norder=2 d1=4 G=1,1,1"], "repeated key order="),
+    (["--spec-file", "order=2 d1=3 G"], "malformed token 'G'"),
+    (["--spec-file", "d1=3 G=1,2"], "missing order="),
+    (["--spec-file", "order=3 e1=2 e2=2"], "missing 'H' for order=3"),
+    (["--spec-file", "order=2 d1=3 G=1,2 x=1"], "unknown keys: ['x']"),
+    (["--d1", "3"], "--d1 and --G must be given together"),
+    (["--e1", "2"], "--e1, --e2 and --H must be given together"),
+    (["--u", "3", "--bits", "63"], "--bits must be at least 64"),
+    (["--u", "3", "--n", "0"], "--n must be >= 1"),
 ])
 def test_malformed_integer_lists_are_validation_errors(tmp_path, capsys, flags, message):
     if flags[0] == "--spec-file":
         path = tmp_path / "spec.txt"
         path.write_text(flags[1] + "\n")
         flags = ["--spec-file", str(path)]
-    code, out, err = run(capsys, "gen", *flags, "--n", "3")
+    # --n 3 comes first, so that a row's own --n replaces it.
+    code, out, err = run(capsys, "gen", "--n", "3", *flags)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

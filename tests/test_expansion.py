@@ -106,7 +106,9 @@ _FOLD_SOURCES = st.one_of(
 @given(_FOLD_SOURCES)
 @settings(max_examples=80, deadline=None)
 def test_fold_matches_euclid_on_every_class(zs):
-    # Canonical forms agree with Euclid; every fold returns an odd length.
+    # Canonical forms agree with Euclid. A fold of L entries with m zero
+    # merges (one for z = 1, one for a final 1) returns 2L+1-2m entries,
+    # an odd length, and the value S_{n+1}.
     src = SeriesSource(zs)
     for n in range(1, 9):
         got = normalize_zeros(partial_cf(src, n).coeffs).coeffs
@@ -114,9 +116,13 @@ def test_fold_matches_euclid_on_every_class(zs):
         assert got == expand_rational(s_n.numerator, s_n.denominator).coeffs, (zs, n)
     z = src.factors_through(8)
     cur = [1, z[0] - 1, 1]
-    for z_next in z[1:]:
-        cur = _fold(cur, z_next)
-        assert len(cur) % 2 == 1
+    for n, z_next in enumerate(z[1:], start=3):
+        merges = (z_next == 1) + (cur[-1] == 1)
+        folded = _fold(cur, z_next)
+        assert len(folded) == 2 * len(cur) + 1 - 2 * merges
+        assert len(folded) % 2 == 1
+        assert evaluate(folded) == src.partial_sum(n)
+        cur = folded
 
 
 def test_stream_examples():
@@ -487,7 +493,8 @@ def test_the_walk_from_the_end_finds_the_follows_count(case):
     while len(es.emitted) < count:
         n = max(es._n + 1, 2)
         lo, hi = (src.numerator(n), src.x(n)), (src.numerator(n + 1) + 1, src.x(n + 1))
-        tail, start, _, _ = _check_walk(es._m, es._m_len, lo, hi, src.factor(n + 1) * src.x(n))
+        s = src.factor(n + 1) * src.x(n)
+        tail, start, _, _ = _check_walk(es._m, len(es.emitted), lo, hi, s)
         assert len(tail) - start <= 2
         es._advance()
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engelcf import sequences
 from engelcf.exceptions import (
     BitBudgetExceeded,
     DivisibilityViolation,
@@ -14,7 +15,6 @@ from engelcf.exceptions import (
 )
 from engelcf.expansion import partial_cf
 from engelcf.sequences import (
-    EngelSequence,
     FactorSequence,
     SecondOrderSpec,
     SeriesClass,
@@ -40,9 +40,9 @@ DEGEN = SecondOrderSpec(3, (1, 1))
 
 def test_from_factors_examples():
     xs = from_factors(FactorSequence((3, 9, 81, 19683)), 5)
-    assert xs.x == (1, 3, 81, 531441, 3**33)
-    assert from_factors(FactorSequence((2,)), 2).x == (1, 2)
-    assert from_factors(FactorSequence((3, 21, 23877)), 4).x == (1, 3, 189, 852910317)
+    assert xs == [1, 3, 81, 531441, 3**33]
+    assert from_factors(FactorSequence((2,)), 2) == [1, 2]
+    assert from_factors(FactorSequence((3, 21, 23877)), 4) == [1, 3, 189, 852910317]
 
 
 def test_from_factors_needs_enough_factors():
@@ -58,7 +58,7 @@ def test_factor_product_formula():
         expected = 1
         for j in range(2, k + 1):
             expected *= z[j - 2] ** (2 ** (k - j))
-        assert xs.x[k - 1] == expected
+        assert xs[k - 1] == expected
 
 
 def test_factors_from_sequence_examples():
@@ -95,9 +95,41 @@ def test_engel_sequence_invariants():
     xs = from_factors(FactorSequence((2, 2, 2, 2, 2)), 6)
     # Doubly exponential lower bound once x_2 >= 2.
     for n in range(2, 7):
-        assert xs.x[n - 1] >= 2 ** (2 ** (n - 2))
+        assert xs[n - 1] >= 2 ** (2 ** (n - 2))
     with pytest.raises(DivisibilityViolation):
-        EngelSequence((1, 2, 6))
+        partial_sum([1, 2, 6], 3)
+
+
+@pytest.mark.parametrize("xs, error, message", [
+    ([1, 0, 0], InvalidSpec, "non-positive term at position 2"),
+    ([2, 8], InvalidSpec, "sequence must start with x_1 = 1"),
+    ([1, 3, 20], DivisibilityViolation, "square of term 2 does not divide term 3"),
+])
+def test_partial_sum_checks_a_raw_list_before_summing(xs, error, message):
+    # Terms from outside the program are checked before the naive sum, so
+    # a bad list is a validation error, not a crash or an identity failure.
+    with pytest.raises(error) as exc:
+        partial_sum(xs, len(xs))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("source", [AFFINE, ones_tail(3)], ids=["affine", "ones_tail"])
+def test_from_factors_trusts_the_store(source, monkeypatch):
+    # The store forms x_{k+1} = z_{k+1} x_k^2, so from_factors divides
+    # nothing; it hands out a copy of the store's terms.
+    store = SeriesSource(source)
+    want = [store.x(k) for k in range(1, 9)]
+
+    def refuse(xs):
+        raise AssertionError("from_factors re-checked the store's terms")
+
+    monkeypatch.setattr(sequences, "_factor_walk", refuse)
+    xs = from_factors(store, 8)
+    assert xs == want
+    xs[7] += 1
+    xs.append(0)
+    assert store.x(8) == want[7]
+    assert from_factors(store, 8) == want
 
 
 def test_generate_recurrence_examples():
@@ -188,9 +220,9 @@ def test_lift_parent_inverts_lift_spec(spec):
 
 
 def test_engel_from_spec():
-    assert from_factors(AFFINE, 4).x == (1, 3, 189, 852910317)
-    assert from_factors(lift_spec(AFFINE), 4).x == (1, 3, 63, 13538259)
-    assert from_factors(AFFINE, 1).x == (1,)
+    assert from_factors(AFFINE, 4) == [1, 3, 189, 852910317]
+    assert from_factors(lift_spec(AFFINE), 4) == [1, 3, 63, 13538259]
+    assert from_factors(AFFINE, 1) == [1]
 
 
 def test_spec_validation():
@@ -241,7 +273,7 @@ def test_partial_sum_examples():
 def test_partial_sum_denominator_is_xn():
     xs = from_factors(FactorSequence((4, 3, 2, 5)), 5)
     for n in range(1, 6):
-        assert partial_sum(xs, n).denominator == xs.x[n - 1]
+        assert partial_sum(xs, n).denominator == xs[n - 1]
 
 
 def test_closed_form_matches_naive_random():
@@ -251,7 +283,7 @@ def test_closed_form_matches_naive_random():
         xs = from_factors(FactorSequence(z), 8)
         for n in range(1, 9):
             got = partial_sum(xs, n)  # raises if the closed form disagrees
-            naive = sum(Fraction(1, v) for v in xs.x[:n])
+            naive = sum(Fraction(1, v) for v in xs[:n])
             assert got == naive
 
 
@@ -265,7 +297,7 @@ def test_closed_form_numerator_small():
     lambda: FactorSequence((1, 2)),
     lambda: FactorSequence((3, 0)),
     lambda: ones_tail(1),
-    lambda: EngelSequence((2, 4)),
+    lambda: partial_sum([2, 4], 2),
     lambda: strip_leading_ones([2, 4]),
     lambda: factors_from_sequence([1, 1]),
     lambda: factors_from_sequence([1, 0, 5]),
@@ -301,8 +333,8 @@ def test_factor_round_trip(z2, rest):
     zs = FactorSequence((z2, *rest))
     n = len(rest) + 2
     xs = from_factors(zs, n)
-    assert factors_from_sequence(xs.x).z == zs.z
-    assert from_factors(factors_from_sequence(xs.x), n).x == xs.x
+    assert factors_from_sequence(xs).z == zs.z
+    assert from_factors(factors_from_sequence(xs), n) == xs
 
 
 def test_shallit_factors_examples():
