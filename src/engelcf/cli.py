@@ -325,14 +325,13 @@ def _parse(argv: list[str]):
     # Only the parser of the command argv[0] names is built, and the tree
     # would hand argv[1:] to the same parser, so a parse it accepts is the
     # tree's. No argument, an unknown command (-h included) or arguments it
-    # leaves over go through the whole tree, which prints argparse's
-    # top-level usage, help and "unrecognized arguments" error.
+    # leaves over go through the whole tree only for its exit: argparse's
+    # top-level usage, help or "unrecognized arguments" error.
     if argv and argv[0] in COMMANDS:
         args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not extra:
             return args, COMMANDS[argv[0]][2]
-    args = build_parser().parse_args(argv)
-    return args, COMMANDS[args.command][2]
+    build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -10,13 +10,15 @@ recurrences whose all-ones initial data force integrality, and from
 power-sum exponent lists; it also inverts a sequence back to its factors
 and computes exact partial sums of the reciprocals.
 
-Every source supplies z_{k+1} and the term store forms x_{k+1}, so the
-terms it hands out satisfy x_k^2 | x_{k+1} by construction and are never
+Every source supplies z_{k+1} by its step rule, and one runner,
+SeriesSource._run, forms x_{k+1} in a number kind: exact ints, which the
+store keeps, or brackets, which bound a term without forming it. The
+stored terms satisfy x_k^2 | x_{k+1} by construction and are never
 re-checked. Terms from outside the program are checked where they come in:
 factors_from_sequence and partial_sum divide each one exactly. A
-recurrence supplies it by step identities that write z_{k+1} as a product
-of integer powers, so nothing is divided; the tests keep the dividing
-recurrence as the oracle.
+recurrence's step identities write z_{k+1} as a product of integer powers,
+so nothing is divided; the tests keep the dividing recurrence as the
+oracle and run the same runner on residues mod a 61-bit prime.
 
 Terms grow doubly exponentially, so the term store charges each term it
 forms against an explicit bit budget instead of letting memory blow up
@@ -46,22 +48,20 @@ class BudgetMeter:
         self.single, self.total = max(1, bits >> 1), bits
         self.total_bits = 0
 
-    def check_bound(self, bits: int, what: str = "term"):
-        """Raise before forming a value known to have at least ``bits`` bits
-        when charging it would fail."""
+    def check_bound(self, bits: int, what: str = "term", at_least: bool = True):
+        """Raise when charging ``bits`` bits would pass a cap; ``at_least``
+        marks a lower bound, checked before the value is formed."""
         if bits > self.single:
-            raise BitBudgetExceeded(bits, self.single, what, at_least=True)
+            raise BitBudgetExceeded(bits, self.single, what, at_least)
         if self.total_bits + bits > self.total:
             raise BitBudgetExceeded(self.total_bits + bits, self.total,
-                                    "cumulative size", at_least=True)
+                                    "cumulative size", at_least)
 
     def charge(self, value: int, what: str = "term"):
+        # A refused value is not counted.
         bits = value.bit_length()
-        if bits > self.single:
-            raise BitBudgetExceeded(bits, self.single, what)
+        self.check_bound(bits, what, at_least=False)
         self.total_bits += bits
-        if self.total_bits > self.total:
-            raise BitBudgetExceeded(self.total_bits, self.total, "cumulative size")
 
 
 class SeriesClass(enum.Enum):
@@ -402,10 +402,10 @@ class SeriesSource:
 
     Accepts explicit factors or a recurrence spec (terms re-indexed so that
     x_1 = 1); factors_from_sequence turns a built sequence into factors.
-    Each term is generated, and charged against the store's bit budget,
-    once; functions that accept a ``SourceLike`` share the terms and the
-    budget of a store passed to them. ``rule`` is the factor list or spec
-    the terms come from.
+    ``rule`` is the factor list or spec the terms come from. _run steps it
+    in a number kind: _exact forms each term once, charged to the store's
+    bit budget, and the bracket kind encloses terms it does not form.
+    Functions that accept a ``SourceLike`` share a store's terms and budget.
     """
 
     def __init__(self, source: "SourceLike", bits: int = DEFAULT_BITS):
@@ -430,18 +430,26 @@ class SeriesSource:
         self._pad = len(self._terms) - 1
         self._runs: dict[int, tuple[list, list]] = {}  # bracket runs by prec, see _bracket_term
 
-    def _grow(self, count: int):
-        terms, zs = self._terms, self._factors
-        while len(terms) < count:
-            z = self._step(self.rule, terms, zs)
-            what = f"x_{len(terms) + 1 - self._pad}"
-            # z * x_k^2 has at least this many bits: refuse before multiplying.
-            self._meter.check_bound(z.bit_length() + 2 * terms[-1].bit_length() - 2, what)
-            nxt = z * terms[-1] ** 2
-            self._meter.charge(nxt, what)
-            terms.append(nxt)
+    def _run(self, xs: list, zs: list, count: int, form):
+        # The one step loop, on raw lists: the step rule gives z_{k+1} and
+        # the number kind form(z_{k+1}, x_k, k) the (z_{k+1}, x_{k+1}) to append.
+        while len(xs) < count:
+            z, x = form(self._step(self.rule, xs, zs), xs[-1], len(xs) - self._pad)
+            xs.append(x)
             zs.append(z)
-            self._runs.clear()
+
+    def _exact(self, z: int, x: int, k: int) -> tuple[int, int]:
+        # The exact kind: x_{k+1}, charged; a formed term ends the bracket runs.
+        what = f"x_{k + 1}"
+        # z * x_k^2 has at least this many bits: refuse before multiplying.
+        self._meter.check_bound(z.bit_length() + 2 * x.bit_length() - 2, what)
+        nxt = z * x ** 2
+        self._meter.charge(nxt, what)
+        self._runs.clear()
+        return z, nxt
+
+    def _grow(self, count: int):
+        self._run(self._terms, self._factors, count, self._exact)
 
     def x(self, n: int) -> int:
         if n < 1:
@@ -464,8 +472,8 @@ class SeriesSource:
 
         ``read`` takes an exact int or a ``_Bracket`` and returns None when
         the bracket is too wide to settle its value. A term the store holds
-        is read exactly. Otherwise the step rule runs on brackets of prec
-        bits from the last formed terms, and prec doubles until ``read``
+        is read exactly. Otherwise _run steps brackets of prec bits
+        from the last formed terms, and prec doubles until ``read``
         accepts. A run that stays exact, or a prec that would cover the
         whole term, forms (and charges) x_n through x(n) instead. The
         bracket runs neither grow the store nor charge the budget.
@@ -487,22 +495,23 @@ class SeriesSource:
         return read(self.x(n))
 
     def _bracket_term(self, n: int, prec: int):
-        # The step rule on copies of the term lists, which keep their length
-        # so that the rules' indices (len(xs), xs[-3]) still hold; the rules
-        # read at most the last three entries. The run of each prec is kept
-        # until _grow appends a term, so reads through n take n steps in all.
+        # _run with the bracket kind on copies of the term lists, which keep
+        # their length so that the raw index holds; the rules read at most
+        # the last three entries. The run of each prec is kept until the exact
+        # kind appends a term, so reads through n take n steps in all.
         run = self._runs.get(prec)
         if run is None:
             run = self._runs[prec] = (
                 self._terms[:-3] + [_enclose(v, prec) for v in self._terms[-3:]],
                 self._factors[:-3] + [_enclose(v, prec) for v in self._factors[-3:]],
             )
-        xs, zs = run
-        while len(xs) < n + self._pad:
-            z = _enclose(self._step(self.rule, xs, zs), prec)
-            xs.append(_enclose(z * xs[-1] ** 2, prec))
-            zs.append(z)
-        return xs[n - 1 + self._pad]
+
+        def form(z, x, _):
+            z = _enclose(z, prec)
+            return z, _enclose(z * x ** 2, prec)
+
+        self._run(*run, n + self._pad, form)
+        return run[0][n - 1 + self._pad]
 
     def factor(self, j: int) -> int | None:
         """z_j, or None when a finite factor list is exhausted."""

@@ -1,7 +1,7 @@
 """Independent helpers that only the tests read: exact evaluation of a continued
 fraction, the parser of cf_text's grammar and the writer of parse_spec_line's,
-a spec built from random arguments, and a product tree that checks known
-quotients against a rational."""
+a spec built from random arguments, a product tree that checks known
+quotients against a rational, and residues modulo a prime."""
 
 from fractions import Fraction
 
@@ -131,3 +131,82 @@ class ProductTree:
             return count, p, q
         more, p, q = self._follow(right, p, q)
         return count + more, p, q
+
+
+MERSENNE_61 = (1 << 61) - 1
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, which is exact for
+    n < 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases:
+        return n in bases
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        y = pow(b, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime(n: int) -> int:
+    """The least prime above n."""
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+class Residue:
+    """An integer modulo the prime p, mixing with ints under ``+``, ``*``
+    and ``**``. Its ``divmod`` multiplies by the divisor's inverse and
+    leaves remainder 0 (ZeroDivisionError for a divisor that is 0 mod p).
+    Where the integer division is exact, as the Laurent property makes it
+    for the recurrences' terms (Fomin and Zelevinsky, Adv. Appl. Math. 28,
+    2002), that is the quotient's residue: a dividing recurrence runs on
+    residues unchanged and gives its integer terms modulo p."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: int, p: int):
+        self.v, self.p = v % p, p
+
+    def _int(self, other) -> int:
+        if isinstance(other, Residue):
+            assert other.p == self.p
+            return other.v
+        return other
+
+    def __add__(self, other):
+        return Residue(self.v + self._int(other), self.p)
+
+    def __mul__(self, other):
+        return Residue(self.v * self._int(other), self.p)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, k: int):
+        return Residue(pow(self.v, k, self.p), self.p)
+
+    def __divmod__(self, other):
+        d = self._int(other) % self.p
+        if not d:
+            raise ZeroDivisionError(f"divisor is 0 mod {self.p}")
+        return Residue(self.v * pow(d, -1, self.p), self.p), 0
+
+    def __eq__(self, other):
+        return (self.v - self._int(other)) % self.p == 0
+
+    def __repr__(self):
+        return f"Residue({self.v}, {self.p})"

@@ -26,7 +26,7 @@ from engelcf.sequences import (
     ones_tail,
 )
 from engelcf.verify import check_instance
-from oracles import spec_or_none
+from oracles import MERSENNE_61, Residue, next_prime, spec_or_none
 
 AFFINE = SecondOrderSpec(3, (1, 2))
 
@@ -44,12 +44,18 @@ SPECS = [
 ]
 
 
-def reference_raw(spec, count: int) -> list[int]:
+# x_9 of SecondOrderSpec(6, (1, 0, 2, 1)) has 9.2M bits and takes seconds to
+# form, so the tests that form x_9 exactly leave that spec out.
+SPECS_TO_X9 = [spec for spec in SPECS if spec != SecondOrderSpec(6, (1, 0, 2, 1))]
+
+
+def reference_raw(spec, count: int, one=1) -> list:
     """The dividing recurrence from the all-ones initial data, in raw
     indexing, with every division checked exact. It evaluates G and H
-    itself and shares no code with the library's stepper."""
+    itself and shares no code with the library's stepper. With ``one`` a
+    Residue of 1 it runs modulo that residue's prime."""
     if isinstance(spec, SecondOrderSpec):
-        xs = [1, 1]
+        xs = [one, one]
         while len(xs) < count:
             x = xs[-1]
             g = sum(c * x**i for i, c in enumerate(spec.g))
@@ -57,7 +63,7 @@ def reference_raw(spec, count: int) -> list[int]:
             assert r == 0
             xs.append(q)
     else:
-        xs = [1, 1, 1]
+        xs = [one, one, one]
         while len(xs) < count:
             a, b = xs[-2], xs[-1]
             h = sum(c * a**i * b**j for i, j, c in spec.h)
@@ -132,6 +138,96 @@ def test_step_identities_on_random_specs(spec):
     # (third order) extra leading ones.
     pad = 1 if isinstance(spec, SecondOrderSpec) else 2
     check_store(spec, *reference_engel(reference_raw(spec, 7 + pad)))
+
+
+def residue_shadow(spec, n: int):
+    """(p, xs, zs, want): the shipped step rules run through the store's
+    one runner on residues of a fresh store's initial lists, with the
+    residue kind x_{k+1} = z * x_k^2, and reference_raw on the same
+    residues, in raw indexing through x_n. p is 2^61 - 1, or the next prime
+    when p divides one of the oracle's divisors."""
+    store = SeriesSource(spec)
+    count, p = n + store._pad, MERSENNE_61
+    while True:
+        try:
+            want = reference_raw(spec, count, Residue(1, p))
+            break
+        except ZeroDivisionError:
+            p = next_prime(p)
+    xs = [Residue(v, p) for v in store._terms]
+    zs = [Residue(v, p) for v in store._factors]
+    store._run(xs, zs, count, lambda z, x, _: (z, z * x * x))
+    return p, xs, zs, want
+
+
+@pytest.mark.parametrize("spec", [AFFINE, lift_spec(AFFINE)], ids=repr)
+def test_step_rules_match_the_dividing_recurrence_mod_a_prime(spec):
+    # x_2000 of AFFINE has about 2^1998 bits; its residue does not.
+    _, xs, _, want = residue_shadow(spec, 2000)
+    assert xs == want
+
+
+@given(st.one_of(SECOND_ORDER, third_order_specs().filter(bool), st.sampled_from(SPECS)))
+@settings(max_examples=40, deadline=None)
+def test_step_identities_mod_a_prime_on_random_specs(spec):
+    _, xs, _, want = residue_shadow(spec, 500)
+    assert xs == want
+
+
+@pytest.mark.parametrize("spec", SPECS_TO_X9, ids=repr)
+def test_numerator_matches_its_recurrence_mod_a_prime(spec):
+    # N_1 = 1 and N_n = N_{n-1} * z_n * x_{n-1} + 1, on the residues.
+    p, xs, zs, _ = residue_shadow(spec, 9)
+    store = SeriesSource(spec)
+    pad, num = store._pad, Residue(1, p)
+    assert store.numerator(1) == 1
+    for n in range(2, 10):
+        num = num * zs[n - 1 + pad] * xs[n - 2 + pad] + 1
+        assert store.numerator(n) % p == num
+
+
+@given(st.one_of(SECOND_ORDER, third_order_specs().filter(bool), st.sampled_from(SPECS_TO_X9),
+                 st.integers(2, 9).map(ones_tail)))
+@settings(max_examples=25, deadline=None)
+def test_the_bracket_kind_encloses_the_exact_values(source):
+    # Every x and z of a bracket run through x_9, from x_1..x_f formed, holds
+    # the exact value: lo * 2^e <= v <= hi * 2^e for a bracket, equality
+    # for an int. A precision of a few bits makes the rounding matter.
+    exact = SeriesSource(source)
+    exact.x(9)
+    for formed in range(1, 5):
+        for prec in (4, 16, 64):
+            store = SeriesSource(source)
+            store.x(formed)
+            store._bracket_term(9, prec)
+            xs, zs = store._runs[prec]
+            assert len(xs) == len(zs) == len(exact._terms)
+            for got, want in zip(xs + zs, exact._terms + exact._factors):
+                if isinstance(got, int):
+                    assert got == want
+                else:
+                    assert got.lo << got.e <= want <= got.hi << got.e
+
+
+def test_terms_and_heads_pass_through_the_one_runner(monkeypatch):
+    kinds = []
+    original = SeriesSource._run
+
+    def run(self, xs, zs, count, form):
+        kinds.append(form)
+        return original(self, xs, zs, count, form)
+
+    want = _exact_head(SeriesSource(AFFINE).x(12))
+    monkeypatch.setattr(SeriesSource, "_run", run)
+    store = SeriesSource(AFFINE)
+    store.x(6)
+    assert kinds == [store._exact]
+    kinds.clear()
+    store = SeriesSource(AFFINE)
+    assert store.head(12) == want
+    # The head settles on brackets: the runner ran, and not the exact kind.
+    assert kinds and store._exact not in kinds
+    assert len(store._terms) == 1 + store._pad
 
 
 def _exact_head(v: int) -> tuple[int, int]:
@@ -288,13 +384,26 @@ def test_budget_refuses_a_term_before_forming_it(monkeypatch):
     # which it meets) and all of it for the cumulative size (202, which
     # 103 + 101 exceeds). The store raises without multiplying and keeps
     # x_1..x_7.
+    # Where the bound passes, the exact size is charged: x_3 = 1023^3 has 30
+    # bits (bound 28) against the single cap of 28 at 57 bits, and x_7 of
+    # (2, 1, 1, 1, 3, 1, 63) has 36 bits (bound 35) on top of the 37 that
+    # x_2..x_6 charged, at 72. The refused term is neither kept nor
+    # counted, so asking again gives the same refusal.
     charged = _record_charges(monkeypatch)
-    for bits, message in [(200, "x_8 needs at least 101 bits, cap is 100"),
-                          (202, "cumulative size needs at least 204 bits, cap is 202")]:
-        store = SeriesSource(ones_tail(3), bits)
-        assert store.x(7) == 3 ** 32
-        charged.clear()
-        with pytest.raises(BitBudgetExceeded) as exc:
-            store.x(8)
-        assert str(exc.value) == message
-        assert charged == [] and len(store._terms) == 7
+    for source, bits, n, message in [
+        (ones_tail(3), 200, 8, "x_8 needs at least 101 bits, cap is 100"),
+        (ones_tail(3), 202, 8, "cumulative size needs at least 204 bits, cap is 202"),
+        (FactorSequence((1023, 1023)), 57, 3, "x_3 needs 30 bits, cap is 28"),
+        (FactorSequence((2, 1, 1, 1, 3, 1, 63)), 72, 7,
+         "cumulative size needs 73 bits, cap is 72"),
+    ]:
+        store = SeriesSource(source, bits)
+        assert store.x(n - 1) == SeriesSource(source).x(n - 1)
+        total = store._meter.total_bits
+        for _ in range(2):
+            charged.clear()
+            with pytest.raises(BitBudgetExceeded) as exc:
+                store.x(n)
+            assert str(exc.value) == message
+            assert len(charged) == (0 if "at least" in message else 1)
+            assert len(store._terms) == n - 1 and store._meter.total_bits == total
