@@ -4,7 +4,7 @@ A subclass lists its fields in ``_fields``, in the order its ``__init__``
 takes them, sets them once through ``_init`` and raises unless they meet its
 condition, so every instance does, copies included. Equality and hash go by
 those fields within one class, the repr names the class and the fields, and
-assignment raises. ``__slots__`` holds the fields and any cached attribute
+assignment raises. ``__slots__`` holds the fields and any other attribute
 that is not part of the value.
 """
 

@@ -149,6 +149,11 @@ def estimate_C(source: SourceLike, dps: int = DEFAULT_DPS):
     (or after _C_MAX_TERMS terms), and the dropped tail is bounded by twice
     that term (the a_k are non-increasing and lam > 2, so the tail is
     dominated by a geometric series).
+
+    tail_bound also covers rounding at dps + 10 digits, one ulp being
+    eps = mp.eps: term j of the k summed is within (3j + 10) ulps, 3j from
+    lam^-j, and the k additions add k ulps of C, so the sum is within
+    (4k + 10) eps C, about 1e-60 at the default dps.
     """
     store = _second_order_store(source)
     spec = store.rule
@@ -170,7 +175,7 @@ def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int):
             c_value += lami**k * alpha(k) / denom
             next_term = lami ** (k + 1) * alpha(k + 1) / denom
             if 2 * next_term < _C_REL_CUT * c_value or k >= _C_MAX_TERMS:
-                return c_value, 2 * next_term
+                return c_value, 2 * next_term + (4 * k + 10) * mp.eps * c_value
 
 
 def empirical_growth_constant(source: SourceLike, n: int = 12, dps: int = DEFAULT_DPS):

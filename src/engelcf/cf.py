@@ -19,7 +19,7 @@ matrix [[u0, v0], [u1, v1]]: (-1)^k [[v1, -v0], [-u1, u0]] for k
 quotients. expand_rational records that product for every kept batch and
 returns the gcd of its pair, so the oracle reads the expansion's
 convergent matrix (CFExpansion.matrix) without multiplying its quotients
-out again. The matrix is formed only when read, as a balanced product of
+out again. The matrix is formed on each read, as a balanced product of
 the batches' products and of convergent_matrix over the single divmod
 steps between them; callers that read only the coefficients pay nothing.
 
@@ -50,7 +50,7 @@ class CFExpansion(_Value):
     from the batches Euclid kept. Neither takes part in equality, hash, repr
     or pickling."""
 
-    __slots__ = ("coeffs", "gcd", "_batches", "_matrix")
+    __slots__ = ("coeffs", "gcd", "_batches")
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int]):
@@ -82,25 +82,22 @@ class CFExpansion(_Value):
         # whose matrix product is known; the matrix is formed when read.
         object.__setattr__(self, "gcd", gcd)
         object.__setattr__(self, "_batches", batches)
-        object.__setattr__(self, "_matrix", None)
 
     @property
     def matrix(self) -> "Matrix":
         """The convergent matrix [[p_m, p_{m-1}], [q_m, q_{m-1}]], the product
-        of the matrices [[a, 1], [1, 0]] of a_0..a_m. It is formed on first
-        read, as a balanced product of the kept batches' products and
-        convergent_matrix of the runs between them."""
-        if self._matrix is None:
-            coeffs, mats, done = self.coeffs, [], 0
-            for start, stop, m in self._batches:
-                if start > done:
-                    mats.append(convergent_matrix(coeffs[done:start]))
-                mats.append(m)
-                done = stop
-            if done < len(coeffs):
-                mats.append(convergent_matrix(coeffs[done:]))
-            object.__setattr__(self, "_matrix", _product(mats))
-        return self._matrix
+        of the matrices [[a, 1], [1, 0]] of a_0..a_m. It is formed on every
+        read, not cached, as a balanced product of the kept batches'
+        products and convergent_matrix of the runs between them."""
+        coeffs, mats, done = self.coeffs, [], 0
+        for start, stop, m in self._batches:
+            if start > done:
+                mats.append(convergent_matrix(coeffs[done:start]))
+            mats.append(m)
+            done = stop
+        if done < len(coeffs):
+            mats.append(convergent_matrix(coeffs[done:]))
+        return _product(mats)
 
     def __len__(self):
         return len(self.coeffs)

@@ -39,9 +39,9 @@ Two mechanisms produce the coefficients:
     where that pair is ordered, and divmod steps from there find where the
     upper endpoint's expansion leaves the lower one's (see _walk). The newly
     certified block extends the emitted prefix in place, and M becomes the
-    convergent matrix the walk passed at its end. When a check fails, that
-    advance starts again from a_0 with M the identity, and a changed
-    emitted coefficient raises IdentityViolation.
+    convergent matrix the walk passed at its end. The checks cannot fail
+    on a state the stream built (see EngelStream._advance_oracle), so a
+    failed one raises IdentityViolation.
 
 Partial-sum constructions are pure; a stream is a stateful single-consumer
 object (distinct streams are independent).
@@ -53,7 +53,6 @@ from .cf import (
     CFExpansion,
     Matrix,
     _merge_zeros,
-    convergent_matrix,
     expand_rational,
     matrix_mul,
     normalize_zeros,
@@ -65,9 +64,6 @@ from .sequences import (  # SeriesSource and SourceLike are re-exported from her
     SourceLike,
     as_store,
 )
-
-
-_IDENTITY = (1, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +154,9 @@ class EngelStream:
     interval oracle's common prefix. The oracle resumes from the matrix of
     the emitted prefix: it expands only the tail of S_n past that prefix
     and places the upper endpoint against those quotients from their last
-    remainders (_walk). Should either endpoint fail its check under that
-    matrix, the advance expands from a_0 instead. Emitted coefficients
-    never change; that is proved by the checks on a resumed advance and
-    asserted on a restarted one.
+    remainders (_walk). Emitted coefficients never change: the checks
+    prove it on every advance, and a failed check raises
+    IdentityViolation.
     """
 
     def __init__(self, source: SourceLike, force_oracle: bool = False):
@@ -176,7 +171,7 @@ class EngelStream:
         self._n = 1
         # The oracle's resume state: the product of the matrices
         # [[a, 1], [1, 0]] of the emitted coefficients.
-        self._m = _IDENTITY
+        self._m = (1, 0, 0, 1)
 
     def take(self, count: int) -> list[int]:
         """Advance until at least ``count`` coefficients are certified and
@@ -192,8 +187,6 @@ class EngelStream:
                             tuple(self.emitted), tuple(self.lengths))
 
     def _set_emitted(self, coeffs: list[int]):
-        if len(coeffs) < len(self.emitted):
-            return
         if coeffs[: len(self.emitted)] != self.emitted:
             raise IdentityViolation("previously emitted coefficients changed")
         self.emitted = coeffs
@@ -218,8 +211,19 @@ class EngelStream:
             self._set_emitted(cur[:-2] if split else cur)
 
     def _advance_oracle(self):
-        n = max(self._n + 1, 2)
-        self._n = n
+        """Advance the interval oracle by one partial sum, resuming from M.
+
+        No check in _walk fails on a state built here. det M = (-1)^c, as M
+        is the product of the c emitted coefficients' matrices. The
+        enclosures nest: for n >= 2, x_{n+1} = z_{n+1} x_n^2 >= 2 x_n puts
+        [S_n, S_n + 2/x_{n+1}] inside [S_{n-1}, S_{n-1} + 2/x_n]. The emitted
+        prefix is an earlier advance's shared prefix less its last shared
+        coefficient, so M maps the tails (1, inf) onto an interval holding
+        both of that advance's endpoints, hence every point between them:
+        lo, and hi at k = 0, map to ordered pairs. The first advance has
+        M = I and lo = S_2 > 1. So a failed check is a broken invariant.
+        """
+        n = self._n = self._n + 1
         src = self._src
         src.x(n + 1)  # raises when the factor list ends
         # lo = S_n as a pair; hi = S_n + 2/x_{n+1} is s*lo + (2, 0).
@@ -227,20 +231,12 @@ class EngelStream:
         s = src.factor(n + 1) * lo[1]
         c = len(self.emitted)
         walk = _walk(self._m, c, lo, s)
-        restart = walk is None
-        if restart:  # start again from a_0
-            self._m, c = _IDENTITY, 0
-            walk = _walk(self._m, 0, lo, s)
+        if walk is None:
+            raise IdentityViolation(f"the interval oracle's resume state fails its check at n = {n}")
         tail, _, shared, f = walk
         self.lengths.append(c + len(tail) + _split_representative(src, n))
         self.n_used = n
-        if restart:
-            # The emitted prefix may be longer than this one, and nothing
-            # proved that the two agree.
-            if shared > 1:
-                self._set_emitted(list(tail[:shared - 1]))
-            self._m = convergent_matrix(self.emitted)
-        elif shared > 1:
+        if shared > 1:
             # M is the matrix of the c emitted coefficients, and _walk's
             # checks proved that lo's expansion continues them: the new
             # coefficients extend them in place.

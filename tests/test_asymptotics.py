@@ -99,7 +99,12 @@ def test_estimate_C_reference_values():
         lam = dominant_root(3, 0)
         closed = (1 - 1 / lam) / (lam - 1 / lam) * mp.log(3)
         assert abs(c_cubic - closed) < mp.mpf("1e-40")
-        assert bound == 0
+    # No series is left to truncate, so the bound is the rounding of the
+    # closed form at the working precision alone, and it covers it.
+    with workdps(110):
+        lam = dominant_root(3, 0, 100)
+        closed = (1 - 1 / lam) / (lam - 1 / lam) * mp.log(3)
+        assert abs(c_cubic - closed) <= bound < mp.mpf("1e-59")
 
 
 def test_estimate_C_truncation_shrinks(monkeypatch):

@@ -174,6 +174,16 @@ def test_asymp_rows_stop_at_the_working_precision(capsys, n):
                 assert _significant_digits(value) <= 5, (row["n"], key, value)
 
 
+@pytest.mark.parametrize("digits", [5, 15])
+def test_asymp_C_err_covers_the_working_precision(capsys, digits):
+    # C is summed at digits + 10 digits, so its rounding alone comes near
+    # 10^-(digits + 10) of C, far above the truncation bound 7.12e-38.
+    code, out, _ = run(capsys, "asymp", *AFFINE_FLAGS, "--n", "4", "--digits", str(digits))
+    assert code == 0
+    report = json.loads(out)
+    assert float(report["C_err"]) >= 10.0 ** -(digits + 10) * float(report["C"])
+
+
 @pytest.mark.parametrize("spec, n", [
     (AFFINE, 40),
     (SecondOrderSpec(4, (1, 1, 1)), 30),
@@ -496,6 +506,7 @@ def test_asymp_never_builds_the_whole_tree(capsys, monkeypatch):
     (11, "61908265e8420856bc22f514c10956c19f5bf7733bcf2fe60ba52ff41a329464"),
     (40, "9bd7c490f638d208f2c2cd9c633d3772dddf7b69152057c752464a53d875ef86"),
     (100, "842461b0e934ed250a0116627d4f9ebd28699b0d5777da91461603180ce46162"),
+    (1000, "5830cbe4ff52abec5981ca41aed96907dbb68794db8f4b96e59ba32e3f27c063"),  # also CI's
 ])
 def test_asymp_output_is_unchanged(capsys, n, digest):
     # sha256 of the stdout that the bracket path printed when every bracket
@@ -522,6 +533,21 @@ def test_oracle_stream_json_is_unchanged(capsys, flags, digest):
     code, out, _ = run(capsys, "stream", *flags.split(), "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_failed_oracle_check_exits_4(capsys, monkeypatch):
+    # The oracle has no second path: once _walk reports a failed check,
+    # the stream raises and prints no coefficient.
+    walk, calls = expansion._walk, [0]
+
+    def failing_walk(*args):
+        calls[0] += 1
+        return walk(*args) if calls[0] <= 3 else None
+
+    monkeypatch.setattr(expansion, "_walk", failing_walk)
+    code, out, err = run(capsys, "stream", "--u", "3", "--K", "500")
+    assert (code, out, calls[0]) == (4, "", 4)
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
