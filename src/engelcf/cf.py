@@ -289,12 +289,19 @@ def _merge_zeros(coeffs: list[int]):
         j = max(j - 1, 1)
 
 
+def render_each(values: Sequence[int]) -> list[str]:
+    """``str`` of each value, in order. The fold's coefficients are a few
+    distinct ints repeated, so each distinct value is rendered once."""
+    text = {v: str(v) for v in set(values)}
+    return list(map(text.__getitem__, values))
+
+
 def cf_text(cf: CFLike) -> str:
     """Render in the bracket grammar: ``[a0;a1,a2,...]``, no whitespace.
     Raw coefficient lists are rendered as given, zeros included."""
-    coeffs = tuple(cf)
+    coeffs = render_each(tuple(cf))
     if not coeffs:
         raise InvalidSpec("empty continued fraction")
     if len(coeffs) == 1:
         return f"[{coeffs[0]}]"
-    return "[{};{}]".format(coeffs[0], ",".join(str(a) for a in coeffs[1:]))
+    return "[{};{}]".format(coeffs[0], ",".join(coeffs[1:]))

@@ -6,6 +6,11 @@ same invocation always produces the same bytes.
 
 Exit codes: 0 success, 2 validation error, 3 bit budget exceeded,
 4 internal invariant violation (a failing check or an oracle mismatch).
+
+Each command's flags are defined once, by its flag function in COMMANDS.
+Flags spelled out in full are read from the table that function records,
+without argparse; any other command line, and help, usage and error text,
+go through argparse parsers built by the same functions.
 """
 
 import argparse
@@ -15,7 +20,7 @@ import sys
 from mpmath import mp
 
 from .asymptotics import full_report
-from .cf import cf_text, expand_rational, normalize_zeros
+from .cf import cf_text, expand_rational, normalize_zeros, render_each
 from .exceptions import (
     BitBudgetExceeded,
     EngelError,
@@ -136,7 +141,7 @@ def cmd_cf(args) -> tuple[str, int]:
             "n": args.n,
             "class": src.series_class.value,
             "cf": cf_text(cf),
-            "coefficients": [str(a) for a in cf.coeffs],
+            "coefficients": render_each(cf.coeffs),
             "length": len(cf),
         }
         return json.dumps(payload) + "\n", 0
@@ -154,7 +159,7 @@ def cmd_stream(args) -> tuple[str, int]:
         payload = {
             "class": result.series_class.value,
             "n_used": result.n_used,
-            "certified": [str(a) for a in coeffs],
+            "certified": render_each(coeffs),
             "lengths": list(result.lengths),
         }
         return json.dumps(payload) + "\n", 0
@@ -290,7 +295,7 @@ def _paper_examples_flags(p: argparse.ArgumentParser):
 
 
 # name -> (help line, flag-adding function, handler): the one definition of
-# each subcommand, read by both build_parser and main.
+# each subcommand, read by build_parser, _quick_parse and main.
 COMMANDS = {
     "gen": ("generate sequence terms", _gen_flags, cmd_gen),
     "cf": ("continued fraction of the n-th partial sum", _cf_flags, cmd_cf),
@@ -321,16 +326,71 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
+class _FlagTable(dict):
+    # What a flag function adds, read without argparse: flag -> (dest, type,
+    # default, choices, required). A store_true flag has type None, as it
+    # reads no value; an untyped value flag has type str, which keeps the
+    # token as argparse does.
+    def add_argument(self, flag, type=str, default=None, choices=None, required=False,
+                     action=None, help=None):
+        if action == "store_true":
+            type, default = None, False
+        self[flag] = (flag.lstrip("-").replace("-", "_"), type, default, choices, required)
+
+
+def _quick_parse(name: str, tail: list[str]):
+    # The command's namespace for a tail of flags spelled out in full, each
+    # value flag followed by one token not starting with "-". argparse reads
+    # such a tail the same way: a token not starting with "-" is a value, an
+    # exact flag matches before any prefix, type=int is int(), and the last
+    # repeat wins. None for any other tail (abbreviations, "--flag=value",
+    # negative values, "--", -h) or one argparse would refuse (a bad int, a
+    # value outside choices, a missing required flag), which argparse reads.
+    table = _FlagTable()
+    COMMANDS[name][1](table)
+    values = {dest: default for dest, _, default, _, _ in table.values()}
+    given = set()
+    tokens = iter(tail)
+    for flag in tokens:
+        if flag not in table:
+            return None
+        dest, kind, _, choices, _ = table[flag]
+        if kind is None:
+            value = True
+        else:
+            raw = next(tokens, "-")
+            if raw.startswith("-"):
+                return None
+            try:
+                value = kind(raw)
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+        given.add(flag)
+    if not given >= {flag for flag, (*_, required) in table.items() if required}:
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str]):
-    # Only the parser of the command argv[0] names is built, and the tree
-    # would hand argv[1:] to the same parser, so a parse it accepts is the
-    # tree's. No argument, an unknown command (-h included) or arguments it
-    # leaves over go through the whole tree only for its exit: argparse's
-    # top-level usage, help or "unrecognized arguments" error.
+    # A command's spelled-out flags are read from its flag table without
+    # argparse, whose first use (gettext's locale import, regex compiles)
+    # costs more than a short command. Any other tail goes to the parser of
+    # the command argv[0] names; the tree would hand argv[1:] to the same
+    # parser, so a parse it accepts is the tree's. No argument, an unknown
+    # command (-h included) or arguments it leaves over go through the whole
+    # tree only for its exit: argparse's top-level usage, help or
+    # "unrecognized arguments" error.
     if argv and argv[0] in COMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        name, tail, handler = argv[0], argv[1:], COMMANDS[argv[0]][2]
+        args = _quick_parse(name, tail)
+        if args is not None:
+            return args, handler
+        args, extra = _command_parser(name).parse_known_args(tail)
         if not extra:
-            return args, COMMANDS[argv[0]][2]
+            return args, handler
     build_parser().parse_args(argv)
 
 

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, workdps
 
 from engelcf import cli, expansion
@@ -273,10 +277,13 @@ def test_paper_examples_only(capsys):
 def test_cli_import_leaves_out_catalog_and_verify():
     # Only paper-examples and verify read catalog and verify, so they load
     # on first use. No command of the benchmark builds a Fraction, and no
-    # module uses dataclasses, whose import pulls in inspect. A fresh
-    # interpreter shows what the import and those commands pull in.
+    # module uses dataclasses, whose import pulls in inspect. Spelled-out
+    # flags are parsed without argparse, whose first use imports locale
+    # through gettext. A fresh interpreter shows what the import and those
+    # commands pull in.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    unwanted = ("engelcf.catalog", "engelcf.verify", "dataclasses", "inspect", "fractions")
+    unwanted = ("engelcf.catalog", "engelcf.verify", "dataclasses", "inspect", "fractions",
+                "locale")
     code = ("import sys, engelcf.cli\n"
             f"def left(): return sorted(m for m in {unwanted!r} if m in sys.modules)\n"
             "print(left())\n"
@@ -491,6 +498,131 @@ def _no_tree():
 def test_one_command_parse_is_the_trees(argv, monkeypatch):
     want = vars(build_parser().parse_args(argv))
     monkeypatch.setattr(cli, "build_parser", _no_tree)
+    args, handler = cli._parse(argv)
+    assert handler is COMMANDS[want.pop("command")][2]
+    assert vars(args) == want
+
+
+def _flag_table(name: str) -> dict:
+    table = cli._FlagTable()
+    COMMANDS[name][1](table)
+    return table
+
+
+ODD_VALUES = ["-3", "-", "--", "3x", "1.5", "bad", "a b", " 7", "+4", ""]
+STRAY_TOKENS = ["--foo", "-h", "--help", "--", "-3", "extra", "--json=1", "-"]
+
+
+@st.composite
+def _tails(draw, name: str) -> list[str]:
+    # Mostly spelled-out flags with fitting values, mixed with every form
+    # the quick parse leaves to argparse: "--flag=value", abbreviations,
+    # values starting with "-", missing values, repeats, unknown flags,
+    # bad ints and values outside choices.
+    table = _flag_table(name)
+
+    def value(flag):
+        _, kind, _, choices, _ = table[flag]
+        if draw(st.integers(0, 4)) == 0:
+            return draw(st.sampled_from(ODD_VALUES + ["oracle", "lift"]))
+        if choices:
+            return draw(st.sampled_from(choices))
+        if kind is int:
+            return str(draw(st.integers(0, 99)))
+        return draw(st.sampled_from(["1,2", "3", "0,0,1;1,1,2", "x.txt"]))
+
+    tail = []
+    for flag in sorted(table):
+        if table[flag][4] and draw(st.integers(0, 4)) > 0:
+            tail += [flag, value(flag)]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(sorted(table)))
+        takes_value = table[flag][1] is not None
+        form = draw(st.sampled_from(["spelled"] * 6 + ["equals", "abbrev", "bare", "stray"]))
+        if form == "spelled" or (form == "bare" and not takes_value):
+            tail += [flag, value(flag)] if takes_value else [flag]
+        elif form == "equals":
+            tail.append(f"{flag}={value(flag)}")
+        elif form == "abbrev":
+            tail.append(flag[:draw(st.integers(3, max(3, len(flag) - 1)))])
+            if takes_value:
+                tail.append(value(flag))
+        elif form == "bare":
+            tail.append(flag)
+        else:
+            tail.append(draw(st.sampled_from(STRAY_TOKENS)))
+    return tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_quick_parse_is_argparses(data):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+    tail = data.draw(_tails(name))
+    quick = cli._quick_parse(name, tail)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args, extra = cli._command_parser(name).parse_known_args(tail)
+    except SystemExit:
+        assert quick is None
+        return
+    if quick is not None:
+        assert extra == []
+        assert vars(quick) == vars(args)
+
+
+# The benchmark's two command lines and every one CI runs with its flags
+# spelled out.
+SPELLED_OUT = [
+    "stream --u 3 --K 15000",
+    "asymp --d1 3 --G 1,2 --n 11",
+    "verify --suite generic --trials 200 --maxn 9",
+    "verify --suite z2 --trials 200 --maxn 9",
+    "verify --suite generic --trials 20 --maxn 7 --json",
+    "verify --suite lift --d1 3 --G 1,2 --n 13",
+    "verify --suite lift --d1 4 --G 1,1,1 --n 9",
+    "verify --suite identities --z 3,2,5,7,2,3,11,2 --n 9",
+    "paper-examples",
+    "paper-examples --json",
+    "cf --d1 3 --G 1,2 --n 11 --check oracle",
+    "cf --d1 3 --G 1,2 --n 12 --check oracle",
+    "cf --u 3 --n 18 --check oracle",
+    "cf --z 5,1,2,1,3,1,1,2,1,4,1,1 --n 13 --check oracle",
+    "stream --u 3 --K 60000",
+    "stream --u 2 --K 60000",
+    "stream --u 7 --K 20000 --json",
+    "stream --z 5,1,2,1,3,1,1,2,1,4,1,1 --K 100",
+    "stream --z 5,1,2,1,3,1,1,2,1,4,1,1 --K 100 --json",
+    "gen --d1 3 --G 1,2 --n 10",
+    "gen --e1 2 --e2 2 --H 0,0,1;1,1,2 --n 8",
+    "gen --z 3,9 --n 3 --json",
+    "gen --spec-file spec.txt --n 8",
+    "stream --d1 3 --G 1,2 --K 400",
+    "stream --d1 3 --G 1,2 --K 2000 --json",
+    "stream --u 3 --K 60000 --bits 4096",
+    "asymp --d1 3 --G 1,2 --n 13",
+    "asymp --d1 3 --G 1,2 --n 40",
+    "asymp --d1 3 --G 1,2 --n 100",
+    "asymp --d1 3 --G 1,2 --n 1000",
+    "asymp --d1 3 --G 1,2 --n 11 --digits 10",
+    "asymp --u 3 --n 5",
+    "gen --d1 2 --G 1,2 --n 3",
+    "gen --spec-file repeated.txt --n 5",
+    "gen --u 3 --n 3 --out /nonexistent/dir/x.txt",
+]
+
+
+def _no_argparse(*_):
+    raise AssertionError("spelled-out flags must not build an argparse parser")
+
+
+@pytest.mark.parametrize("line", SPELLED_OUT)
+def test_spelled_out_flags_build_no_argparse_parser(line, monkeypatch):
+    argv = line.split()
+    want = vars(build_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "build_parser", _no_argparse)
+    monkeypatch.setattr(cli, "_command_parser", _no_argparse)
     args, handler = cli._parse(argv)
     assert handler is COMMANDS[want.pop("command")][2]
     assert vars(args) == want
