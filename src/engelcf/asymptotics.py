@@ -28,6 +28,7 @@ nothing here keeps ambient mutable state.
 """
 
 import functools
+import operator
 from typing import NamedTuple, Sequence
 
 from mpmath import mp, workdps
@@ -228,7 +229,7 @@ def growth_report(
     is the first position from which the check holds through the end, or
     None when it fails at the last recorded position.
     """
-    xs = [int(v) for v in terms]
+    xs = list(map(operator.index, terms))
     if sum(1 for v in xs if v > 1) < 4:
         raise InvalidSpec("need at least 4 terms exceeding 1")
     rows = []

@@ -33,6 +33,7 @@ Conventions:
   * lengths count every coefficient including a_0.
 """
 
+import operator
 from typing import Sequence, Union
 
 from ._value import _Value
@@ -56,7 +57,7 @@ class CFExpansion(_Value):
     def __init__(self, coeffs: Sequence[int]):
         if not coeffs:
             raise InvalidSpec("empty continued fraction")
-        self._init(tuple(map(int, coeffs)))
+        self._init(tuple(map(operator.index, coeffs)))
         self._pair(1, ())
         if self.coeffs[0] < 0:
             raise InvalidSpec(f"a_0 must be non-negative, got {self.coeffs[0]}")
@@ -264,7 +265,7 @@ def normalize_zeros(raw: Sequence[int]) -> CFExpansion:
     Left-to-right order is fixed for determinism; for the inputs arising
     here the fixed point does not depend on it.
     """
-    coeffs = list(map(int, raw))
+    coeffs = list(map(operator.index, raw))
     if not coeffs:
         raise InvalidSpec("empty continued fraction")
     if coeffs[-1] == 0 and len(coeffs) > 1:

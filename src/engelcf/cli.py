@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 validation error, 3 bit budget exceeded,
 Each command's flags are defined once, by its flag function in COMMANDS.
 Flags spelled out in full are read from the table that function records,
 without argparse; any other command line, and help, usage and error text,
-go through argparse parsers built by the same functions.
+go through the argparse tree that build_parser assembles from the same
+functions.
 """
 
 import argparse
@@ -295,7 +296,7 @@ def _paper_examples_flags(p: argparse.ArgumentParser):
 
 
 # name -> (help line, flag-adding function, handler): the one definition of
-# each subcommand, read by build_parser, _quick_parse and main.
+# each subcommand, read by build_parser, _quick_parse and _parse.
 COMMANDS = {
     "gen": ("generate sequence terms", _gen_flags, cmd_gen),
     "cf": ("continued fraction of the n-th partial sum", _cf_flags, cmd_cf),
@@ -316,13 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_flags, _) in COMMANDS.items():
         add_flags(sub.add_parser(name, help=help_line))
-    return parser
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    # build_parser's subparser `name`, built on its own.
-    parser = argparse.ArgumentParser(prog="engelcf " + name)
-    COMMANDS[name][1](parser)
     return parser
 
 
@@ -377,21 +371,15 @@ def _quick_parse(name: str, tail: list[str]):
 def _parse(argv: list[str]):
     # A command's spelled-out flags are read from its flag table without
     # argparse, whose first use (gettext's locale import, regex compiles)
-    # costs more than a short command. Any other tail goes to the parser of
-    # the command argv[0] names; the tree would hand argv[1:] to the same
-    # parser, so a parse it accepts is the tree's. No argument, an unknown
-    # command (-h included) or arguments it leaves over go through the whole
-    # tree only for its exit: argparse's top-level usage, help or
-    # "unrecognized arguments" error.
+    # costs more than a short command. Any other command line goes through
+    # the whole tree, which parses it or exits with argparse's usage, help
+    # or error. Neither namespace carries the command name.
     if argv and argv[0] in COMMANDS:
-        name, tail, handler = argv[0], argv[1:], COMMANDS[argv[0]][2]
-        args = _quick_parse(name, tail)
+        args = _quick_parse(argv[0], argv[1:])
         if args is not None:
-            return args, handler
-        args, extra = _command_parser(name).parse_known_args(tail)
-        if not extra:
-            return args, handler
-    build_parser().parse_args(argv)
+            return args, COMMANDS[argv[0]][2]
+    args = build_parser().parse_args(argv)
+    return args, COMMANDS[vars(args).pop("command")][2]
 
 
 def main(argv=None) -> int:

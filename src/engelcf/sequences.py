@@ -26,6 +26,7 @@ silently. The budget is set on the store (SeriesSource) and nowhere else.
 """
 
 import enum
+import operator
 from typing import Sequence, Union
 
 from ._value import _Value
@@ -82,7 +83,7 @@ class FactorSequence(_Value):
     __slots__ = _fields = ("z", "tail_ones")
 
     def __init__(self, z: Sequence[int], tail_ones: bool = False):
-        self._init(tuple(int(v) for v in z), tail_ones)
+        self._init(tuple(map(operator.index, z)), tail_ones)
         if not self.z:
             raise InvalidSpec("need at least the first factor z_2")
         if self.z[0] < 2:
@@ -123,7 +124,7 @@ class FactorSequence(_Value):
 
 def ones_tail(u: int) -> FactorSequence:
     """The unbounded source z = (u, 1, 1, ...), i.e. x_n = u^(2^(n-2))."""
-    if u < 2:
+    if operator.index(u) < 2:
         raise InvalidSpec("u must be >= 2")
     return FactorSequence((u,), tail_ones=True)
 
@@ -158,7 +159,7 @@ def strip_leading_ones(raw: Sequence[int]) -> tuple[int, ...]:
     Recurrence initial data contribute several leading 1s; all but one are
     dropped so the two numbering schemes meet deterministically.
     """
-    terms = [int(v) for v in raw]
+    terms = list(map(operator.index, raw))
     if not terms or terms[0] != 1:
         raise InvalidSpec("sequence must start with 1")
     i = 0
@@ -197,7 +198,7 @@ class SecondOrderSpec(_Value):
     __slots__ = _fields = ("d1", "g")
 
     def __init__(self, d1: int, g: Sequence[int]):
-        self._init(d1, tuple(int(c) for c in g))
+        self._init(operator.index(d1), tuple(map(operator.index, g)))
         if self.d1 < 3:
             raise InvalidSpec(f"d1 must be >= 3, got {self.d1}")
         if not self.g:
@@ -242,7 +243,9 @@ class ThirdOrderSpec(_Value):
     __slots__ = _fields = ("e1", "e2", "h")
 
     def __init__(self, e1: int, e2: int, h: Sequence[tuple[int, int, int]]):
-        self._init(e1, e2, tuple(sorted((int(i), int(j), int(c)) for (i, j, c) in h)))
+        index = operator.index
+        self._init(index(e1), index(e2),
+                   tuple(sorted((index(i), index(j), index(c)) for (i, j, c) in h)))
         if self.e1 < 1:
             raise InvalidSpec(f"e1 must be >= 1, got {self.e1}")
         if self.e2 < 2:
@@ -514,7 +517,9 @@ class SeriesSource:
         return run[0][n - 1 + self._pad]
 
     def factor(self, j: int) -> int | None:
-        """z_j, or None when a finite factor list is exhausted."""
+        """z_j for j >= 2, or None when a finite factor list is exhausted."""
+        if j < 2:
+            raise IndexError("factors start at j = 2")
         if isinstance(self.rule, FactorSequence):
             return self.rule.factor(j)
         self.x(j)
@@ -584,13 +589,14 @@ def closed_form_numerator(z: Sequence[int], n: int) -> int:
     """
     if n < 1:
         raise InvalidSpec("n must be >= 1")
+    z = tuple(map(operator.index, z))
     total = 1
     for j in range(1, n):
         term = 1
         for k in range(2, j + 1):
-            term *= int(z[k - 2]) ** (2 ** (n - k) - 2 ** (j - k))
+            term *= z[k - 2] ** (2 ** (n - k) - 2 ** (j - k))
         for l in range(j + 1, n + 1):
-            term *= int(z[l - 2]) ** (2 ** (n - l))
+            term *= z[l - 2] ** (2 ** (n - l))
         total += term
     return total
 
@@ -608,7 +614,7 @@ def partial_sum(x: Sequence[int], n: int) -> "Fraction":
     """
     from fractions import Fraction
 
-    xs = tuple(int(v) for v in x)
+    xs = tuple(map(operator.index, x))
     if not 1 <= n <= len(xs):
         raise InvalidSpec(f"n must be in 1..{len(xs)}")
     if xs[0] != 1:
@@ -636,9 +642,9 @@ def shallit_factors(u: int, c: Sequence[int]) -> FactorSequence:
     z_2 = u^(c_0) and z_j = u^(d_(j-3)) for j >= 3, and the partial sums
     satisfy S_n - 1 = sum_{k=0}^{n-2} u^(-c_k) exactly.
     """
-    if u < 2:
+    if operator.index(u) < 2:
         raise InvalidSpec("u must be >= 2")
-    cs = [int(v) for v in c]
+    cs = list(map(operator.index, c))
     if not cs:
         raise InvalidSpec("need at least one exponent")
     if any(v < 1 for v in cs):

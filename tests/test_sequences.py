@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engelcf import sequences
+from engelcf.asymptotics import growth_report
+from engelcf.cf import CFExpansion, normalize_zeros
 from engelcf.exceptions import (
     BitBudgetExceeded,
     DivisibilityViolation,
@@ -313,6 +315,31 @@ def test_closed_form_numerator_small():
 ])
 def test_input_validation_raises_invalid_spec(bad):
     with pytest.raises(InvalidSpec):
+        bad()
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: FactorSequence((3, 2.5)),
+    lambda: FactorSequence(("3",)),
+    lambda: ones_tail(2.5),
+    lambda: SecondOrderSpec(3.5, (1, 2)),
+    lambda: SecondOrderSpec(3, (1, 2.0)),
+    lambda: ThirdOrderSpec(2.0, 2, ((0, 0, 1), (1, 1, 2))),
+    lambda: ThirdOrderSpec(2, 2.5, ((0, 0, 1), (1, 1, 2))),
+    lambda: ThirdOrderSpec(2, 2, ((0, 0, 1), (1, 1, 2.0))),
+    lambda: CFExpansion((1, 2.5)),
+    lambda: normalize_zeros([1, 2.7]),
+    lambda: strip_leading_ones([1, 1, 3.0]),
+    lambda: factors_from_sequence([1, 3.2, 9.9]),
+    lambda: partial_sum([1, 3.7, 90.2], 3),
+    lambda: shallit_factors(2.5, (1, 2)),
+    lambda: shallit_factors(3, (1, "2")),
+    lambda: closed_form_numerator([3, 2.5], 3),
+    lambda: growth_report([1, 3, 18.0, 2916, 8503056], 2.7),
+])
+def test_non_integer_inputs_raise_type_error(bad):
+    # A float or str is refused where the value comes in, not truncated.
+    with pytest.raises(TypeError):
         bad()
 
 

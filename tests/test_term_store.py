@@ -372,6 +372,13 @@ def test_check_instance_forms_each_term_once(monkeypatch):
     assert len(charged) == 8
 
 
+@pytest.mark.parametrize("source", [AFFINE, FactorSequence((3, 2, 2))])
+@pytest.mark.parametrize("j", [1, 0, -1])
+def test_factors_start_at_2_in_every_store(source, j):
+    with pytest.raises(IndexError, match="factors start at j = 2"):
+        SeriesSource(source).factor(j)
+
+
 def test_cf_past_a_finite_factor_list_is_a_validation_error(capsys):
     assert main(["cf", "--z", "3,9", "--n", "5"]) == 2
     assert "z_4" in capsys.readouterr().err
