@@ -175,6 +175,7 @@ def expand_rational(p: int, q: int) -> CFExpansion:
     Each kept batch records it, which costs nothing on entries of
     _WINDOW_BITS bits; the result's ``matrix`` is formed only when read.
     """
+    p, q = operator.index(p), operator.index(q)
     if p < 0 or q <= 0:
         raise InvalidSpec(f"need p >= 0 and q > 0, got {p}/{q}")
     w = _WINDOW_BITS

@@ -7,11 +7,10 @@ same invocation always produces the same bytes.
 Exit codes: 0 success, 2 validation error, 3 bit budget exceeded,
 4 internal invariant violation (a failing check or an oracle mismatch).
 
-Each command's flags are defined once, by its flag function in COMMANDS.
-Flags spelled out in full are read from the table that function records,
-without argparse; any other command line, and help, usage and error text,
-go through the argparse tree that build_parser assembles from the same
-functions.
+Each command's flags are defined once, as data: its flag table in COMMANDS.
+Flags spelled out in full are read from that table without argparse; any
+other command line, and help, usage and error text, go through the argparse
+tree that build_parser assembles from the same tables.
 """
 
 import argparse
@@ -43,31 +42,6 @@ from .sequences import (
 )
 
 SEQ_HEADER = "# engel-seq v1"
-
-
-def _add_output(parser: argparse.ArgumentParser, with_json: bool = True):
-    if with_json:
-        parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--out", type=str, default=None, help="write output to this path")
-
-
-def _add_suite_inputs(parser: argparse.ArgumentParser):
-    # The source flags the verify suites read; every source subcommand takes them too.
-    parser.add_argument("--z", type=str, default=None, help="factor list z2,z3,...")
-    parser.add_argument("--d1", type=int, default=None, help="second-order exponent d1")
-    parser.add_argument("--G", type=str, default=None, help="G coefficients, constant term first")
-
-
-def _add_source(parser: argparse.ArgumentParser):
-    _add_suite_inputs(parser)
-    parser.add_argument("--e1", type=int, default=None, help="third-order exponent e1")
-    parser.add_argument("--e2", type=int, default=None, help="third-order exponent e2")
-    parser.add_argument("--H", type=str, default=None, help="H terms i,j,coeff separated by ';'")
-    parser.add_argument("--u", type=int, default=None, help="power-sum base (factors u,1,1,...)")
-    parser.add_argument("--spec-file", type=str, default=None,
-                        help="read a one-line recurrence spec from this file")
-    parser.add_argument("--bits", type=int, default=DEFAULT_BITS,
-                        help=f"total bit budget for generated terms (default {DEFAULT_BITS})")
 
 
 def _source_from_args(args):
@@ -204,7 +178,7 @@ def cmd_verify(args) -> tuple[str, int]:
         spec = SecondOrderSpec(args.d1, parse_ints(args.G, "--G"))
         checked = run_lift_suite(spec, args.n)
         line = f"ok lift: factorization identity holds for {checked} terms"
-    elif args.suite == "identities":
+    else:  # identities; the flag table's choices allow no other suite
         if args.z is None:
             raise InvalidSpec("--suite identities needs --z")
         zs = FactorSequence(parse_ints(args.z, "--z"))
@@ -216,8 +190,6 @@ def cmd_verify(args) -> tuple[str, int]:
                 raise InvalidSpec(f"need a generic factor sequence, got {zs.series_class.value}")
             checked = check_instance(zs, n_max) - 1
         line = f"ok identities: {checked} doubling steps verified"
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidSpec(f"unknown suite {args.suite}")
     if checked == 0:
         raise InvalidSpec(f"--suite {args.suite} checked nothing; give larger sizes or more factors")
     if args.json:
@@ -252,59 +224,57 @@ def cmd_paper_examples(args) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _gen_flags(p: argparse.ArgumentParser):
-    _add_source(p)
-    _add_output(p)
-    p.add_argument("--n", type=int, required=True, help="number of terms")
+# Flag tables: flag -> (type, default, choices, required, help), in help
+# order. A type of None marks a store_true switch. The dest is the flag name
+# without its dashes.
+_OUTPUT = {
+    "--json": (None, False, None, False, "emit JSON instead of text"),
+    "--out": (str, None, None, False, "write output to this path"),
+}
+# The source flags the verify suites read; every source subcommand takes them too.
+_SUITE_INPUTS = {
+    "--z": (str, None, None, False, "factor list z2,z3,..."),
+    "--d1": (int, None, None, False, "second-order exponent d1"),
+    "--G": (str, None, None, False, "G coefficients, constant term first"),
+}
+_SOURCE = _SUITE_INPUTS | {
+    "--e1": (int, None, None, False, "third-order exponent e1"),
+    "--e2": (int, None, None, False, "third-order exponent e2"),
+    "--H": (str, None, None, False, "H terms i,j,coeff separated by ';'"),
+    "--u": (int, None, None, False, "power-sum base (factors u,1,1,...)"),
+    "--spec-file": (str, None, None, False, "read a one-line recurrence spec from this file"),
+    "--bits": (int, DEFAULT_BITS, None, False,
+               f"total bit budget for generated terms (default {DEFAULT_BITS})"),
+}
 
-
-def _cf_flags(p: argparse.ArgumentParser):
-    _add_source(p)
-    _add_output(p)
-    p.add_argument("--n", type=int, required=True, help="partial sum index")
-    p.add_argument("--check", choices=["oracle"], default=None,
-                   help="cross-check against the Euclidean expansion")
-
-
-def _stream_flags(p: argparse.ArgumentParser):
-    _add_source(p)
-    _add_output(p)
-    p.add_argument("--K", type=int, required=True, help="number of certified coefficients")
-
-
-def _asymp_flags(p: argparse.ArgumentParser):
-    _add_source(p)
-    _add_output(p, with_json=False)
-    p.add_argument("--digits", type=int, default=50,
-                   help="working precision in decimal digits (default 50)")
-    p.add_argument("--n", type=int, default=10, help="largest index in the report")
-
-
-def _verify_flags(p: argparse.ArgumentParser):
-    _add_suite_inputs(p)
-    _add_output(p)
-    p.add_argument("--suite", choices=["generic", "z2", "lift", "identities"], required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--maxn", type=int, default=7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=7, help="depth for lift/identities suites")
-
-
-def _paper_examples_flags(p: argparse.ArgumentParser):
-    _add_output(p)
-    p.add_argument("--only", type=str, default=None, help="run a single example tag")
-
-
-# name -> (help line, flag-adding function, handler): the one definition of
-# each subcommand, read by build_parser, _quick_parse and _parse.
+# name -> (help line, flag table, handler): the one definition of each
+# subcommand, read by build_parser, _quick_parse and _parse.
 COMMANDS = {
-    "gen": ("generate sequence terms", _gen_flags, cmd_gen),
-    "cf": ("continued fraction of the n-th partial sum", _cf_flags, cmd_cf),
-    "stream": ("certified prefix of the limit expansion", _stream_flags, cmd_stream),
-    "asymp": ("growth and irrationality report (always JSON)", _asymp_flags, cmd_asymp),
-    "verify": ("run a randomized invariant suite", _verify_flags, cmd_verify),
-    "paper-examples": ("re-derive the bundled worked examples", _paper_examples_flags,
-                       cmd_paper_examples),
+    "gen": ("generate sequence terms", _SOURCE | _OUTPUT | {
+        "--n": (int, None, None, True, "number of terms"),
+    }, cmd_gen),
+    "cf": ("continued fraction of the n-th partial sum", _SOURCE | _OUTPUT | {
+        "--n": (int, None, None, True, "partial sum index"),
+        "--check": (str, None, ["oracle"], False, "cross-check against the Euclidean expansion"),
+    }, cmd_cf),
+    "stream": ("certified prefix of the limit expansion", _SOURCE | _OUTPUT | {
+        "--K": (int, None, None, True, "number of certified coefficients"),
+    }, cmd_stream),
+    "asymp": ("growth and irrationality report (always JSON)", _SOURCE | {
+        "--out": _OUTPUT["--out"],
+        "--digits": (int, 50, None, False, "working precision in decimal digits (default 50)"),
+        "--n": (int, 10, None, False, "largest index in the report"),
+    }, cmd_asymp),
+    "verify": ("run a randomized invariant suite", _SUITE_INPUTS | _OUTPUT | {
+        "--suite": (str, None, ["generic", "z2", "lift", "identities"], True, None),
+        "--trials": (int, 100, None, False, None),
+        "--maxn": (int, 7, None, False, None),
+        "--seed": (int, 0, None, False, None),
+        "--n": (int, 7, None, False, "depth for lift/identities suites"),
+    }, cmd_verify),
+    "paper-examples": ("re-derive the bundled worked examples", _OUTPUT | {
+        "--only": (str, None, None, False, "run a single example tag"),
+    }, cmd_paper_examples),
 }
 
 
@@ -315,21 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact continued fractions of Engel series with x_n^2 | x_{n+1}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_flags, _) in COMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_line))
+    for name, (help_line, flags, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, (kind, default, choices, required, help_text) in flags.items():
+            how = {"action": "store_true"} if kind is None else {"type": kind, "choices": choices}
+            p.add_argument(flag, default=default, required=required, help=help_text, **how)
     return parser
-
-
-class _FlagTable(dict):
-    # What a flag function adds, read without argparse: flag -> (dest, type,
-    # default, choices, required). A store_true flag has type None, as it
-    # reads no value; an untyped value flag has type str, which keeps the
-    # token as argparse does.
-    def add_argument(self, flag, type=str, default=None, choices=None, required=False,
-                     action=None, help=None):
-        if action == "store_true":
-            type, default = None, False
-        self[flag] = (flag.lstrip("-").replace("-", "_"), type, default, choices, required)
 
 
 def _quick_parse(name: str, tail: list[str]):
@@ -340,15 +301,14 @@ def _quick_parse(name: str, tail: list[str]):
     # repeat wins. None for any other tail (abbreviations, "--flag=value",
     # negative values, "--", -h) or one argparse would refuse (a bad int, a
     # value outside choices, a missing required flag), which argparse reads.
-    table = _FlagTable()
-    COMMANDS[name][1](table)
-    values = {dest: default for dest, _, default, _, _ in table.values()}
+    table = COMMANDS[name][1]
+    values = {flag: row[1] for flag, row in table.items()}
     given = set()
     tokens = iter(tail)
     for flag in tokens:
         if flag not in table:
             return None
-        dest, kind, _, choices, _ = table[flag]
+        kind, _, choices, _, _ = table[flag]
         if kind is None:
             value = True
         else:
@@ -361,11 +321,11 @@ def _quick_parse(name: str, tail: list[str]):
                 return None
             if choices is not None and value not in choices:
                 return None
-        values[dest] = value
+        values[flag] = value
         given.add(flag)
-    if not given >= {flag for flag, (*_, required) in table.items() if required}:
+    if not given >= {flag for flag, row in table.items() if row[3]}:
         return None
-    return argparse.Namespace(**values)
+    return argparse.Namespace(**{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def _parse(argv: list[str]):

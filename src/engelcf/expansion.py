@@ -47,6 +47,7 @@ Partial-sum constructions are pure; a stream is a stateful single-consumer
 object (distinct streams are independent).
 """
 
+import operator
 from typing import NamedTuple
 
 from .cf import (
@@ -109,6 +110,7 @@ def partial_cf(source: SourceLike, n: int) -> CFExpansion:
     the 2^(n-3) + 3 doubling pattern; the value is unchanged. The final
     convergent denominator is x_n.
     """
+    n = operator.index(n)
     if n < 1:
         raise InvalidSpec("n must be >= 1")
     src = as_store(source)
@@ -176,6 +178,7 @@ class EngelStream:
     def take(self, count: int) -> list[int]:
         """Advance until at least ``count`` coefficients are certified and
         return the full certified prefix (possibly longer than asked)."""
+        count = operator.index(count)
         if count < 1:
             raise InvalidSpec("count must be >= 1")
         while len(self.emitted) < count:

@@ -107,6 +107,7 @@ class FactorSequence(_Value):
 
     def factor(self, j: int) -> int | None:
         """z_j for j >= 2, or None when the finite list is exhausted."""
+        j = operator.index(j)
         if j < 2:
             raise IndexError("factors start at j = 2")
         idx = j - 2
@@ -146,6 +147,7 @@ def from_factors(source: "SourceLike", n: int) -> list[int]:
     """x_1..x_n of any source in the Engel indexing (leading 1s collapsed),
     as a new list. The store forms x_{k+1} = z_{k+1} * x_k^2, so x_k^2
     divides x_{k+1} by construction and no term is divided again."""
+    n = operator.index(n)
     if n < 1:
         raise InvalidSpec("n must be >= 1")
     src = as_store(source)
@@ -454,11 +456,18 @@ class SeriesSource:
     def _grow(self, count: int):
         self._run(self._terms, self._factors, count, self._exact)
 
+    def _raw(self, n: int, first: int = 1) -> int:
+        # The raw index of x_n and z_n, checked before anything is formed:
+        # an int index, n >= 1 for terms and n >= 2 for factors.
+        n = operator.index(n)
+        if n < first:
+            raise IndexError("terms start at n = 1" if first == 1 else "factors start at j = 2")
+        return n - 1 + self._pad
+
     def x(self, n: int) -> int:
-        if n < 1:
-            raise IndexError("terms start at n = 1")
-        self._grow(n + self._pad)
-        return self._terms[n - 1 + self._pad]
+        i = self._raw(n)
+        self._grow(i + 1)
+        return self._terms[i]
 
     def head(self, n: int) -> tuple[int, int]:
         """(bit_length, top) of x_n, with top = x_n >> max(bit_length - 64, 0).
@@ -478,15 +487,14 @@ class SeriesSource:
         is read exactly. Otherwise _run steps brackets of prec bits
         from the last formed terms, and prec doubles until ``read``
         accepts. A run that stays exact, or a prec that would cover the
-        whole term, forms (and charges) x_n through x(n) instead. The
+        whole term, forms (and charges) x_n in the store instead. The
         bracket runs neither grow the store nor charge the budget.
         """
-        if n < 1:
-            raise IndexError("terms start at n = 1")
-        if n + self._pad <= len(self._terms):
-            return read(self._terms[n - 1 + self._pad])
+        i = self._raw(n)
+        if i < len(self._terms):
+            return read(self._terms[i])
         while True:
-            v = self._bracket_term(n, prec)
+            v = self._bracket_term(i, prec)
             if not isinstance(v, _Bracket):
                 break
             value = read(v)
@@ -495,11 +503,12 @@ class SeriesSource:
             prec *= 2
             if prec >= v.hi.bit_length() + v.e:
                 break
-        return read(self.x(n))
+        self._grow(i + 1)
+        return read(self._terms[i])
 
-    def _bracket_term(self, n: int, prec: int):
-        # _run with the bracket kind on copies of the term lists, which keep
-        # their length so that the raw index holds; the rules read at most
+    def _bracket_term(self, i: int, prec: int):
+        # The term at raw index i, by _run with the bracket kind on copies of
+        # the term lists, which keep their length; the rules read at most
         # the last three entries. The run of each prec is kept until the exact
         # kind appends a term, so reads through n take n steps in all.
         run = self._runs.get(prec)
@@ -513,17 +522,16 @@ class SeriesSource:
             z = _enclose(z, prec)
             return z, _enclose(z * x ** 2, prec)
 
-        self._run(*run, n + self._pad, form)
-        return run[0][n - 1 + self._pad]
+        self._run(*run, i + 1, form)
+        return run[0][i]
 
     def factor(self, j: int) -> int | None:
         """z_j for j >= 2, or None when a finite factor list is exhausted."""
-        if j < 2:
-            raise IndexError("factors start at j = 2")
+        i = self._raw(j, 2)
         if isinstance(self.rule, FactorSequence):
-            return self.rule.factor(j)
-        self.x(j)
-        return self._factors[j - 1 + self._pad]
+            return self.rule.factor(i + 1)  # a factor list has no pad
+        self._grow(i + 1)
+        return self._factors[i]
 
     def factors_through(self, j_max: int) -> list[int]:
         """z_2..z_{j_max}; raises InsufficientFactors past a finite list."""
@@ -535,12 +543,13 @@ class SeriesSource:
         """N_n with S_n = N_n / x_n, maintained incrementally:
         N_n = N_{n-1} * y_n + 1 with y_n = x_n / x_{n-1} = z_n * x_{n-1}.
         The paper's congruence makes it coprime to x_n, so no gcd is taken."""
-        self._grow(n + self._pad)
+        i = self._raw(n)
+        self._grow(i + 1)
         terms, zs, pad = self._terms, self._factors, self._pad
-        while len(self._nums) < n:
-            i = len(self._nums) + pad
-            self._nums.append(self._nums[-1] * zs[i] * terms[i - 1] + 1)
-        return self._nums[n - 1]
+        while len(self._nums) + pad <= i:
+            k = len(self._nums) + pad
+            self._nums.append(self._nums[-1] * zs[k] * terms[k - 1] + 1)
+        return self._nums[i - pad]
 
     def partial_sum(self, n: int) -> "Fraction":
         """Exact S_n as a reduced Fraction."""
@@ -566,6 +575,7 @@ def generate_recurrence(source: SourceLike, n: int) -> list[int]:
     of a valid spec from integer powers. The tests check the result against
     the dividing recurrence with every division checked exact.
     """
+    n = operator.index(n)
     if n < 1:
         raise InvalidSpec("n must be >= 1")
     store = as_store(source)

@@ -491,9 +491,9 @@ def test_one_command_parse_is_the_trees(argv):
 
 
 def _flag_table(name: str) -> dict:
-    table = cli._FlagTable()
-    COMMANDS[name][1](table)
-    return table
+    # flag -> (dest, type, default, choices, required), from the command's table.
+    return {flag: (flag[2:].replace("-", "_"), *row[:4])
+            for flag, row in COMMANDS[name][1].items()}
 
 
 ODD_VALUES = ["-3", "-", "--", "3x", "1.5", "bad", "a b", " 7", "+4", ""]

@@ -107,6 +107,13 @@ def test_edge_values(window):
     assert check(big * (big + 2), big * (big - 1), window)[0] == 1  # the gcd is big
 
 
+@pytest.mark.parametrize("p, q", [(7.5, 2), (7, 2.0), (7.0, 2.0)])
+def test_operands_must_be_integers(p, q):
+    # A float would run Euclid in floats: [3.0;1.0,3.0] for 7.5/2.
+    with pytest.raises(TypeError):
+        expand_rational(p, q)
+
+
 @pytest.mark.parametrize("window", WINDOWS)
 def test_ones_tail_oracle_endpoints(window):
     # Both endpoints the interval oracle expands for ones_tail(3) at n = 16.

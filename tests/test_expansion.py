@@ -191,6 +191,15 @@ def test_stream_prefix_stability():
         seen = list(es.emitted)
 
 
+def test_a_changed_emitted_prefix_fails_the_next_take():
+    # The fold stream checks every advance against what it emitted before.
+    es = EngelStream(AFFINE)
+    es.take(5)
+    es.emitted[1] += 1
+    with pytest.raises(IdentityViolation, match="previously emitted coefficients changed"):
+        es.take(len(es.emitted) + 1)
+
+
 def test_stream_is_prefix_of_partials():
     zs = FactorSequence((4, 3, 2, 5, 2, 7))
     first = stream(zs, 12).certified

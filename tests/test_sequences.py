@@ -322,6 +322,8 @@ def test_input_validation_raises_invalid_spec(bad):
     lambda: FactorSequence((3, 2.5)),
     lambda: FactorSequence(("3",)),
     lambda: ones_tail(2.5),
+    lambda: ones_tail(3).factor(4.5),
+    lambda: FactorSequence((3, 2)).factor(7.5),
     lambda: SecondOrderSpec(3.5, (1, 2)),
     lambda: SecondOrderSpec(3, (1, 2.0)),
     lambda: ThirdOrderSpec(2.0, 2, ((0, 0, 1), (1, 1, 2))),

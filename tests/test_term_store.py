@@ -199,7 +199,7 @@ def test_the_bracket_kind_encloses_the_exact_values(source):
         for prec in (4, 16, 64):
             store = SeriesSource(source)
             store.x(formed)
-            store._bracket_term(9, prec)
+            store._bracket_term(store._raw(9), prec)
             xs, zs = store._runs[prec]
             assert len(xs) == len(zs) == len(exact._terms)
             for got, want in zip(xs + zs, exact._terms + exact._factors):
@@ -377,6 +377,30 @@ def test_check_instance_forms_each_term_once(monkeypatch):
 def test_factors_start_at_2_in_every_store(source, j):
     with pytest.raises(IndexError, match="factors start at j = 2"):
         SeriesSource(source).factor(j)
+
+
+@pytest.mark.parametrize("read, error", [
+    (lambda s: s.numerator(0), IndexError),
+    (lambda s: s.numerator(-1), IndexError),
+    (lambda s: s.x(4.5), TypeError),
+    (lambda s: s.head(4.5), TypeError),
+    (lambda s: s.factor(4.5), TypeError),
+    (lambda s: s.numerator(4.5), TypeError),
+    (lambda s: generate_recurrence(s, 6.5), TypeError),
+    (lambda s: from_factors(s, 5.5), TypeError),
+    (lambda s: partial_cf(s, 5.5), TypeError),
+    (lambda s: stream(s, 3.5), TypeError),
+], ids=["numerator(0)", "numerator(-1)", "x", "head", "factor", "numerator", "generate_recurrence",
+        "from_factors", "partial_cf", "stream"])
+def test_indices_are_checked_before_anything_is_formed(read, error):
+    # A wrong index raises before any term is formed or charged, never
+    # reading a held value from the wrong end of the store.
+    store = SeriesSource(AFFINE)
+    store.numerator(4)
+    total, size = store._meter.total_bits, len(store._terms)
+    with pytest.raises(error):
+        read(store)
+    assert store._meter.total_bits == total and len(store._terms) == size
 
 
 def test_cf_past_a_finite_factor_list_is_a_validation_error(capsys):
