@@ -57,7 +57,6 @@ from .asymptotics import (
     GrowthReport,
     RothReport,
     dominant_root,
-    empirical_growth_constant,
     estimate_C,
     full_report,
     growth_report,

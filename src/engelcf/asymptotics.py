@@ -38,7 +38,6 @@ from .sequences import (
     SecondOrderSpec,
     SeriesSource,
     SourceLike,
-    ThirdOrderSpec,
     _int_head,
     as_store,
 )
@@ -179,27 +178,6 @@ def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int):
                 return c_value, 2 * next_term + (4 * k + 10) * mp.eps * c_value
 
 
-def empirical_growth_constant(source: SourceLike, n: int = 12, dps: int = DEFAULT_DPS):
-    """(C', err) with log X_n ~ C' lam^n for a lifted third-order spec, or
-    a store of one.
-
-    No series formula is available here, so C' is read off as
-    log X_n / lam^n at the largest computed index; ``err`` is the change
-    from the previous index, an estimate of the remaining drift.
-    """
-    store = as_store(source)
-    parent = store.rule.lift_parent() if isinstance(store.rule, ThirdOrderSpec) else None
-    if parent is None:
-        raise InvalidSpec("empirical growth constant needs a lifted-shape spec")
-    lam = dominant_root(parent.d1, parent.d2, dps)
-    # X_m, counted from X_0 = X_1 = X_2 = 1, is the store's x_{m-1}.
-    log_x = [log_big(store.head(m - 1) if m >= 2 else (1, 1), dps) for m in (n - 1, n)]
-    with workdps(dps + 10):
-        c_n = log_x[1] / lam**n
-        c_prev = log_x[0] / lam ** (n - 1)
-        return c_n, abs(c_n - c_prev)
-
-
 class GrowthRow(NamedTuple):
     n: int
     exponent: object  # mpf
@@ -287,6 +265,7 @@ def full_report(source: SourceLike, n_max: int = 10, dps: int = DEFAULT_DPS) -> 
     to index n_max; the root, each a_k and each log x_n are computed once.
     The heads, and the a_k past the few terms that C forms, come from
     bracket runs."""
+    n_max = operator.index(n_max)
     if n_max < 3:
         raise InvalidSpec("n_max must be >= 3")
     store = _second_order_store(source)
@@ -313,6 +292,7 @@ def roth_exponents(source: SourceLike, depth: int, dps: int = DEFAULT_DPS) -> Ro
     Records start at n = 2, the first partial sum whose denominator
     exceeds 1.
     """
+    depth = operator.index(depth)
     if depth < 1:
         raise InvalidSpec("depth must be >= 1")
     src = as_store(source)

@@ -126,6 +126,7 @@ def partial_cf(source: SourceLike, n: int) -> CFExpansion:
 def partial_lengths(source: SourceLike, n_max: int) -> list[int]:
     """Lengths of the partial-sum expansions for n = 1..n_max, computed from
     the Euclidean oracle (plus the u = 2 representative convention)."""
+    n_max = operator.index(n_max)
     src = as_store(source)
     return [len(expand_rational(src.numerator(n), src.x(n))) + _split_representative(src, n)
             for n in range(1, n_max + 1)]

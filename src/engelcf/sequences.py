@@ -275,19 +275,6 @@ class ThirdOrderSpec(_Value):
     def H(self, x: int, y: int) -> int:
         return sum(c * x**i * y**j for (i, j, c) in self.h)
 
-    def lift_parent(self) -> SecondOrderSpec | None:
-        """Recover (d1, G) when this spec has the lifted shape
-        e1 = e2 = d1 - 1, H(X, Y) = G(X*Y); None otherwise."""
-        if self.e1 != self.e2:
-            return None
-        if any(i != j for (i, j, _) in self.h):
-            return None
-        degree = max(i for (i, _, _) in self.h)
-        dense = [0] * (degree + 1)
-        for (i, _, c) in self.h:
-            dense[i] = c
-        return SecondOrderSpec(self.e1 + 1, tuple(dense))
-
 
 RecurrenceSpec = Union[SecondOrderSpec, ThirdOrderSpec]
 

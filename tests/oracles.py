@@ -1,13 +1,17 @@
 """Independent helpers that only the tests read: exact evaluation of a continued
 fraction, the parser of cf_text's grammar and the writer of parse_spec_line's,
 a spec built from random arguments, a product tree that checks known
-quotients against a rational, and residues modulo a prime."""
+quotients against a rational, residues modulo a prime, and the lift's growth
+constant read off its terms' heads."""
 
 from fractions import Fraction
 
+from mpmath import workdps
+
+from engelcf.asymptotics import DEFAULT_DPS, dominant_root, log_big
 from engelcf.cf import _LEAF, CFExpansion, convergent_matrix, matrix_mul
 from engelcf.exceptions import InvalidSpec, TrailingZero
-from engelcf.sequences import RecurrenceSpec, SecondOrderSpec
+from engelcf.sequences import RecurrenceSpec, SecondOrderSpec, SeriesSource
 
 
 def evaluate(cf) -> Fraction:
@@ -210,3 +214,15 @@ class Residue:
 
     def __repr__(self):
         return f"Residue({self.v}, {self.p})"
+
+
+def lift_growth_constant(lifted: SeriesSource, parent: SecondOrderSpec, n: int,
+                         dps: int = DEFAULT_DPS):
+    """log X_n / lam^n, n >= 2, from the store of ``lift_spec(parent)``, lam
+    the parent's dominant root: C' read off one head. It shares no code with
+    the series for C, so it cross-checks C/(1 + lam)."""
+    lam = dominant_root(parent.d1, parent.d2, dps)
+    # X_m, counted from X_0 = X_1 = X_2 = 1, is the store's x_{m-1}.
+    log_x = log_big(lifted.head(n - 1), dps)
+    with workdps(dps + 10):
+        return log_x / lam**n

@@ -12,7 +12,6 @@ from engelcf.asymptotics import (
     _alpha,
     _alphas,
     dominant_root,
-    empirical_growth_constant,
     estimate_C,
     full_report,
     growth_report,
@@ -24,13 +23,13 @@ from engelcf.sequences import (
     FactorSequence,
     SecondOrderSpec,
     SeriesSource,
-    ThirdOrderSpec,
     from_factors,
     generate_recurrence,
     lift_spec,
     ones_tail,
 )
-from oracles import spec_or_none
+from oracles import lift_growth_constant, spec_or_none
+from test_sequences import second_order_specs
 
 CUBIC3 = SecondOrderSpec(3, (3,))
 AFFINE = SecondOrderSpec(3, (1, 2))
@@ -124,19 +123,32 @@ def test_asymptotic_constant_consistency():
         assert abs(log_big(x10) / lam**10 - c_value) < mp.mpf("1e-6")
 
 
-def test_empirical_growth_constant():
-    lifted = lift_spec(AFFINE)
-    c_prime, drift = empirical_growth_constant(lifted, n=12)
+@given(second_order_specs())
+@settings(max_examples=40, deadline=None)
+def test_lift_growth_constant_is_the_series_constant_over_1_plus_lam(spec):
+    # X_n X_{n+1} = x_n gives l_n = log X_n = sum_{j<n} (-1)^(n-1-j) L_j,
+    # so with C' = C/(1 + lam) and r_j = L_j - C lam^j,
+    #   e_n = l_n - C' lam^n = -C' (-1)^n + sum_{j<n} (-1)^(n-1-j) r_j.
+    # The closed form of L_j, with K = log c/(d1+d2-2) and D = lam - 1/lam,
+    # gives r_j = -K - K (1 - lam) lam^-j / D - sum_{k>=1} lam^-|j-k| a_k / D.
+    # The alternating sums of 1 and of lam^-j are at most 1 in size; the
+    # last part, summed over all j, is at most (lam+1)/((lam-1) D) sum a_k.
+    # a_k <= B(x_k)/(c x_k^d2) <= (G(1)/c - 1)/x_k, B the sub-leading part
+    # of G, and sum_k 1/x_k <= 2 as x_1 = 1 and x_{k+1} >= x_k^2 >= 2 x_k
+    # from x_2 >= 2. So |e_n| <= bound below: log_big is within 2^-63 of
+    # l_n, and rounding at 60 digits is far smaller.
+    c_value, c_bound = estimate_C(spec)
+    lam = dominant_root(spec.d1, spec.d2)
+    lifted = SeriesSource(lift_spec(spec))
     with workdps(60):
-        assert abs(c_prime - mp.mpf("0.0227833")) <= mp.mpf("1e-5")
-        assert drift < mp.mpf("1e-8")
-        # Factorization X_n X_{n+1} = x_n forces C' (1 + lam) = C; the
-        # empirical C' still drifts by O(lam^-n), hence the loose tolerance.
-        c_parent, _ = estimate_C(AFFINE)
-        lam = dominant_root(3, 1)
-        assert abs(c_prime * (1 + lam) - c_parent) < mp.mpf("1e-6")
-    with pytest.raises(InvalidSpec):
-        empirical_growth_constant(ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))))
+        c_lift = c_value / (1 + lam)
+        K = mp.log(spec.c) / (spec.d1 + spec.d2 - 2)
+        D = lam - 1 / lam
+        sum_a = 2 * (mp.mpf(spec.g1) / spec.c - 1)
+        bound = c_lift + K * (1 + (lam - 1) / D) + (lam + 1) / ((lam - 1) * D) * sum_a + mp.mpf(2)**-63
+        for n in (12, 16, 20):
+            error = lift_growth_constant(lifted, spec, n) - c_lift
+            assert abs(error) <= bound / lam**n + c_bound
 
 
 def test_growth_report_recurrence():
@@ -315,9 +327,7 @@ def test_alpha_doubles_its_precision_then_forms_the_term(monkeypatch):
      "growth analysis needs a second-order spec, got FactorSequence"),
     (lambda: estimate_C(lift_spec(AFFINE)),
      "growth analysis needs a second-order spec, got ThirdOrderSpec"),
-    (lambda: empirical_growth_constant(AFFINE),
-     "empirical growth constant needs a lifted-shape spec"),
-], ids=["full_report", "estimate_C", "empirical_growth_constant"])
+], ids=["full_report", "estimate_C"])
 def test_a_source_of_the_wrong_kind_is_invalid(call, message):
     with pytest.raises(InvalidSpec) as exc:
         call()

@@ -150,7 +150,6 @@ def test_lift_spec_shape():
     lifted = lift_spec(AFFINE)
     assert (lifted.e1, lifted.e2) == (2, 2)
     assert lifted.h == ((0, 0, 1), (1, 1, 2))
-    assert lifted.lift_parent() == AFFINE
 
 
 @pytest.mark.parametrize("spec", [CUBIC3, AFFINE, DEGEN])
@@ -185,7 +184,6 @@ def test_third_order_general_shape():
     for k in range(len(xs) - 1):
         assert xs[k + 1] % xs[k] ** 2 == 0
     assert factors_from_sequence(xs).series_class is SeriesClass.GENERIC
-    assert spec.lift_parent() is None
 
 
 @st.composite
@@ -211,14 +209,6 @@ def test_lift_identity_random_specs(spec):
     for k in range(n - 1):
         assert xs[k + 1] % xs[k] ** 2 == 0
         assert bigxs[k + 1] % bigxs[k] ** 2 == 0
-
-
-@given(second_order_specs())
-@settings(max_examples=40, deadline=None)
-def test_lift_parent_inverts_lift_spec(spec):
-    # The parent of a valid lifted-shape spec is itself valid, so building
-    # it never raises: d1 = e2 + 1 >= 3, and H's (0, 0) term gives G(0) != 0.
-    assert lift_spec(spec).lift_parent() == spec
 
 
 def test_engel_from_spec():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelcf.asymptotics import empirical_growth_constant, estimate_C, full_report, roth_exponents
+from engelcf.asymptotics import estimate_C, full_report, roth_exponents
 from engelcf.cli import main
 from engelcf import sequences
 from engelcf.exceptions import BitBudgetExceeded, InsufficientFactors
@@ -353,8 +353,6 @@ TINY = 128
     pytest.param(AFFINE, lambda s: stream(s, 40), id="stream"),
     pytest.param(AFFINE, lambda s: enclosure(s, Fraction(1, 10**40)), id="enclosure"),
     pytest.param(AFFINE, estimate_C, id="estimate_C"),
-    pytest.param(lift_spec(AFFINE), lambda s: empirical_growth_constant(s, 7),
-                 id="empirical_growth_constant"),
     pytest.param(AFFINE, lambda s: full_report(s, 5), id="full_report"),
     pytest.param(AFFINE, lambda s: roth_exponents(s, 3), id="roth_exponents"),
 ])
@@ -401,6 +399,18 @@ def test_indices_are_checked_before_anything_is_formed(read, error):
     with pytest.raises(error):
         read(store)
     assert store._meter.total_bits == total and len(store._terms) == size
+
+
+@pytest.mark.parametrize("read", [
+    lambda s: full_report(s, 5.5),
+    lambda s: roth_exponents(s, 3.5),
+    lambda s: partial_lengths(s, 5.5),
+], ids=["full_report", "roth_exponents", "partial_lengths"])
+def test_diagnostic_counts_are_checked_before_anything_is_formed(read):
+    store = SeriesSource(AFFINE)
+    with pytest.raises(TypeError):
+        read(store)
+    assert store._meter.total_bits == 0
 
 
 def test_cf_past_a_finite_factor_list_is_a_validation_error(capsys):
