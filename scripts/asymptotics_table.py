@@ -9,14 +9,14 @@ Usage: python scripts/asymptotics_table.py [--maxn N], N >= 0
 """
 
 import argparse
+import decimal
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from mpmath import mp  # noqa: E402
-
 from engelcf import SecondOrderSpec, full_report  # noqa: E402
+from engelcf.asymptotics import DEFAULT_DPS, _digits_text as nstr  # noqa: E402
 
 SPECS = {
     "x^3 * 3": SecondOrderSpec(3, (3,)),
@@ -33,17 +33,19 @@ def main() -> int:
     if args.maxn < 0:
         parser.error("--maxn must be >= 0")
 
+    ctx = decimal.Context(prec=DEFAULT_DPS + 10)
     for name, spec in SPECS.items():
         # full_report needs n_max >= 3; its rows do not depend on n_max.
         report = full_report(spec, max(args.maxn, 3))
         lam = report.lam
         print(f"== {name}  (d1={spec.d1}, d2={spec.d2})")
-        print(f"   lambda = {mp.nstr(lam, 20)}")
-        print(f"   C      = {mp.nstr(report.C, 15)}  (tail bound {mp.nstr(report.C_bound, 2)})")
+        print(f"   lambda = {nstr(lam, 20)}")
+        print(f"   C      = {nstr(report.C, 15)}  (tail bound {nstr(report.C_bound, 2)})")
         print(f"   {'n':>3} {'log x_n':>18} {'reconstructed':>18} {'log x_n / lam^n':>18}")
         for n in range(2, args.maxn + 1):
             true, exact = report.lambda_n_true[n], report.lambda_n_exact[n]
-            print(f"   {n:>3} {mp.nstr(true, 10):>18} {mp.nstr(exact, 10):>18} {mp.nstr(true / lam**n, 10):>18}")
+            ratio = ctx.divide(true, ctx.power(lam, n))
+            print(f"   {n:>3} {nstr(true, 10):>18} {nstr(exact, 10):>18} {nstr(ratio, 10):>18}")
         print()
     return 0
 

@@ -15,14 +15,13 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from mpmath import mp  # noqa: E402
-
 from engelcf import (  # noqa: E402
     SecondOrderSpec,
     dominant_root,
     ones_tail,
     roth_exponents,
 )
+from engelcf.asymptotics import _digits_text as nstr  # noqa: E402
 
 
 def main() -> int:
@@ -40,16 +39,16 @@ def main() -> int:
     for spec in grid:
         lam = dominant_root(spec.d1, spec.d2)
         report = roth_exponents(spec, args.depth)
-        print(f"d1={spec.d1} G={list(spec.g)}  lambda={mp.nstr(lam, 10)}  delta={mp.nstr(report.delta, 6)}")
+        print(f"d1={spec.d1} G={list(spec.g)}  lambda={nstr(lam, 10)}  delta={nstr(report.delta, 6)}")
         for r in report.records:
-            print(f"   n={r.n:<3} q_bits={r.q_bits:<8} exponent in [{mp.nstr(r.lower, 8)}, {mp.nstr(r.upper, 8)}]")
+            print(f"   n={r.n:<3} q_bits={r.q_bits:<8} exponent in [{nstr(r.lower, 8)}, {nstr(r.upper, 8)}]")
         print()
 
     for u in (3, 2):
         report = roth_exponents(ones_tail(u), args.depth)
-        print(f"u={u} squaring series  delta={mp.nstr(report.delta, 6)}")
+        print(f"u={u} squaring series  delta={nstr(report.delta, 6)}")
         for r in report.records:
-            print(f"   n={r.n:<3} q_bits={r.q_bits:<8} exponent in [{mp.nstr(r.lower, 8)}, {mp.nstr(r.upper, 8)}]")
+            print(f"   n={r.n:<3} q_bits={r.q_bits:<8} exponent in [{nstr(r.lower, 8)}, {nstr(r.upper, 8)}]")
         print()
     return 0
 

@@ -19,19 +19,31 @@ below 2^-63. Terms here carry millions of bits; full-precision logs would
 be wasted. So the logs and bit lengths of x_n come from the term store's
 head, which certifies the bit length and top 64 bits by running the step
 identities on bounded-precision brackets. The corrections a_k come from
-the same brackets, kept only when they round to the floats of the exact
+the same brackets, kept only when they round to the Decimals of the exact
 terms (see _alpha). A report forms only the few small x_k whose bracket
 runs stay exact, the ones the constant C reads, whatever n_max is.
 
-All functions take the working precision (decimal digits) as a parameter;
-nothing here keeps ambient mutable state.
+All functions take the working precision in decimal digits, ``dps``, and
+run in one explicit ``decimal.Context`` of dps + 10 digits made for the
+call; nothing here reads or keeps ambient mutable state. Values come back
+as ``decimal.Decimal``.
 """
 
 import functools
 import operator
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Underflow,
+)
 from typing import NamedTuple, Sequence
-
-from mpmath import mp, workdps
 
 from .exceptions import DegenerateRoot, InvalidSpec
 from .sequences import (
@@ -45,7 +57,23 @@ from .sequences import (
 DEFAULT_DPS = 50
 
 
-def log_big(x, dps: int = DEFAULT_DPS):
+def _context(dps) -> Context:
+    # The context of one call: dps + 10 digits, round half even, the widest
+    # exponent range, and a trap on every signal that would lose a value.
+    dps = operator.index(dps)
+    if dps < 1:
+        raise InvalidSpec(f"dps must be >= 1, got {dps}")
+    return Context(prec=dps + 10, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX,
+                   traps=[InvalidOperation, DivisionByZero, Overflow, Underflow])
+
+
+@functools.cache
+def _ln2(prec: int) -> Decimal:
+    # ln 2 at prec digits, formed once per precision: every log reads it.
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN).ln(2)
+
+
+def log_big(x, dps: int = DEFAULT_DPS) -> Decimal:
     """log of a positive integer of arbitrary size, given as an int or as
     its head (bit_length, top) with top = x >> max(bit_length - 64, 0), as
     ``SeriesSource.head`` returns it.
@@ -53,80 +81,127 @@ def log_big(x, dps: int = DEFAULT_DPS):
     Only the leading 64 bits enter; the dropped low bits contribute less
     than 2^-63 absolutely, far below every tolerance used here.
     """
+    ctx = _context(dps)
     bits, top = _int_head(x) if isinstance(x, int) else x
     if top < 1:
         raise InvalidSpec("log_big needs a positive integer")
-    with workdps(dps):
-        return (bits - top.bit_length()) * mp.log(2) + mp.log(top)
+    return ctx.add(ctx.multiply(bits - top.bit_length(), _ln2(ctx.prec)), ctx.ln(top))
 
 
-def dominant_root(d1: int, d2: int, dps: int = DEFAULT_DPS):
+def dominant_root(d1: int, d2: int, dps: int = DEFAULT_DPS) -> Decimal:
     """Largest root of t^2 - (d1+d2) t + 1 = 0; exceeds 2 when d1+d2 >= 3."""
+    ctx = _context(dps)
     b = d1 + d2
     if b <= 2:
         raise DegenerateRoot(f"d1 + d2 = {b} <= 2 gives a root <= 1")
-    with workdps(dps + 10):
-        return (b + mp.sqrt(mp.mpf(b) * b - 4)) / 2
+    return ctx.divide(ctx.add(b, ctx.sqrt(b * b - 4)), 2)
 
 
-_ALPHA_GUARD_BITS = 64  # bits above mp.prec in the first bracket run of a_k
+_ALPHA_GUARD_BITS = 64  # bits above the working precision in the first bracket run of a_k
 
 
-def _alpha(spec: SecondOrderSpec, x_k):
+def _bits(ctx: Context) -> int:
+    # ctx's precision in bits, rounded up: 10/3 > log2(10).
+    return -(-ctx.prec * 10 // 3)
+
+
+def _alpha(spec: SecondOrderSpec, x_k, ctx: Context):
     # a_k = log(G(x)/(c x^d2)) = log1p(B(x)/(c x^d2)) with B the sub-leading
     # part of G, from x_k or a _Bracket of it. B(x) and c x^d2 are each
-    # rounded to an mpf once. Rounding is monotone, so when both ends of a
-    # bracket round to one mpf, the exact value rounds to it too and a_k is
-    # the exact term's; when they round apart, the result is None.
+    # rounded to ctx once. Rounding is monotone, so when both ends of a
+    # bracket round to one Decimal, the exact value rounds to it too and a_k
+    # is the exact term's; when they round apart, the result is None.
     den = spec.c * x_k**spec.d2
     num = 0
     for coeff in reversed(spec.g[:-1]):
         num = num * x_k + coeff
     if num == 0:
-        return mp.mpf(0)
-    num, den = _rounded(num), _rounded(den)
+        return Decimal(0)
+    num, den = _rounded(num, ctx), _rounded(den, ctx)
     if num is None or den is None:
         return None
-    return mp.log1p(num / den)
+    return _log1p(ctx.divide(num, den), ctx)
 
 
-def _rounded(v):
-    # An int, or a _Bracket lo * 2^e <= v <= hi * 2^e, as an mpf at the
-    # working precision; None when the bracket's ends round apart.
+def _rounded(v, ctx: Context):
+    # An int, or a _Bracket lo * 2^e <= v <= hi * 2^e, rounded once to ctx;
+    # None when the bracket's ends round apart.
     if isinstance(v, int):
-        return mp.mpf(v)
-    lo = mp.mpf((v.lo, v.e))
-    return lo if lo == mp.mpf((v.hi, v.e)) else None
+        return ctx.create_decimal(v)
+    lo = _scaled(v.lo, v.e, ctx)
+    return lo if lo == _scaled(v.hi, v.e, ctx) else None
 
 
-def _alphas(spec: SecondOrderSpec, store: SeriesSource):
-    # a_k by k, each computed once; every caller asks at dps + 10. The term
-    # store certifies a_k from brackets of x_k, formed only as a last resort.
-    read = functools.partial(_alpha, spec)
-    return functools.cache(lambda k: store._certify(k, read, mp.prec + _ALPHA_GUARD_BITS))
+def _scaled(m: int, e: int, ctx: Context) -> Decimal:
+    # m * 2^e (e >= 0, as in every bracket) rounded once to ctx. The power
+    # and the product are exact in a context that holds all their digits
+    # (1/3 > log10 2); Inexact would raise.
+    exact = Context(prec=(m.bit_length() + e) // 3 + 2, Emax=MAX_EMAX, traps=[Inexact])
+    return ctx.plus(exact.multiply(m, exact.power(2, e)))
 
 
-def _lambda_exacts(spec: SecondOrderSpec, lam, alpha, n_max: int, dps: int):
-    # The closed-form L_n for n = 0..n_max from the root and alpha(k) = a_k,
-    # k = 1..n_max-1. a_k enters L_n with the weight
-    # w_j = (lam^j - lam^-j)/(lam - 1/lam), j = n - k, computed once per j.
-    with workdps(dps + 10):
-        lami = 1 / lam
-        denom = lam - lami
-        weights = [None] + [(lam ** j - lam ** -j) / denom for j in range(1, n_max)]
-        log_c = mp.log(spec.c)
-        exacts = []
-        for n in range(n_max + 1):
-            # Particular solution K = -log(c)/(d1+d2-2) for the constant
-            # forcing term; zero initial data L_0 = L_1 = 0 then fix the
-            # homogeneous coefficients, giving
-            # K * (1 - (lam^n + lam^(1-n))/(1 + lam)).
-            bracket = ((1 - lami) * lam**n - (1 - lam) * lami**n) / denom - 1
-            exact = bracket * log_c / (spec.d1 + spec.d2 - 2)
-            for k in range(1, n):
-                exact += weights[n - k] * alpha(k)
-            exacts.append(exact)
-        return tuple(exacts)
+def _log1p(r: Decimal, ctx: Context) -> Decimal:
+    # ln(1 + r) for r > 0. When r < 10^-prec, r itself: ln(1 + r) lies
+    # between r - r^2/2 and r, and r^2/2 is below half an ulp of r. Otherwise
+    # 1 + r is formed exactly, with two digits more than the places r sits
+    # below 1, so that ln reads every digit of r.
+    below = -r.adjusted()
+    if below > ctx.prec:
+        return r
+    wide = ctx.copy()
+    wide.prec += max(below, 0) + 2
+    return ctx.plus(wide.ln(wide.add(1, r)))
+
+
+def _alphas(spec: SecondOrderSpec, store: SeriesSource, ctx: Context):
+    # a_k by k, each computed once, at ctx. The term store certifies a_k
+    # from brackets of x_k, formed only as a last resort.
+    read = functools.partial(_alpha, spec, ctx=ctx)
+    return functools.cache(lambda k: store._certify(k, read, _bits(ctx) + _ALPHA_GUARD_BITS))
+
+
+def _half_ulp(v: Decimal, ctx: Context) -> Decimal:
+    # Half a unit in the last place of v at ctx's precision; 0 for v = 0.
+    return Decimal((0, (5,), v.adjusted() - ctx.prec)) if v else Decimal(0)
+
+
+def _lambda_exacts(spec: SecondOrderSpec, lam, alpha, n_max: int, ctx: Context):
+    """The closed-form L_n for n = 0..n_max from the root and alpha(k) = a_k.
+
+    a_k enters L_n with the weight w_j = (lam^j - lam^-j)/(lam - 1/lam),
+    j = n - k, computed once per j. The sum over k = 1..n-1 is cut: it stops
+    at the first k whose term w_{n-k} a_k falls below half an ulp of the
+    running value. The running value is non-negative (c >= 1), and the
+    terms are non-negative and non-increasing in k (w_j grows with j, and
+    a_k falls as x_k grows); rounding is monotone, so that term and every
+    later one leave the sum unchanged under round-to-nearest: the cut sum is
+    the whole sum, added in the same order. When G has no sub-leading part,
+    a_k = 0 for every k and nothing is summed. So a report reads a_k only for the first few k, where x_k is
+    small, and takes a few terms per n instead of n.
+    """
+    lami = ctx.divide(1, lam)
+    denom = ctx.subtract(lam, lami)
+    weights = [None] + [ctx.divide(ctx.subtract(ctx.power(lam, j), ctx.power(lam, -j)), denom)
+                        for j in range(1, n_max)]
+    log_c = ctx.ln(spec.c)
+    # Particular solution K = -log(c)/(d1+d2-2) for the constant forcing
+    # term; zero initial data L_0 = L_1 = 0 then fix the homogeneous
+    # coefficients, giving K * (1 - (lam^n + lam^(1-n))/(1 + lam)), which
+    # is log(c)/(d1+d2-2) times
+    # ((1 - 1/lam) lam^n + (lam - 1) lam^-n)/(lam - 1/lam) - 1.
+    rise, fall = ctx.subtract(1, lami), ctx.subtract(lam, 1)
+    exacts = []
+    for n in range(n_max + 1):
+        part = ctx.add(ctx.multiply(rise, ctx.power(lam, n)), ctx.multiply(fall, ctx.power(lami, n)))
+        bracket = ctx.subtract(ctx.divide(part, denom), 1)
+        exact = ctx.divide(ctx.multiply(bracket, log_c), spec.d1 + spec.d2 - 2)
+        for k in range(1, n):
+            term = ctx.multiply(weights[n - k], alpha(k))
+            if term < _half_ulp(exact, ctx):
+                break
+            exact = ctx.add(exact, term)
+        exacts.append(exact)
+    return tuple(exacts)
 
 
 def _second_order_store(source: SourceLike) -> SeriesSource:
@@ -150,37 +225,44 @@ def estimate_C(source: SourceLike, dps: int = DEFAULT_DPS):
     that term (the a_k are non-increasing and lam > 2, so the tail is
     dominated by a geometric series).
 
-    tail_bound also covers rounding at dps + 10 digits, one ulp being
-    eps = mp.eps: term j of the k summed is within (3j + 10) ulps, 3j from
-    lam^-j, and the k additions add k ulps of C, so the sum is within
-    (4k + 10) eps C, about 1e-60 at the default dps.
+    tail_bound also covers rounding at dps + 10 decimal digits, one ulp
+    being eps = 10^-(dps+9), which bounds the relative error of every
+    correctly rounded operation: term j of the k summed is within (3j + 10)
+    ulps, 3j from lam^-j, and the k additions add k ulps of C, so the sum
+    is within (4k + 10) eps C, a few times 1e-59 at the default dps.
     """
+    ctx = _context(dps)
     store = _second_order_store(source)
     spec = store.rule
-    return _estimate_C(spec, dominant_root(spec.d1, spec.d2, dps), _alphas(spec, store), dps)
+    return _estimate_C(spec, dominant_root(spec.d1, spec.d2, dps), _alphas(spec, store, ctx), ctx)
 
 
 _C_MAX_TERMS = 60  # the most terms lam^-k a_k that C sums
-_C_REL_CUT = 1e-15  # the share of C below which twice the next term stops the sum
+_C_REL_CUT = Decimal("1e-15")  # the share of C below which twice the next term stops the sum
 
 
-def _estimate_C(spec: SecondOrderSpec, lam, alpha, dps: int):
-    with workdps(dps + 10):
-        lami = 1 / lam
-        denom = lam - lami
-        c_value = mp.log(spec.c) / (spec.d1 + spec.d2 - 2) * (1 - lami) / denom
-        k = 0
-        while True:
-            k += 1
-            c_value += lami**k * alpha(k) / denom
-            next_term = lami ** (k + 1) * alpha(k + 1) / denom
-            if 2 * next_term < _C_REL_CUT * c_value or k >= _C_MAX_TERMS:
-                return c_value, 2 * next_term + (4 * k + 10) * mp.eps * c_value
+def _estimate_C(spec: SecondOrderSpec, lam, alpha, ctx: Context):
+    lami = ctx.divide(1, lam)
+    denom = ctx.subtract(lam, lami)
+    eps = Decimal((0, (1,), 1 - ctx.prec))
+    c_value = ctx.divide(ctx.multiply(ctx.divide(ctx.ln(spec.c), spec.d1 + spec.d2 - 2),
+                                      ctx.subtract(1, lami)), denom)
+
+    def term(k):
+        return ctx.divide(ctx.multiply(ctx.power(lami, k), alpha(k)), denom)
+
+    k = 0
+    while True:
+        k += 1
+        c_value = ctx.add(c_value, term(k))
+        twice_next = ctx.multiply(2, term(k + 1))
+        if twice_next < ctx.multiply(_C_REL_CUT, c_value) or k >= _C_MAX_TERMS:
+            return c_value, ctx.add(twice_next, ctx.multiply(ctx.multiply(4 * k + 10, eps), c_value))
 
 
 class GrowthRow(NamedTuple):
     n: int
-    exponent: object  # mpf
+    exponent: Decimal
     holds: bool
 
 
@@ -205,21 +287,22 @@ def growth_report(
     ``terms`` is any integer sequence; rows cover the positions n (counted
     from 0 in the given list) with x_n >= 2 and a successor. ``holds_from``
     is the first position from which the check holds through the end, or
-    None when it fails at the last recorded position.
+    None when it fails at the last recorded position. ``lam`` and
+    ``epsilon`` may be any int, float, str or Decimal, read exactly.
     """
+    ctx = _context(dps)
     xs = list(map(operator.index, terms))
     if sum(1 for v in xs if v > 1) < 4:
         raise InvalidSpec("need at least 4 terms exceeding 1")
     rows = []
-    with workdps(dps):
-        lam = mp.mpf(lam)
-        threshold = lam - mp.mpf(epsilon)
-        for n in range(len(xs) - 1):
-            if xs[n] < 2:
-                continue
-            log_n = log_big(xs[n], dps)
-            log_next = log_big(xs[n + 1], dps)
-            rows.append(GrowthRow(n, log_next / log_n, bool(log_next > threshold * log_n)))
+    threshold = ctx.subtract(Decimal(lam), Decimal(epsilon))
+    for n in range(len(xs) - 1):
+        if xs[n] < 2:
+            continue
+        log_n = log_big(xs[n], dps)
+        log_next = log_big(xs[n + 1], dps)
+        rows.append(GrowthRow(n, ctx.divide(log_next, log_n),
+                              bool(log_next > ctx.multiply(threshold, log_n))))
     holds_from = None
     for row in reversed(rows):
         if not row.holds:
@@ -231,8 +314,8 @@ def growth_report(
 class RothRecord(NamedTuple):
     n: int
     q_bits: int
-    lower: object  # mpf
-    upper: object  # mpf
+    lower: Decimal
+    upper: Decimal
 
 
 class RothReport(NamedTuple):
@@ -246,15 +329,15 @@ class RothReport(NamedTuple):
     """
 
     records: tuple[RothRecord, ...]
-    delta: object
+    delta: Decimal
 
 
 class AsymptoticsReport(NamedTuple):
     """Everything the growth analysis of one second-order spec produces."""
 
-    lam: object
-    C: object
-    C_bound: object
+    lam: Decimal
+    C: Decimal
+    C_bound: Decimal
     lambda_n_true: tuple   # log x_n for n = 0..n_max
     lambda_n_exact: tuple  # formula reconstruction, same indices
     roth: "RothReport"     # upper brackets: the growth exponents log x_{n+1} / log x_n
@@ -265,15 +348,16 @@ def full_report(source: SourceLike, n_max: int = 10, dps: int = DEFAULT_DPS) -> 
     to index n_max; the root, each a_k and each log x_n are computed once.
     The heads, and the a_k past the few terms that C forms, come from
     bracket runs."""
+    ctx = _context(dps)
     n_max = operator.index(n_max)
     if n_max < 3:
         raise InvalidSpec("n_max must be >= 3")
     store = _second_order_store(source)
     spec = store.rule
     lam = dominant_root(spec.d1, spec.d2, dps)
-    alpha = _alphas(spec, store)
-    c_value, c_bound = _estimate_C(spec, lam, alpha, dps)
-    exacts = _lambda_exacts(spec, lam, alpha, n_max, dps)
+    alpha = _alphas(spec, store, ctx)
+    c_value, c_bound = _estimate_C(spec, lam, alpha, ctx)
+    exacts = _lambda_exacts(spec, lam, alpha, n_max, ctx)
     heads = [store.head(n) if n else (1, 1) for n in range(n_max + 2)]
     logs = [log_big(h, dps) for h in heads]
     return AsymptoticsReport(
@@ -282,7 +366,7 @@ def full_report(source: SourceLike, n_max: int = 10, dps: int = DEFAULT_DPS) -> 
         C_bound=c_bound,
         lambda_n_true=tuple(logs[:n_max + 1]),
         lambda_n_exact=exacts,
-        roth=_roth(heads, logs, n_max - 1, dps),
+        roth=_roth(heads, logs, n_max - 1, ctx),
     )
 
 
@@ -292,24 +376,50 @@ def roth_exponents(source: SourceLike, depth: int, dps: int = DEFAULT_DPS) -> Ro
     Records start at n = 2, the first partial sum whose denominator
     exceeds 1.
     """
+    ctx = _context(dps)
     depth = operator.index(depth)
     if depth < 1:
         raise InvalidSpec("depth must be >= 1")
     src = as_store(source)
     heads = [(1, 1)] + [src.head(n) for n in range(1, depth + 3)]
-    return _roth(heads, [log_big(h, dps) for h in heads], depth, dps)
+    return _roth(heads, [log_big(h, dps) for h in heads], depth, ctx)
 
 
-def _roth(heads, logs, depth: int, dps: int) -> RothReport:
+def _roth(heads, logs, depth: int, ctx: Context) -> RothReport:
     # The body of roth_exponents from heads[n] = SeriesSource.head(n) and
     # logs[n] = log x_n.
+    log2 = _ln2(ctx.prec)
     records = []
-    with workdps(dps):
-        log2 = mp.log(2)
-        for n in range(2, depth + 2):
-            log_q, log_next = logs[n], logs[n + 1]
-            records.append(
-                RothRecord(n, heads[n][0], (log_next - log2) / log_q, log_next / log_q)
-            )
-    delta = min(r.lower for r in records) - 2
+    for n in range(2, depth + 2):
+        log_q, log_next = logs[n], logs[n + 1]
+        records.append(RothRecord(n, heads[n][0], ctx.divide(ctx.subtract(log_next, log2), log_q),
+                                  ctx.divide(log_next, log_q)))
+    delta = ctx.subtract(min(r.lower for r in records), 2)
     return RothReport(tuple(records), delta)
+
+
+def _digits_text(value: Decimal, digits: int) -> str:
+    """``value`` to ``digits`` significant digits, written as mpmath's
+    ``nstr`` writes it (``libmpf.to_str``): rounded half up, as the digit
+    after the last one kept decides. Fixed point when the exponent of the
+    leading digit lies strictly between min(-(digits // 3), -5) and
+    digits, else an exponent such as e+570 or e-5; trailing zeros are
+    stripped, keeping ".0"."""
+    if not value:
+        return "0.0"
+    text = format(value, "E").partition("E")[0].lstrip("-").replace(".", "")  # every digit
+    exponent = value.adjusted()
+    if len(text) > digits and text[digits] >= "5":
+        text = str(int(text[:digits]) + 1)
+        exponent += len(text) > digits  # 99.9 went to 100
+    text = text[:digits].ljust(digits, "0")
+    fixed = min(-(digits // 3), -5) < exponent < digits
+    if fixed and exponent < 0:
+        text, split = "0" * -exponent + text, 1
+    else:
+        split = exponent + 1 if fixed else 1
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    sign = "-" if value.is_signed() else ""
+    return sign + text if fixed else f"{sign}{text}e{exponent:+d}"

@@ -6,10 +6,9 @@ values recorded here. The ``paper-examples`` subcommand and the acceptance
 tests both run these checks.
 """
 
+from decimal import Context
 from fractions import Fraction
 from typing import NamedTuple
-
-from mpmath import mp, workdps
 
 from .asymptotics import (
     dominant_root,
@@ -90,9 +89,10 @@ def _value_matches(source, target: str, tol: Fraction) -> bool:
     return abs(lo - t) <= tol and abs(hi - t) <= tol
 
 
-def _mp_close(value, target: str, tol: Fraction) -> bool:
-    with workdps(60):
-        return abs(value - mp.mpf(target)) <= mp.mpf(tol.numerator) / tol.denominator
+def _close(value, target, tol: Fraction) -> bool:
+    """Is the Decimal ``value`` within tol of ``target`` (an int, a decimal
+    string or a Decimal)? Decided exactly."""
+    return abs(Fraction(value) - Fraction(target)) <= tol
 
 
 def check_cubic3() -> list[CheckResult]:
@@ -119,12 +119,11 @@ def check_affine() -> list[CheckResult]:
     out.append(CheckResult("affine", "sequence", seq == AFFINE_SEQ))
     got = list(stream(AFFINE_SPEC, 11).certified)
     out.append(CheckResult("affine", "stream", got == AFFINE_STREAM))
-    lam = dominant_root(3, 1)
-    with workdps(60):
-        ok = abs(lam - (2 + mp.sqrt(3))) < mp.mpf("1e-45")
+    ctx = Context(prec=60)
+    ok = _close(dominant_root(3, 1), ctx.add(2, ctx.sqrt(3)), Fraction(1, 10**45))
     out.append(CheckResult("affine", "dominant root 2+sqrt(3)", ok))
     c_value, _ = estimate_C(AFFINE_SPEC)
-    out.append(CheckResult("affine", "growth constant", _mp_close(c_value, AFFINE_C, AFFINE_C_TOL)))
+    out.append(CheckResult("affine", "growth constant", _close(c_value, AFFINE_C, AFFINE_C_TOL)))
     out.append(
         CheckResult("affine", "certified value", _value_matches(AFFINE_SPEC, AFFINE_S, AFFINE_S_TOL))
     )
@@ -139,9 +138,9 @@ def check_lift() -> list[CheckResult]:
     got = list(stream(lifted, 11).certified)
     out.append(CheckResult("lift", "stream", got == LIFT_STREAM))
     c_value, _ = estimate_C(AFFINE_SPEC)
-    with workdps(60):
-        c_lift = c_value / (1 + dominant_root(3, 1))
-    out.append(CheckResult("lift", "growth constant", _mp_close(c_lift, LIFT_C, LIFT_C_TOL)))
+    ctx = Context(prec=60)
+    c_lift = ctx.divide(c_value, ctx.add(1, dominant_root(3, 1)))
+    out.append(CheckResult("lift", "growth constant", _close(c_lift, LIFT_C, LIFT_C_TOL)))
     out.append(CheckResult("lift", "certified value", _value_matches(lifted, LIFT_S, LIFT_S_TOL)))
     xs = generate_recurrence(AFFINE_SPEC, 10)
     bigxs = generate_recurrence(lifted, 11)
@@ -159,7 +158,7 @@ def check_degenerate() -> list[CheckResult]:
     got = list(stream(DEGEN_SPEC, 17).certified)[:17]
     out.append(CheckResult("degenerate", "stream", got == DEGEN_STREAM))
     c_value, _ = estimate_C(DEGEN_SPEC)
-    out.append(CheckResult("degenerate", "growth constant", _mp_close(c_value, DEGEN_C, DEGEN_C_TOL)))
+    out.append(CheckResult("degenerate", "growth constant", _close(c_value, DEGEN_C, DEGEN_C_TOL)))
     out.append(
         CheckResult("degenerate", "certified value", _value_matches(DEGEN_SPEC, DEGEN_S, DEGEN_S_TOL))
     )
@@ -184,9 +183,8 @@ def check_kempner2() -> list[CheckResult]:
     out.append(CheckResult("kempner-u2", "stream", got == KEMPNER2_STREAM))
     out.append(CheckResult("kempner-u2", "lengths", partial_lengths(src, 6) == KEMPNER2_LENGTHS))
     xs = from_factors(src, 10)
-    with workdps(60):
-        report = growth_report(xs, 2 + mp.sqrt(3), 0.1)
-        flat = all(abs(row.exponent - 2) < mp.mpf("1e-12") for row in report.rows)
+    report = growth_report(xs, dominant_root(3, 1), 0.1)
+    flat = all(_close(row.exponent, 2, Fraction(1, 10**12)) for row in report.rows)
     out.append(CheckResult("kempner-u2", "squaring growth", flat and not report.ok))
     return out
 

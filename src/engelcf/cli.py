@@ -17,9 +17,7 @@ import argparse
 import json
 import sys
 
-from mpmath import mp
-
-from .asymptotics import full_report
+from .asymptotics import _digits_text, full_report
 from .cf import cf_text, expand_rational, normalize_zeros, render_each
 from .exceptions import (
     BitBudgetExceeded,
@@ -151,16 +149,16 @@ def cmd_asymp(args) -> tuple[str, int]:
     for r in report.roth.records:  # n = 2..--n; the upper bracket is the growth exponent
         rows.append({
             "n": r.n,
-            "log_x": mp.nstr(report.lambda_n_true[r.n], digits),
-            "exact": mp.nstr(report.lambda_n_exact[r.n], digits),
-            "growth_exp": mp.nstr(r.upper, digits),
-            "roth_lo": mp.nstr(r.lower, digits),
-            "roth_hi": mp.nstr(r.upper, digits),
+            "log_x": _digits_text(report.lambda_n_true[r.n], digits),
+            "exact": _digits_text(report.lambda_n_exact[r.n], digits),
+            "growth_exp": _digits_text(r.upper, digits),
+            "roth_lo": _digits_text(r.lower, digits),
+            "roth_hi": _digits_text(r.upper, digits),
         })
     payload = {
-        "lambda": mp.nstr(report.lam, args.digits),
-        "C": mp.nstr(report.C, min(args.digits, 20)),
-        "C_err": mp.nstr(report.C_bound, 3),
+        "lambda": _digits_text(report.lam, args.digits),
+        "C": _digits_text(report.C, min(args.digits, 20)),
+        "C_err": _digits_text(report.C_bound, 3),
         "rows": rows,
     }
     return json.dumps(payload) + "\n", 0

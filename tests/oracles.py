@@ -1,14 +1,16 @@
 """Independent helpers that only the tests read: exact evaluation of a continued
 fraction, the parser of cf_text's grammar and the writer of parse_spec_line's,
 a spec built from random arguments, a product tree that checks known
-quotients against a rational, residues modulo a prime, and the lift's growth
-constant read off its terms' heads."""
+quotients against a rational, residues modulo a prime, the lift's growth
+constant read off its terms' heads, and the growth report and asymp payload
+computed in mpmath."""
 
+import functools
 from fractions import Fraction
 
-from mpmath import workdps
+from mpmath import mp, workdps
 
-from engelcf.asymptotics import DEFAULT_DPS, dominant_root, log_big
+from engelcf.asymptotics import DEFAULT_DPS, _context, dominant_root, log_big
 from engelcf.cf import _LEAF, CFExpansion, convergent_matrix, matrix_mul
 from engelcf.exceptions import InvalidSpec, TrailingZero
 from engelcf.sequences import RecurrenceSpec, SecondOrderSpec, SeriesSource
@@ -221,8 +223,85 @@ def lift_growth_constant(lifted: SeriesSource, parent: SecondOrderSpec, n: int,
     """log X_n / lam^n, n >= 2, from the store of ``lift_spec(parent)``, lam
     the parent's dominant root: C' read off one head. It shares no code with
     the series for C, so it cross-checks C/(1 + lam)."""
+    ctx = _context(dps)
     lam = dominant_root(parent.d1, parent.d2, dps)
     # X_m, counted from X_0 = X_1 = X_2 = 1, is the store's x_{m-1}.
     log_x = log_big(lifted.head(n - 1), dps)
+    return ctx.divide(log_x, ctx.power(lam, n))
+
+
+# The growth report in mpmath: the package's arithmetic before it moved to
+# decimal, kept as an oracle that shares none of it. Every step runs at
+# dps + 10 digits, as in the package, and the sum for L_n adds every k < n.
+
+
+def _mp_log_big(head):
+    bits, top = head
+    return (bits - top.bit_length()) * mp.log(2) + mp.log(top)
+
+
+def _mp_alpha(spec: SecondOrderSpec, x_k):
+    den = spec.c * x_k**spec.d2
+    num = 0
+    for coeff in reversed(spec.g[:-1]):
+        num = num * x_k + coeff
+    if num == 0:
+        return mp.mpf(0)
+    num, den = _mp_rounded(num), _mp_rounded(den)
+    if num is None or den is None:
+        return None
+    return mp.log1p(num / den)
+
+
+def _mp_rounded(v):
+    if isinstance(v, int):
+        return mp.mpf(v)
+    lo = mp.mpf((v.lo, v.e))
+    return lo if lo == mp.mpf((v.hi, v.e)) else None
+
+
+def mp_full_report(spec: SecondOrderSpec, n_max: int, dps: int = DEFAULT_DPS):
+    """(lam, C, log x_n, reconstructed L_n, [(n, lower, upper)]) for
+    n = 0..n_max, as mpf. The a_k come from brackets 64 bits wider than
+    the working precision, as in the package."""
+    store = SeriesSource(spec)
     with workdps(dps + 10):
-        return log_x / lam**n
+        b = spec.d1 + spec.d2
+        lam = (b + mp.sqrt(mp.mpf(b) * b - 4)) / 2
+        alpha = functools.cache(
+            lambda k: store._certify(k, functools.partial(_mp_alpha, spec), mp.prec + 64))
+        lami = 1 / lam
+        denom = lam - lami
+        m = spec.d1 + spec.d2 - 2
+        c_value = mp.log(spec.c) / m * (1 - lami) / denom
+        k = 0
+        while True:
+            k += 1
+            c_value += lami**k * alpha(k) / denom
+            next_term = lami ** (k + 1) * alpha(k + 1) / denom
+            if 2 * next_term < 1e-15 * c_value or k >= 60:
+                break
+        weights = [None] + [(lam ** j - lam ** -j) / denom for j in range(1, n_max)]
+        exacts = []
+        for n in range(n_max + 1):
+            bracket = ((1 - lami) * lam**n - (1 - lam) * lami**n) / denom - 1
+            exact = bracket * mp.log(spec.c) / m
+            for k in range(1, n):
+                exact += weights[n - k] * alpha(k)
+            exacts.append(exact)
+        logs = [_mp_log_big(store.head(n) if n else (1, 1)) for n in range(n_max + 2)]
+        log2 = mp.log(2)
+        roth = [(n, (logs[n + 1] - log2) / logs[n], logs[n + 1] / logs[n]) for n in range(2, n_max + 1)]
+    return lam, c_value, logs[:n_max + 1], exacts, roth
+
+
+def mp_asymp_payload(spec: SecondOrderSpec, n_max: int, digits: int) -> dict:
+    """What ``asymp`` prints for spec, --n n_max and --digits, as mpmath's
+    nstr writes the oracle's values; C_err, which rests on each library's
+    own ulp, is left out."""
+    lam, c_value, logs, exacts, roth = mp_full_report(spec, n_max, digits)
+    shown = min(digits, 15)
+    rows = [{"n": n, "log_x": mp.nstr(logs[n], shown), "exact": mp.nstr(exacts[n], shown),
+             "growth_exp": mp.nstr(upper, shown), "roth_lo": mp.nstr(lower, shown),
+             "roth_hi": mp.nstr(upper, shown)} for n, lower, upper in roth]
+    return {"lambda": mp.nstr(lam, digits), "C": mp.nstr(c_value, min(digits, 20)), "rows": rows}

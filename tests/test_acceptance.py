@@ -7,10 +7,10 @@ Tolerances are pinned here and nowhere else.
 import io
 import time
 from contextlib import redirect_stdout
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, workdps
 
 from engelcf.asymptotics import (
     dominant_root,
@@ -79,11 +79,10 @@ def test_criterion_2_affine_example():
         1, 2, 1, 20, 3, 23876, 1, 2, 20, 1, 2, 7697947188058154,
     ]
     lam = dominant_root(3, 1)
-    with workdps(60):
-        assert abs(lam - (2 + mp.sqrt(3))) < mp.mpf("1e-45")
+    ctx = Context(prec=60)
+    assert abs(Fraction(lam) - Fraction(ctx.add(2, ctx.sqrt(3)))) < Fraction("1e-45")
     c_value, _ = estimate_C(AFFINE)
-    with workdps(60):
-        assert abs(c_value - mp.mpf("0.107812043")) <= mp.mpf("1e-8")
+    assert abs(Fraction(c_value) - Fraction("0.107812043")) <= Fraction("1e-8")
     lo, hi = enclosure(AFFINE, Fraction(1, 10**10))
     target, tol = Fraction("1.3386243"), Fraction(5, 10**8)
     assert abs(lo - target) <= tol and abs(hi - target) <= tol
@@ -100,9 +99,8 @@ def test_criterion_3_third_order_lift():
         1, 2, 1, 6, 3, 3410, 1, 2, 6, 1, 2, 2256800700104,
     ]
     c_value, _ = estimate_C(AFFINE)
-    with workdps(60):
-        c_prime = c_value / (1 + dominant_root(3, 1))
-        assert abs(c_prime - mp.mpf("0.0227833655")) <= mp.mpf("1e-8")
+    c_prime = Fraction(c_value) / (1 + Fraction(dominant_root(3, 1)))
+    assert abs(c_prime - Fraction("0.0227833655")) <= Fraction("1e-8")
     lo, hi = enclosure(lifted, Fraction(1, 10**10))
     target, tol = Fraction("1.3492064"), Fraction(5, 10**8)
     assert abs(lo - target) <= tol and abs(hi - target) <= tol
@@ -122,8 +120,7 @@ def test_criterion_4_degenerate_z2_example():
         1, 1, 1, 5, 2, 299, 1, 1, 5, 1, 1, 1244167199, 2, 5, 1, 1, 299,
     ]
     c_value, _ = estimate_C(DEGEN)
-    with workdps(60):
-        assert abs(c_value - mp.mpf("0.06224548")) <= mp.mpf("1e-7")
+    assert abs(Fraction(c_value) - Fraction("0.06224548")) <= Fraction("1e-7")
     lo, hi = enclosure(DEGEN, Fraction(1, 10**11))
     target, tol = Fraction("1.54167245"), Fraction(5, 10**9)
     assert abs(lo - target) <= tol and abs(hi - target) <= tol
@@ -154,7 +151,7 @@ def test_criterion_6_power_sum_series():
     assert partial_lengths(ones_tail(2), 6) == [1, 2, 3, 5, 7, 11]
     xs = from_factors(ones_tail(2), 10)
     report = growth_report(xs, dominant_root(3, 1), 0.1)
-    assert all(abs(row.exponent - 2) < mp.mpf("1e-12") for row in report.rows)
+    assert all(abs(Fraction(row.exponent) - 2) < Fraction("1e-12") for row in report.rows)
     assert not report.ok  # the squaring regime never reaches lam - eps > 2
     _report(6, "power-sum series displays and lengths", t0, 10.0)
 
@@ -165,7 +162,7 @@ def test_criterion_7_log_reconstruction():
         report = full_report(spec, 12)
         for n in range(0, 13):
             exact, true = report.lambda_n_exact[n], report.lambda_n_true[n]
-            assert abs(exact - true) / max(1, abs(true)) < mp.mpf("1e-9")
+            assert abs(Fraction(exact) - Fraction(true)) / max(1, abs(Fraction(true))) < Fraction("1e-9")
     _report(7, "exact log-formula reconstruction to n=12", t0, 30.0)
 
 
@@ -174,14 +171,14 @@ def test_criterion_8_roth_diagnostic():
     report = roth_exponents(AFFINE, 8)
     for record in report.records:
         if record.n >= 5:
-            assert record.lower > mp.mpf("2.3")
+            assert record.lower > Decimal("2.3")
     report = roth_exponents(ones_tail(3), 10)
     for record in report.records:
         if record.n <= 10:
             # Brackets hug the squaring exponent 2 from both sides; the
             # upper endpoint equals 2 up to the log rounding error.
             assert record.lower <= 2
-            assert record.upper >= 2 - mp.mpf("1e-12")
+            assert Fraction(record.upper) >= 2 - Fraction("1e-12")
     _report(8, "effective irrationality exponents", t0, 10.0)
 
 

@@ -3,14 +3,20 @@ import runpy
 import sys
 
 import pytest
+from decimal import Context, Decimal, Inexact
+from fractions import Fraction
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import mp, workdps
 
 from engelcf import asymptotics, sequences
 from engelcf.asymptotics import (
+    DEFAULT_DPS,
     _alpha,
     _alphas,
+    _context,
+    _digits_text,
+    _lambda_exacts,
     dominant_root,
     estimate_C,
     full_report,
@@ -34,30 +40,34 @@ from test_sequences import second_order_specs
 CUBIC3 = SecondOrderSpec(3, (3,))
 AFFINE = SecondOrderSpec(3, (1, 2))
 DEGEN = SecondOrderSpec(3, (1, 1))
+CTX = _context(DEFAULT_DPS)  # the 60 digits every default call works at
+
+
+def off(a, b) -> Fraction:
+    """|a - b| of two Decimals, ints or Fractions, exactly."""
+    return abs(Fraction(a) - Fraction(b))
 
 
 def test_dominant_root_values():
-    with workdps(60):
-        assert abs(dominant_root(3, 1) - (2 + mp.sqrt(3))) < mp.mpf("1e-45")
-        assert abs(dominant_root(3, 0) - (3 + mp.sqrt(5)) / 2) < mp.mpf("1e-45")
+    assert off(dominant_root(3, 1), CTX.add(2, CTX.sqrt(3))) < Fraction("1e-45")
+    assert off(dominant_root(3, 0), CTX.divide(CTX.add(3, CTX.sqrt(5)), 2)) < Fraction("1e-45")
     with pytest.raises(DegenerateRoot):
         dominant_root(2, 0)
 
 
 def test_dominant_root_residuals():
-    with workdps(60):
-        for d1 in range(3, 21):
-            for d2 in range(0, 21):
-                lam = dominant_root(d1, d2)
-                assert lam > 2
-                assert abs(lam * lam - (d1 + d2) * lam + 1) < mp.mpf("1e-45")
-                assert abs(lam * (1 / lam) - 1) < mp.mpf("1e-49")
+    for d1 in range(3, 21):
+        for d2 in range(0, 21):
+            lam = dominant_root(d1, d2)
+            assert lam > 2
+            t = Fraction(lam)
+            assert abs(t * t - (d1 + d2) * t + 1) < Fraction("1e-45")
+            assert abs(t * Fraction(CTX.divide(1, lam)) - 1) < Fraction("1e-49")
 
 
 def test_log_big_matches_direct():
-    with workdps(50):
-        for v in (1, 2, 3**40, 7**100, 2**64 - 1, 2**64 + 1):
-            assert abs(log_big(v) - mp.log(mp.mpf(v))) < mp.mpf("1e-18")
+    for v in (1, 2, 3**40, 7**100, 2**64 - 1, 2**64 + 1):
+        assert off(log_big(v), CTX.ln(v)) < Fraction("1e-18")
     with pytest.raises(InvalidSpec):
         log_big(0)
 
@@ -66,14 +76,12 @@ def test_reconstruction_trivial_and_known():
     report = full_report(AFFINE, 3)
     assert report.lambda_n_exact[1] == 0 and report.lambda_n_true[1] == 0
     e2, t2 = report.lambda_n_exact[2], report.lambda_n_true[2]
-    with workdps(60):
-        assert abs(t2 - mp.log(3)) < mp.mpf("1e-18")
-        assert abs(e2 - t2) < mp.mpf("1e-18")
+    assert off(t2, CTX.ln(3)) < Fraction("1e-18")
+    assert off(e2, t2) < Fraction("1e-18")
     report = full_report(CUBIC3, 5)
     e5, t5 = report.lambda_n_exact[5], report.lambda_n_true[5]
-    with workdps(60):
-        assert abs(t5 - 33 * mp.log(3)) < mp.mpf("1e-14")
-        assert abs(e5 - 33 * mp.log(3)) < mp.mpf("1e-14")
+    assert off(t5, CTX.multiply(33, CTX.ln(3))) < Fraction("1e-14")
+    assert off(e5, CTX.multiply(33, CTX.ln(3))) < Fraction("1e-14")
 
 
 @pytest.mark.parametrize("spec", [CUBIC3, AFFINE, DEGEN])
@@ -81,36 +89,35 @@ def test_reconstruction_relative_error(spec):
     report = full_report(spec, 12)
     for n in range(0, 13):
         exact, true = report.lambda_n_exact[n], report.lambda_n_true[n]
-        assert abs(exact - true) / max(1, abs(true)) < mp.mpf("1e-9")
+        assert off(exact, true) / max(1, abs(Fraction(true))) < Fraction("1e-9")
 
 
 def test_estimate_C_reference_values():
     c_affine, bound = estimate_C(AFFINE)
-    with workdps(60):
-        assert abs(c_affine - mp.mpf("0.107812043")) <= mp.mpf("1e-8")
-        assert bound < mp.mpf("1e-20")
+    assert off(c_affine, Decimal("0.107812043")) <= Fraction("1e-8")
+    assert bound < Decimal("1e-20")
     c_degen, _ = estimate_C(DEGEN)
-    with workdps(60):
-        assert abs(c_degen - mp.mpf("0.06224548")) <= mp.mpf("1e-7")
+    assert off(c_degen, Decimal("0.06224548")) <= Fraction("1e-7")
     # Pure-power case: every correction term vanishes and C has a closed form.
     c_cubic, bound = estimate_C(CUBIC3)
-    with workdps(60):
-        lam = dominant_root(3, 0)
-        closed = (1 - 1 / lam) / (lam - 1 / lam) * mp.log(3)
-        assert abs(c_cubic - closed) < mp.mpf("1e-40")
+    lam = Fraction(dominant_root(3, 0))
+    closed = (1 - 1 / lam) / (lam - 1 / lam) * Fraction(CTX.ln(3))
+    assert off(c_cubic, closed) < Fraction("1e-40")
     # No series is left to truncate, so the bound is the rounding of the
-    # closed form at the working precision alone, and it covers it.
-    with workdps(110):
-        lam = dominant_root(3, 0, 100)
-        closed = (1 - 1 / lam) / (lam - 1 / lam) * mp.log(3)
-        assert abs(c_cubic - closed) <= bound < mp.mpf("1e-59")
+    # closed form at the working precision alone, (4 + 10) eps C with the
+    # decimal eps 10^-59 of 60 digits, and it covers it.
+    wide = _context(100)
+    lam = dominant_root(3, 0, 100)
+    lami = wide.divide(1, lam)
+    closed = wide.multiply(wide.divide(wide.subtract(1, lami), wide.subtract(lam, lami)), wide.ln(3))
+    assert off(c_cubic, closed) <= bound == CTX.multiply(Decimal("14e-59"), c_cubic)
 
 
 def test_estimate_C_truncation_shrinks(monkeypatch):
     tight, tight_bound = estimate_C(AFFINE)
-    monkeypatch.setattr(asymptotics, "_C_REL_CUT", 1e-6)
+    monkeypatch.setattr(asymptotics, "_C_REL_CUT", Decimal("1e-6"))
     loose, loose_bound = estimate_C(AFFINE)
-    assert abs(loose - tight) <= loose_bound
+    assert off(loose, tight) <= loose_bound
     assert tight_bound <= loose_bound
 
 
@@ -119,8 +126,7 @@ def test_asymptotic_constant_consistency():
     c_value, _ = estimate_C(AFFINE)
     lam = dominant_root(3, 1)
     x10 = generate_recurrence(AFFINE, 11)[10]
-    with workdps(60):
-        assert abs(log_big(x10) / lam**10 - c_value) < mp.mpf("1e-6")
+    assert off(CTX.divide(log_big(x10), CTX.power(lam, 10)), c_value) < Fraction("1e-6")
 
 
 @given(second_order_specs())
@@ -136,19 +142,19 @@ def test_lift_growth_constant_is_the_series_constant_over_1_plus_lam(spec):
     # a_k <= B(x_k)/(c x_k^d2) <= (G(1)/c - 1)/x_k, B the sub-leading part
     # of G, and sum_k 1/x_k <= 2 as x_1 = 1 and x_{k+1} >= x_k^2 >= 2 x_k
     # from x_2 >= 2. So |e_n| <= bound below: log_big is within 2^-63 of
-    # l_n, and rounding at 60 digits is far smaller.
+    # l_n, and rounding at 60 digits is far smaller. The bound itself is
+    # evaluated exactly, on the 60-digit lam, C and log c.
     c_value, c_bound = estimate_C(spec)
-    lam = dominant_root(spec.d1, spec.d2)
+    lam = Fraction(dominant_root(spec.d1, spec.d2))
     lifted = SeriesSource(lift_spec(spec))
-    with workdps(60):
-        c_lift = c_value / (1 + lam)
-        K = mp.log(spec.c) / (spec.d1 + spec.d2 - 2)
-        D = lam - 1 / lam
-        sum_a = 2 * (mp.mpf(spec.g1) / spec.c - 1)
-        bound = c_lift + K * (1 + (lam - 1) / D) + (lam + 1) / ((lam - 1) * D) * sum_a + mp.mpf(2)**-63
-        for n in (12, 16, 20):
-            error = lift_growth_constant(lifted, spec, n) - c_lift
-            assert abs(error) <= bound / lam**n + c_bound
+    c_lift = Fraction(c_value) / (1 + lam)
+    K = Fraction(CTX.ln(spec.c)) / (spec.d1 + spec.d2 - 2)
+    D = lam - 1 / lam
+    sum_a = 2 * (Fraction(spec.g1, spec.c) - 1)
+    bound = c_lift + K * (1 + (lam - 1) / D) + (lam + 1) / ((lam - 1) * D) * sum_a + Fraction(1, 2**63)
+    for n in (12, 16, 20):
+        error = Fraction(lift_growth_constant(lifted, spec, n)) - c_lift
+        assert abs(error) <= bound / lam**n + Fraction(c_bound)
 
 
 def test_growth_report_recurrence():
@@ -156,24 +162,22 @@ def test_growth_report_recurrence():
     report = growth_report(generate_recurrence(AFFINE, 8), lam, 0.1)
     assert report.holds_from == 2
     assert report.ok
-    with workdps(50):
-        # Exponents decrease toward lam.
-        assert abs(report.rows[-1].exponent - lam) < mp.mpf("0.01")
+    # Exponents decrease toward lam.
+    assert off(report.rows[-1].exponent, lam) < Fraction("0.01")
 
 
 def test_growth_report_ones_tail():
     lam = dominant_root(3, 1)
     xs = from_factors(ones_tail(5), 9)
     report = growth_report(xs, lam, 0.1)
-    assert all(abs(row.exponent - 2) < mp.mpf("1e-12") for row in report.rows)
+    assert all(off(row.exponent, 2) < Fraction("1e-12") for row in report.rows)
     assert not report.ok
 
 
 def test_growth_report_slow_sequence():
     report = growth_report([2**n for n in range(1, 12)], dominant_root(3, 1), 0.1)
     assert not report.ok
-    with workdps(50):
-        assert abs(report.rows[-1].exponent - 1) < mp.mpf("0.2")
+    assert off(report.rows[-1].exponent, 1) < Fraction("0.2")
 
 
 def test_roth_exponents_recurrence():
@@ -182,7 +186,7 @@ def test_roth_exponents_recurrence():
     for record in report.records:
         assert record.lower <= record.upper
         if record.n >= 5:
-            assert record.lower > mp.mpf("2.3")
+            assert record.lower > Decimal("2.3")
     assert report.delta > 0
     assert report.records[0].q_bits == 2  # q = x_2 = 3
 
@@ -192,8 +196,8 @@ def test_roth_exponents_ones_tail():
     for record in report.records:
         # x_{n+1} = x_n^2 pins the bracket around exponent 2.
         assert record.lower < 2
-        assert record.upper > 2 - mp.mpf("1e-12")
-        assert record.upper < 2 + mp.mpf("1e-12")
+        assert Fraction(record.upper) > 2 - Fraction("1e-12")
+        assert Fraction(record.upper) < 2 + Fraction("1e-12")
     assert report.delta < 0
 
 
@@ -201,8 +205,7 @@ def test_roth_single_record():
     report = roth_exponents(FactorSequence((5, 2, 3)), 1)
     assert len(report.records) == 1
     record = report.records[0]
-    with workdps(50):
-        assert abs(record.upper - log_big(50) / log_big(5)) < mp.mpf("1e-30")
+    assert off(record.upper, CTX.divide(log_big(50), log_big(5))) < Fraction("1e-30")
 
 
 def test_full_report_shape():
@@ -210,13 +213,11 @@ def test_full_report_shape():
     assert len(report.lambda_n_true) == 7 and len(report.lambda_n_exact) == 7
     assert report.lambda_n_true[0] == 0 and report.lambda_n_true[1] == 0
     assert [r.n for r in report.roth.records] == [2, 3, 4, 5, 6]
-    with workdps(50):
-        for n in range(7):
-            assert abs(report.lambda_n_true[n] - report.lambda_n_exact[n]) < mp.mpf("1e-9")
-    with workdps(60):
-        # a_1 = log(G(x_1) / (c x_1^d2)) = log(3/2) at x_1 = 1.
-        a_1 = _alphas(AFFINE, SeriesSource(AFFINE))(1)
-        assert abs(a_1 - mp.log(mp.mpf(3) / 2)) < mp.mpf("1e-30")
+    for n in range(7):
+        assert off(report.lambda_n_true[n], report.lambda_n_exact[n]) < Fraction("1e-9")
+    # a_1 = log(G(x_1) / (c x_1^d2)) = log(3/2) at x_1 = 1.
+    a_1 = _alphas(AFFINE, SeriesSource(AFFINE), CTX)(1)
+    assert off(a_1, CTX.ln(CTX.divide(3, 2))) < Fraction("1e-30")
 
 
 def test_full_report_forms_no_term_it_does_not_read():
@@ -260,8 +261,8 @@ def test_growth_table_script_prints_full_report(capsys, monkeypatch):
     want = []
     for spec in script["SPECS"].values():
         report = full_report(spec, 8)
-        want += [f"   lambda = {mp.nstr(report.lam, 20)}",
-                 f"   C      = {mp.nstr(report.C, 15)}  (tail bound {mp.nstr(report.C_bound, 2)})"]
+        want += [f"   lambda = {_digits_text(report.lam, 20)}",
+                 f"   C      = {_digits_text(report.C, 15)}  (tail bound {_digits_text(report.C_bound, 2)})"]
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith(("   lambda", "   C "))] == want
 
@@ -271,13 +272,14 @@ def test_growth_table_script_prints_full_report(capsys, monkeypatch):
               st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)).filter(bool),
     st.integers(2, 9),
     st.integers(1, 4),
-    st.sampled_from([15, 50]),
+    st.sampled_from([5, 40]),
     st.sampled_from([asymptotics._ALPHA_GUARD_BITS, 0]),
 )
 @settings(max_examples=60, deadline=None)
 def test_bracket_alpha_matches_the_exact_term(spec, k, lag, dps, guard):
     # a_k from brackets of x_k, with x_1..x_{k-lag} in the store, is the
-    # mpf that the formed x_k gives, bit for bit. Without guard bits the
+    # Decimal that the formed x_k gives, digit for digit, at 15 and 50
+    # digits (dps + 10). Without guard bits the
     # first bracket often rounds apart, so the doubling runs too. A term of
     # 64 bits or fewer never leaves the exact run; one past 2^17 bits costs
     # too much to form.
@@ -286,17 +288,17 @@ def test_bracket_alpha_matches_the_exact_term(spec, k, lag, dps, guard):
     store = SeriesSource(spec)
     store.x(max(k - lag, 1))
     saved, asymptotics._ALPHA_GUARD_BITS = asymptotics._ALPHA_GUARD_BITS, guard
+    ctx = _context(dps)
     try:
-        with workdps(dps):
-            got = _alphas(spec, store)(k)
-            want = _alpha(spec, exact.x(k))
+        got = _alphas(spec, store, ctx)(k)
+        want = _alpha(spec, exact.x(k), ctx)
     finally:
         asymptotics._ALPHA_GUARD_BITS = saved
-    assert (got.man, got.exp) == (want.man, want.exp)
+    assert got.as_tuple() == want.as_tuple()
 
 
 def test_alpha_doubles_its_precision_then_forms_the_term(monkeypatch):
-    # At 60 digits (203 bits) and a first bracket run of 16 bits, a_7
+    # At 60 digits (200 bits) and a first bracket run of 16 bits, a_7
     # (x_7 has 1568 bits) settles at 256 bits without forming x_7. a_5 is
     # still open at 64 bits, and 128 would cover x_5 (113 bits), so a_5 is
     # read from x_5 formed through the store instead.
@@ -314,10 +316,9 @@ def test_alpha_doubles_its_precision_then_forms_the_term(monkeypatch):
         store = SeriesSource(AFFINE)
         store.x(formed)
         precisions.clear()
-        with workdps(60):
-            monkeypatch.setattr(asymptotics, "_ALPHA_GUARD_BITS", 16 - mp.prec)
-            got = _alphas(AFFINE, store)(k)
-            assert got == _alpha(AFFINE, exact.x(k))
+        monkeypatch.setattr(asymptotics, "_ALPHA_GUARD_BITS", 16 - asymptotics._bits(CTX))
+        got = _alphas(AFFINE, store, CTX)(k)
+        assert got == _alpha(AFFINE, exact.x(k), CTX)
         assert precisions == tried
         assert len(store._terms) - store._pad == formed_after
 
@@ -345,3 +346,81 @@ def test_invalid_arguments_raise_invalid_spec():
     for call in calls:
         with pytest.raises(InvalidSpec):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda store, dps: log_big(10**30, dps),
+    lambda store, dps: dominant_root(3, 1, dps),
+    lambda store, dps: estimate_C(store, dps),
+    lambda store, dps: full_report(store, 4, dps),
+    lambda store, dps: growth_report(generate_recurrence(AFFINE, 6), 3.7, 0.1, dps),
+    lambda store, dps: roth_exponents(store, 3, dps),
+], ids=["log_big", "dominant_root", "estimate_C", "full_report", "growth_report", "roth_exponents"])
+@pytest.mark.parametrize("dps, error", [(0, InvalidSpec), (-5, InvalidSpec), (2.5, TypeError)])
+def test_the_working_precision_is_checked_before_anything_is_formed(call, dps, error):
+    # A precision below one digit, or one that is not an int, is refused
+    # before any term is formed, never run at some other precision.
+    store = SeriesSource(AFFINE)
+    with pytest.raises(error):
+        call(store, dps)
+    assert store._meter.total_bits == 0
+
+
+def test_the_lambda_sum_takes_a_few_terms_per_n(monkeypatch):
+    # The cut sum reads a few a_k for each n, all at small k, where the
+    # whole sum would read n(n-1)/2 of them, up to a_{n-1}.
+    read = []
+    inner = asymptotics._lambda_exacts
+
+    def counted(spec, lam, alpha, n_max, ctx):
+        return inner(spec, lam, lambda k: read.append(k) or alpha(k), n_max, ctx)
+
+    monkeypatch.setattr(asymptotics, "_lambda_exacts", counted)
+    for n in (100, 1000):
+        read.clear()
+        full_report(AFFINE, n)
+        assert len(read) <= 10 * n
+        assert max(read) < 10
+
+
+_READABLE_BITS = 1 << 16  # the largest x_k whose a_k the whole sum below reads
+
+
+@given(second_order_specs(), st.integers(3, 200))
+@settings(max_examples=40, deadline=None)
+def test_the_cut_sum_is_the_whole_sum(spec, n_max):
+    # The whole sum adds w_{n-k} a_k for every k < n, in the same order and
+    # context as _lambda_exacts, except the a_k of x_k past 2^16 bits, which
+    # no Decimal exponent reaches at n = 200: there a_k < 2^-65000 and
+    # w_{n-k} a_k falls below 2^-64000 of L_n, while every k from the cut up
+    # to there is added. A cut one term early drops a term of half an ulp
+    # or more, and the sums differ.
+    ctx = _context(DEFAULT_DPS)
+    store = SeriesSource(spec)
+    lam = dominant_root(spec.d1, spec.d2)
+    alpha = _alphas(spec, store, ctx)
+    cut = _lambda_exacts(spec, lam, alpha, n_max, ctx)
+    whole = list(_lambda_exacts(spec, lam, lambda k: Decimal(0), n_max, ctx))
+    lami = ctx.divide(1, lam)
+    denom = ctx.subtract(lam, lami)
+    readable = 1
+    while readable < n_max and store.head(readable)[0] <= _READABLE_BITS:
+        readable += 1
+    for n in range(n_max + 1):
+        for k in range(1, min(n, readable)):
+            j = n - k
+            weight = ctx.divide(ctx.subtract(ctx.power(lam, j), ctx.power(lam, -j)), denom)
+            whole[n] = ctx.add(whole[n], ctx.multiply(weight, alpha(k)))
+    assert cut == tuple(whole)
+
+
+@given(st.integers(-(2**50), 2**50), st.integers(-300, 300), st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_digits_text_writes_what_mpmath_nstr_writes(man, exp, digits):
+    # man * 2^exp is exact both as an mpf (53 bits hold man) and as a Decimal
+    # (2^-e = 5^e 10^-e), so the two writers see the same number.
+    from mpmath import mp
+
+    whole = Context(prec=400, traps=[Inexact])  # man * 5^300 has under 230 digits
+    exact = Decimal(man << exp if exp >= 0 else man * 5**-exp).scaleb(min(exp, 0), whole)
+    assert _digits_text(exact, digits) == mp.nstr(mp.mpf((man, exp)), digits)

@@ -11,16 +11,16 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, workdps
 
 from engelcf import cli, expansion
-from engelcf.asymptotics import full_report
+from engelcf.asymptotics import _context, _digits_text, full_report
 from engelcf.cli import COMMANDS, build_parser, main
 from engelcf.exceptions import IdentityViolation
 from engelcf.expansion import stream
 from engelcf.sequences import FactorSequence, SecondOrderSpec, generate_recurrence
 from engelcf.verify import check_instance
-from oracles import parse_cf_text
+from oracles import mp_asymp_payload, parse_cf_text
+from test_sequences import second_order_specs
 
 AFFINE = SecondOrderSpec(3, (1, 2))
 AFFINE_FLAGS = ["--d1", "3", "--G", "1,2"]
@@ -159,7 +159,7 @@ def test_asymp_rejects_other_sources(capsys, flags, kind):
 
 
 def _significant_digits(text: str) -> int:
-    # mp.nstr writes an integral value with a trailing ".0", as in "15142.0".
+    # An integral value keeps a trailing ".0", as in "15142.0".
     mantissa = text.split("e")[0].lstrip("-")
     if "." in mantissa:
         mantissa = mantissa.rstrip("0")
@@ -203,11 +203,48 @@ def test_asymp_growth_exponent_is_the_upper_roth_bracket(capsys, spec, n):
     logs = full_report(spec, n + 1).lambda_n_true
     rows = json.loads(out)["rows"]
     assert [row["n"] for row in rows] == list(range(2, n + 1))
+    ctx = _context(40)  # 50 digits
     for row in rows:
         k = row["n"]
-        with workdps(50):
-            growth = mp.nstr(logs[k + 1] / logs[k], 15)
+        growth = _digits_text(ctx.divide(logs[k + 1], logs[k]), 15)
         assert row["growth_exp"] == row["roth_hi"] == growth
+
+
+@given(second_order_specs(), st.integers(3, 40), st.integers(5, 60))
+@settings(max_examples=40, deadline=None)
+def test_asymp_prints_what_the_mpmath_oracle_prints(spec, n, digits):
+    # The oracle sums every k < n in binary floating point; the command
+    # cuts the sum and works in decimal. Both carry 10 digits beyond
+    # --digits, so every printed digit agrees. C_err differs by design:
+    # each bound counts its own library's ulp.
+    flags = ["--d1", str(spec.d1), "--G", ",".join(map(str, spec.g))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["asymp", *flags, "--n", str(n), "--digits", str(digits)]) == 0
+    payload = json.loads(out.getvalue())
+    del payload["C_err"]
+    assert payload == mp_asymp_payload(spec, n, digits)
+
+
+def test_no_command_imports_mpmath():
+    # mpmath is a test dependency only: the package, its CLI and one run of
+    # each subcommand leave it out of a fresh interpreter.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    runs = [["gen", "--d1", "3", "--G", "1,2", "--n", "6"],
+            ["cf", "--d1", "3", "--G", "1,2", "--n", "6", "--check", "oracle"],
+            ["stream", "--u", "3", "--K", "50"],
+            ["asymp", "--d1", "3", "--G", "1,2", "--n", "11"],
+            ["verify", "--suite", "generic", "--trials", "2", "--maxn", "5"],
+            ["paper-examples"]]
+    code = ("import contextlib, io, sys\n"
+            "import engelcf, engelcf.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [engelcf.cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[0, 0, 0, 0, 0, 0] []\n"
 
 
 @pytest.mark.parametrize("n", ["2", "0"])
