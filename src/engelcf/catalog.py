@@ -15,7 +15,7 @@ from .asymptotics import (
     estimate_C,
     growth_report,
 )
-from .exceptions import InvalidSpec
+from .exceptions import IdentityViolation, InvalidSpec
 from .expansion import enclosure, partial_lengths, stream
 from .sequences import (
     SecondOrderSpec,
@@ -24,6 +24,7 @@ from .sequences import (
     lift_spec,
     ones_tail,
 )
+from .verify import run_lift_suite
 
 # Cubic-constant example: x_{n+2} x_n = 3 x_{n+1}^3.
 CUBIC3_SPEC = SecondOrderSpec(3, (3,))
@@ -71,22 +72,31 @@ def upow_pattern(u: int) -> list[int]:
     return [1, b, d, a, a, c, a, d, a, c, d, a, c, a, a, d, a]
 
 
-def upow_alphabet(u: int) -> set[int]:
-    return {1, u - 2, u - 1, u, u + 2}
-
-
 class CheckResult(NamedTuple):
     tag: str
     name: str
     ok: bool
 
 
-def _value_matches(source, target: str, tol: Fraction) -> bool:
-    """Does the limit value agree with the decimal ``target`` within tol?
-    Decided from a certified enclosure, in exact arithmetic."""
-    lo, hi = enclosure(source, tol / 4)
-    t = Fraction(target)
-    return abs(lo - t) <= tol and abs(hi - t) <= tol
+def _terms_and_stream(tag: str, source, seq: list[int], want: list[int], count: int,
+                      whole: bool = True) -> list[CheckResult]:
+    """The "sequence" row (the first len(seq) terms) and the "stream" row:
+    the prefix certified for ``count`` coefficients, the whole of it or its
+    first len(want) entries, against ``want``."""
+    got = list(stream(source, count).certified)
+    return [CheckResult(tag, "sequence", generate_recurrence(source, len(seq)) == seq),
+            CheckResult(tag, "stream", (got if whole else got[:len(want)]) == want)]
+
+
+def _constant_and_value(tag: str, c_value, c_ref: str, c_tol: Fraction, source,
+                        s_ref: str, s_tol: Fraction) -> list[CheckResult]:
+    """The "growth constant" row, the Decimal ``c_value`` within c_tol of
+    c_ref, and the "certified value" row: the limit within s_tol of s_ref,
+    decided from a certified enclosure. Both are decided exactly."""
+    lo, hi = enclosure(source, s_tol / 4)
+    s = Fraction(s_ref)
+    return [CheckResult(tag, "growth constant", _close(c_value, c_ref, c_tol)),
+            CheckResult(tag, "certified value", abs(lo - s) <= s_tol and abs(hi - s) <= s_tol)]
 
 
 def _close(value, target, tol: Fraction) -> bool:
@@ -96,11 +106,7 @@ def _close(value, target, tol: Fraction) -> bool:
 
 
 def check_cubic3() -> list[CheckResult]:
-    out = []
-    seq = generate_recurrence(CUBIC3_SPEC, 6)
-    out.append(CheckResult("cubic3", "sequence", seq == CUBIC3_SEQ))
-    got = list(stream(CUBIC3_SPEC, 11).certified)
-    out.append(CheckResult("cubic3", "stream", got == CUBIC3_STREAM))
+    out = _terms_and_stream("cubic3", CUBIC3_SPEC, CUBIC3_SEQ, CUBIC3_STREAM, 11)
     # With x_n = 3^(s_n), the recurrence x_{n+2} x_n = 3 x_{n+1}^3 forces
     # s_{n+2} = 3 s_{n+1} - s_n + 1 from s_0 = s_1 = 0; equivalently
     # t_n = s_n + 1 satisfies t_{n+2} = 3 t_{n+1} - t_n with t_0 = t_1 = 1.
@@ -114,55 +120,35 @@ def check_cubic3() -> list[CheckResult]:
 
 
 def check_affine() -> list[CheckResult]:
-    out = []
-    seq = generate_recurrence(AFFINE_SPEC, 6)
-    out.append(CheckResult("affine", "sequence", seq == AFFINE_SEQ))
-    got = list(stream(AFFINE_SPEC, 11).certified)
-    out.append(CheckResult("affine", "stream", got == AFFINE_STREAM))
+    out = _terms_and_stream("affine", AFFINE_SPEC, AFFINE_SEQ, AFFINE_STREAM, 11)
     ctx = Context(prec=60)
     ok = _close(dominant_root(3, 1), ctx.add(2, ctx.sqrt(3)), Fraction(1, 10**45))
     out.append(CheckResult("affine", "dominant root 2+sqrt(3)", ok))
     c_value, _ = estimate_C(AFFINE_SPEC)
-    out.append(CheckResult("affine", "growth constant", _close(c_value, AFFINE_C, AFFINE_C_TOL)))
-    out.append(
-        CheckResult("affine", "certified value", _value_matches(AFFINE_SPEC, AFFINE_S, AFFINE_S_TOL))
-    )
-    return out
+    return out + _constant_and_value("affine", c_value, AFFINE_C, AFFINE_C_TOL,
+                                     AFFINE_SPEC, AFFINE_S, AFFINE_S_TOL)
 
 
 def check_lift() -> list[CheckResult]:
-    out = []
     lifted = lift_spec(AFFINE_SPEC)
-    seq = generate_recurrence(lifted, 7)
-    out.append(CheckResult("lift", "sequence", seq == LIFT_SEQ))
-    got = list(stream(lifted, 11).certified)
-    out.append(CheckResult("lift", "stream", got == LIFT_STREAM))
+    out = _terms_and_stream("lift", lifted, LIFT_SEQ, LIFT_STREAM, 11)
     c_value, _ = estimate_C(AFFINE_SPEC)
     ctx = Context(prec=60)
     c_lift = ctx.divide(c_value, ctx.add(1, dominant_root(3, 1)))
-    out.append(CheckResult("lift", "growth constant", _close(c_lift, LIFT_C, LIFT_C_TOL)))
-    out.append(CheckResult("lift", "certified value", _value_matches(lifted, LIFT_S, LIFT_S_TOL)))
-    xs = generate_recurrence(AFFINE_SPEC, 10)
-    bigxs = generate_recurrence(lifted, 11)
-    out.append(
-        CheckResult("lift", "factorization identity",
-                    all(bigxs[k] * bigxs[k + 1] == xs[k] for k in range(10)))
-    )
+    out += _constant_and_value("lift", c_lift, LIFT_C, LIFT_C_TOL, lifted, LIFT_S, LIFT_S_TOL)
+    try:
+        ok = run_lift_suite(AFFINE_SPEC, 10) == 10
+    except IdentityViolation:
+        ok = False
+    out.append(CheckResult("lift", "factorization identity", ok))
     return out
 
 
 def check_degenerate() -> list[CheckResult]:
-    out = []
-    seq = generate_recurrence(DEGEN_SPEC, 6)
-    out.append(CheckResult("degenerate", "sequence", seq == DEGEN_SEQ))
-    got = list(stream(DEGEN_SPEC, 17).certified)[:17]
-    out.append(CheckResult("degenerate", "stream", got == DEGEN_STREAM))
     c_value, _ = estimate_C(DEGEN_SPEC)
-    out.append(CheckResult("degenerate", "growth constant", _close(c_value, DEGEN_C, DEGEN_C_TOL)))
-    out.append(
-        CheckResult("degenerate", "certified value", _value_matches(DEGEN_SPEC, DEGEN_S, DEGEN_S_TOL))
-    )
-    return out
+    return (_terms_and_stream("degenerate", DEGEN_SPEC, DEGEN_SEQ, DEGEN_STREAM, 17, whole=False)
+            + _constant_and_value("degenerate", c_value, DEGEN_C, DEGEN_C_TOL,
+                                  DEGEN_SPEC, DEGEN_S, DEGEN_S_TOL))
 
 
 def check_upow() -> list[CheckResult]:
@@ -170,7 +156,7 @@ def check_upow() -> list[CheckResult]:
     for u in range(3, 11):
         src = ones_tail(u)
         got = list(stream(src, 17).certified)
-        ok = got[:17] == upow_pattern(u) and set(got) <= upow_alphabet(u)
+        ok = got[:17] == upow_pattern(u) and set(got) <= {1, u - 2, u - 1, u, u + 2}
         out.append(CheckResult("upow", f"u={u} pattern and alphabet", ok))
     out.append(CheckResult("upow", "lengths", partial_lengths(ones_tail(4), 6) == UPOW_LENGTHS))
     return out

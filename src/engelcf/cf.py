@@ -301,9 +301,13 @@ def render_each(values: Sequence[int]) -> list[str]:
 def cf_text(cf: CFLike) -> str:
     """Render in the bracket grammar: ``[a0;a1,a2,...]``, no whitespace.
     Raw coefficient lists are rendered as given, zeros included."""
-    coeffs = render_each(tuple(cf))
-    if not coeffs:
+    return _bracket(render_each(tuple(cf)))
+
+
+def _bracket(texts: list[str]) -> str:
+    # cf_text from coefficients already rendered by render_each.
+    if not texts:
         raise InvalidSpec("empty continued fraction")
-    if len(coeffs) == 1:
-        return f"[{coeffs[0]}]"
-    return "[{};{}]".format(coeffs[0], ",".join(coeffs[1:]))
+    if len(texts) == 1:
+        return f"[{texts[0]}]"
+    return "[{};{}]".format(texts[0], ",".join(texts[1:]))

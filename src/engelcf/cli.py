@@ -18,7 +18,7 @@ import json
 import sys
 
 from .asymptotics import _digits_text, full_report
-from .cf import cf_text, expand_rational, normalize_zeros, render_each
+from .cf import _bracket, cf_text, expand_rational, normalize_zeros, render_each
 from .exceptions import (
     BitBudgetExceeded,
     EngelError,
@@ -110,11 +110,12 @@ def cmd_cf(args) -> tuple[str, int]:
         if normalize_zeros(cf.coeffs).coeffs != oracle.coeffs:
             raise IdentityViolation(f"partial expansion disagrees with the Euclidean oracle at n={args.n}")
     if args.json:
+        texts = render_each(cf.coeffs)  # rendered once for both fields
         payload = {
             "n": args.n,
             "class": src.series_class.value,
-            "cf": cf_text(cf),
-            "coefficients": render_each(cf.coeffs),
+            "cf": _bracket(texts),
+            "coefficients": texts,
             "length": len(cf),
         }
         return json.dumps(payload) + "\n", 0

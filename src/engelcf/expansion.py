@@ -153,20 +153,19 @@ class EngelStream:
     n = 3 on and emit its odd-length representative followed by z_{n+1}-1,
     which every later fold keeps. When z_{n+1} is unknown they emit the
     representative, less a split final 1 and the coefficient before it.
-    Every other class, and any stream with ``force_oracle``, emits the
-    interval oracle's common prefix. The oracle resumes from the matrix of
-    the emitted prefix: it expands only the tail of S_n past that prefix
-    and places the upper endpoint against those quotients from their last
-    remainders (_walk). Emitted coefficients never change: the checks
+    Every other class emits the interval oracle's common prefix; the class
+    alone makes that choice, once per stream. The oracle resumes from the
+    matrix of the emitted prefix: it expands only the tail of S_n past that
+    prefix and places the upper endpoint against those quotients from their
+    last remainders (_walk). Emitted coefficients never change: the checks
     prove it on every advance, and a failed check raises
     IdentityViolation.
     """
 
-    def __init__(self, source: SourceLike, force_oracle: bool = False):
+    def __init__(self, source: SourceLike):
         self._src = as_store(source)
         self.series_class = self._src.series_class
-        self._folds = not force_oracle and self.series_class in (
-            SeriesClass.GENERIC, SeriesClass.Z2_EQUALS_2)
+        self._folds = self.series_class in (SeriesClass.GENERIC, SeriesClass.Z2_EQUALS_2)
         self.emitted: list[int] = []
         self.lengths: list[int] = []
         self.n_used = 0
@@ -316,9 +315,9 @@ def _walk(m: Matrix, c: int, lo: tuple[int, int], s: int):
     return tail, k, k, _step_back(f, tail[k - 1]) if k else f
 
 
-def stream(source: SourceLike, count: int, force_oracle: bool = False) -> StreamResult:
+def stream(source: SourceLike, count: int) -> StreamResult:
     """Certify at least ``count`` coefficients of the limit expansion."""
-    es = EngelStream(source, force_oracle=force_oracle)
+    es = EngelStream(source)
     es.take(count)
     return es.result()
 

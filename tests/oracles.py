@@ -1,9 +1,9 @@
 """Independent helpers that only the tests read: exact evaluation of a continued
 fraction, the parser of cf_text's grammar and the writer of parse_spec_line's,
-a spec built from random arguments, a product tree that checks known
-quotients against a rational, residues modulo a prime, the lift's growth
-constant read off its terms' heads, and the growth report and asymp payload
-computed in mpmath."""
+a spec built from random arguments, a stream that runs the interval oracle on
+every class, a product tree that checks known quotients against a rational,
+residues modulo a prime, the lift's growth constant read off its terms' heads,
+and the growth report and asymp payload computed in mpmath."""
 
 import functools
 from fractions import Fraction
@@ -13,6 +13,7 @@ from mpmath import mp, workdps
 from engelcf.asymptotics import DEFAULT_DPS, _context, dominant_root, log_big
 from engelcf.cf import _LEAF, CFExpansion, convergent_matrix, matrix_mul
 from engelcf.exceptions import InvalidSpec, TrailingZero
+from engelcf.expansion import EngelStream
 from engelcf.sequences import RecurrenceSpec, SecondOrderSpec, SeriesSource
 
 
@@ -62,6 +63,14 @@ def spec_or_none(cls, *args):
         return cls(*args)
     except InvalidSpec:
         return None
+
+
+class OracleStream(EngelStream):
+    """An EngelStream that advances by the interval oracle whatever the
+    source's class. The package folds the generic and z_2 = 2 classes; this
+    is the independent route that the tests check the fold against."""
+
+    _advance = EngelStream._advance_oracle
 
 
 class ProductTree:

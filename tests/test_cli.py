@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelcf import cli, expansion
+from engelcf import cf, cli, expansion, sequences
 from engelcf.asymptotics import _context, _digits_text, full_report
 from engelcf.cli import COMMANDS, build_parser, main
 from engelcf.exceptions import IdentityViolation
-from engelcf.expansion import stream
+from engelcf.expansion import partial_cf, stream
 from engelcf.sequences import FactorSequence, SecondOrderSpec, generate_recurrence
 from engelcf.verify import check_instance
 from oracles import mp_asymp_payload, parse_cf_text
@@ -110,6 +110,24 @@ def test_cf_json(capsys):
     assert record["length"] == 11
     assert record["class"] == "generic"
     assert record["coefficients"][5] == "80"
+
+
+def test_cf_json_renders_each_coefficient_once(capsys, monkeypatch):
+    # The "cf" text is built from the strings of "coefficients": rendering
+    # z_13 - 1 alone takes seconds at --n 13.
+    render, calls = cf.render_each, []
+
+    def counted(values):
+        calls.append(len(values))
+        return render(values)
+
+    monkeypatch.setattr(cf, "render_each", counted)
+    monkeypatch.setattr(cli, "render_each", counted)
+    code, out, _ = run(capsys, "cf", *AFFINE_FLAGS, "--n", "9", "--json")
+    record = json.loads(out)
+    assert code == 0 and calls == [record["length"]]
+    assert record["cf"] == str(partial_cf(AFFINE, 9))
+    assert record["coefficients"] == [str(a) for a in partial_cf(AFFINE, 9).coeffs]
 
 
 def test_stream_examples(capsys):
@@ -284,6 +302,20 @@ def test_verify_suites(capsys):
     for suite, message in [("lift", "--suite lift needs --d1/--G"),
                            ("identities", "--suite identities needs --z")]:
         assert run(capsys, "verify", "--suite", suite) == (2, "", f"error: {message}\n")
+
+
+def test_both_lift_checks_catch_a_broken_lift(capsys, monkeypatch):
+    # paper-examples' lift row and verify --suite lift both run
+    # verify.run_lift_suite: a third-order step one too large breaks
+    # X_k * X_{k+1} = x_k, and each command exits 4.
+    step = sequences._third_order_step
+    monkeypatch.setattr(sequences, "_third_order_step", lambda *args: step(*args) + 1)
+    code, out, _ = run(capsys, "paper-examples", "--only", "lift", "--json")
+    rows = {r["name"]: r["ok"] for r in json.loads(out)["results"]}
+    assert code == 4 and rows["factorization identity"] is False
+    code, out, err = run(capsys, "verify", "--suite", "lift", *AFFINE_FLAGS, "--n", "7")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: lift identity failed at k=")
 
 
 def test_paper_examples_all_pass(capsys):
@@ -607,6 +639,7 @@ SPELLED_OUT = [
     "verify --suite lift --d1 3 --G 1,2 --n 13",
     "verify --suite lift --d1 4 --G 1,1,1 --n 9",
     "verify --suite identities --z 3,2,5,7,2,3,11,2 --n 9",
+    "cf --d1 3 --G 1,2 --n 11 --json",
     "paper-examples",
     "paper-examples --json",
     "cf --d1 3 --G 1,2 --n 11 --check oracle",

@@ -29,7 +29,7 @@ from engelcf.sequences import (
     partial_sum,
 )
 from engelcf.verify import check_instance, generic_alphabet
-from oracles import ProductTree, evaluate
+from oracles import OracleStream, ProductTree, evaluate
 
 AFFINE = SecondOrderSpec(3, (1, 2))
 
@@ -176,7 +176,7 @@ def test_third_order_general_stream_matches_oracle():
 
     spec = ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1)))
     rec = stream(spec, 12).certified
-    orc = stream(spec, 12, force_oracle=True).certified
+    orc = tuple(OracleStream(spec).take(12))
     k = min(len(rec), len(orc))
     assert k >= 12 and rec[:k] == orc[:k]
 
@@ -218,13 +218,13 @@ def test_interval_oracle_matches_recursion():
     # coefficient on sources where both apply.
     for source in (FactorSequence((3, 2, 2, 2, 2, 2)), AFFINE):
         rec = stream(source, 12).certified
-        orc = stream(source, 12, force_oracle=True).certified
+        orc = tuple(OracleStream(source).take(12))
         k = min(len(rec), len(orc))
         assert k >= 12
         assert rec[:k] == orc[:k]
     z2src = FactorSequence((2, 6, 300, 2, 2))
     rec = stream(z2src, 9).certified
-    orc = stream(z2src, 9, force_oracle=True).certified
+    orc = tuple(OracleStream(z2src).take(9))
     k = min(len(rec), len(orc))
     assert k >= 9 and rec[:k] == orc[:k]
 
@@ -235,7 +235,7 @@ def test_interval_oracle_matches_recursion_random():
         z2 = rng.choice([2, rng.randint(3, 12)])
         z = (z2,) + tuple(rng.randint(2, 12) for _ in range(7))
         rec = stream(FactorSequence(z), 10).certified
-        orc = stream(FactorSequence(z), 10, force_oracle=True).certified
+        orc = tuple(OracleStream(FactorSequence(z)).take(10))
         k = min(len(rec), len(orc))
         assert k >= 10 and rec[:k] == orc[:k], z
 
@@ -392,23 +392,25 @@ def reference_oracle_stream(source, count):
 
 
 _ORACLE_SOURCES = st.one_of(
-    st.tuples(st.builds(ones_tail, st.integers(2, 12)), st.integers(1, 600), st.just(False)),
+    st.tuples(st.builds(ones_tail, st.integers(2, 12)), st.integers(1, 600)),
     st.tuples(st.builds(lambda z2, rest: FactorSequence((z2, *rest), tail_ones=True),
                         st.integers(2, 20),
                         st.lists(st.one_of(st.just(1), st.integers(2, 9)), max_size=6)),
-              st.integers(1, 300), st.just(False)),
+              st.integers(1, 300)),
     st.tuples(st.builds(lambda z2, rest: FactorSequence((z2, *rest)),
                         st.one_of(st.just(2), st.integers(3, 20)),
                         st.lists(st.integers(2, 20), min_size=10, max_size=10)),
-              st.integers(1, 300), st.just(True)),
+              st.integers(1, 300)),
 )
 
 
 @given(_ORACLE_SOURCES)
 @settings(max_examples=60, deadline=None)
 def test_resumed_oracle_matches_restarted_oracle(case):
-    source, count, force = case
-    got = stream(source, count, force_oracle=force)
+    source, count = case
+    es = OracleStream(source)
+    es.take(count)
+    got = es.result()
     assert (got.certified, got.lengths, got.n_used) == reference_oracle_stream(source, count)
 
 
@@ -474,30 +476,30 @@ def _check_walk(m, c, lo, hi, s):
 
 
 _WALK_SOURCES = st.one_of(
-    st.tuples(st.builds(ones_tail, st.integers(2, 12)), st.integers(1, 4000), st.just(False)),
+    st.tuples(st.builds(ones_tail, st.integers(2, 12)), st.integers(1, 4000)),
     st.tuples(st.builds(lambda z2, rest: FactorSequence((z2, *rest), tail_ones=True),
                         st.integers(2, 20),
                         st.lists(st.one_of(st.just(1), st.integers(2, 9)), max_size=6)),
-              st.integers(1, 1000), st.just(False)),
+              st.integers(1, 1000)),
     st.tuples(st.builds(lambda z2, rest: FactorSequence((z2, *rest)),
                         st.one_of(st.just(2), st.integers(3, 20)),
                         st.lists(st.integers(2, 20), min_size=10, max_size=10)),
-              st.integers(1, 300), st.just(True)),
+              st.integers(1, 300)),
     st.tuples(st.sampled_from((ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1))), lift_spec(AFFINE))),
-              st.integers(1, 200), st.just(True)),
+              st.integers(1, 200)),
 )
 
 
 @given(_WALK_SOURCES)
-@example((ones_tail(3), 15000, False))
-@example((ones_tail(2), 15000, False))
+@example((ones_tail(3), 15000))
+@example((ones_tail(2), 15000))
 @settings(max_examples=60, deadline=None)
 def test_the_walk_from_the_end_finds_the_follows_count(case):
     # Every advance's walk equals the block-by-block follow of hi's mapped
     # pair, and stops at most two steps back from the end of the tail, as
     # _walk's docstring proves for a prefix of lo's expansion.
-    source, count, force = case
-    es = EngelStream(source, force_oracle=force)
+    source, count = case
+    es = OracleStream(source)
     src = es._src
     while len(es.emitted) < count:
         n = max(es._n + 1, 2)
