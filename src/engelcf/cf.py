@@ -17,11 +17,12 @@ rational shares every quotient before that point.
 A kept batch's quotients multiply out to the inverse of its cosequence
 matrix [[u0, v0], [u1, v1]]: (-1)^k [[v1, -v0], [-u1, u0]] for k
 quotients. expand_rational records that product for every kept batch and
-returns the gcd of its pair, so the oracle reads the expansion's
-convergent matrix (CFExpansion.matrix) without multiplying its quotients
-out again. The matrix is formed on each read, as a balanced product of
-the batches' products and of convergent_matrix over the single divmod
-steps between them; callers that read only the coefficients pay nothing.
+returns the gcd g of its pair (p, q). The convergent matrix maps (g, 0)
+to (p, q), so the oracle reads only its second column, the penultimate
+convergent (CFExpansion.penultimate), formed on each read as a balanced
+product of the batches' products and of convergent_matrix over the single
+divmod steps between them, whose right spine carries only that column;
+callers that read only the coefficients pay nothing.
 
 Everything here is a pure function of immutable values and safe to call
 concurrently.
@@ -46,19 +47,20 @@ class CFExpansion(_Value):
     sequences; see normalize_zeros.
 
     Besides its value, the coeffs, an expansion carries the pair it stands
-    for: ``gcd * (matrix[0], matrix[2])``. Built from coefficients, gcd is 1;
-    from expand_rational(p, q), gcd is gcd(p, q) and ``matrix`` is formed
-    from the batches Euclid kept. Neither takes part in equality, hash, repr
-    or pickling."""
+    for, ``gcd`` times its last convergent, and the penultimate convergent.
+    Built from coefficients, gcd is 1; from expand_rational(p, q), gcd is
+    gcd(p, q) and ``penultimate`` is formed from the batches Euclid kept.
+    Neither takes part in equality, hash, repr or pickling."""
 
-    __slots__ = ("coeffs", "gcd", "_batches")
+    __slots__ = ("coeffs", "gcd", "_batches")  # _batches: (start, stop, product) of each kept batch
     _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int]):
         if not coeffs:
             raise InvalidSpec("empty continued fraction")
         self._init(tuple(map(operator.index, coeffs)))
-        self._pair(1, ())
+        object.__setattr__(self, "gcd", 1)
+        object.__setattr__(self, "_batches", ())
         if self.coeffs[0] < 0:
             raise InvalidSpec(f"a_0 must be non-negative, got {self.coeffs[0]}")
         if min(self.coeffs[1:], default=1) > 0:
@@ -70,25 +72,20 @@ class CFExpansion(_Value):
                 raise InvalidSpec(f"a_{j} must be positive, got {a}")
 
     @classmethod
-    def _from_euclid(cls, coeffs: list[int], gcd: int, batches: list) -> "CFExpansion":
-        # expand_rational's result. Euclid's quotients are ints, a_0 >= 0
-        # and the rest >= 1, so __init__'s checks are not run again.
+    def _trusted(cls, coeffs: list[int], gcd: int = 1, batches=()) -> "CFExpansion":
+        # A non-empty list of ints built here, a_0 >= 0 and the rest >= 1:
+        # Euclid's quotients or a fold's. __init__'s checks are not run again.
         out = cls.__new__(cls)
         out._init(tuple(coeffs))
-        out._pair(gcd, batches)
+        object.__setattr__(out, "gcd", gcd)
+        object.__setattr__(out, "_batches", batches)
         return out
 
-    def _pair(self, gcd: int, batches):
-        # gcd, and the (start, stop, product) of each batch of quotients
-        # whose matrix product is known; the matrix is formed when read.
-        object.__setattr__(self, "gcd", gcd)
-        object.__setattr__(self, "_batches", batches)
-
     @property
-    def matrix(self) -> "Matrix":
-        """The convergent matrix [[p_m, p_{m-1}], [q_m, q_{m-1}]], the product
-        of the matrices [[a, 1], [1, 0]] of a_0..a_m. It is formed on every
-        read, not cached, as a balanced product of the kept batches'
+    def penultimate(self) -> tuple[int, int]:
+        """(p_{m-1}, q_{m-1}), the second column of the convergent matrix
+        [[p_m, p_{m-1}], [q_m, q_{m-1}]] of a_0..a_m; (1, 0) for m = 0. It
+        is formed on every read, not cached, from the kept batches'
         products and convergent_matrix of the runs between them."""
         coeffs, mats, done = self.coeffs, [], 0
         for start, stop, m in self._batches:
@@ -98,7 +95,11 @@ class CFExpansion(_Value):
             done = stop
         if done < len(coeffs):
             mats.append(convergent_matrix(coeffs[done:]))
-        return _product(mats)
+        # With the last factor's first column zeroed, the right spine of the
+        # balanced product carries only the second: four multiplies a level.
+        p, p2, q, q2 = mats[-1]
+        mats[-1] = 0, p2, 0, q2
+        return _product(mats)[1::2]
 
     def __len__(self):
         return len(self.coeffs)
@@ -173,7 +174,8 @@ def expand_rational(p: int, q: int) -> CFExpansion:
     [[0, 1], [1, -a_i]], and det C = (-1)^k, so the product of the batch's
     matrices [[a_i, 1], [1, 0]] is C^-1 = (-1)^k [[v1, -v0], [-u1, u0]].
     Each kept batch records it, which costs nothing on entries of
-    _WINDOW_BITS bits; the result's ``matrix`` is formed only when read.
+    _WINDOW_BITS bits; the result's ``penultimate`` is formed only when
+    read. Both loops take two quotients a pass, swapping no tuple.
     """
     p, q = operator.index(p), operator.index(q)
     if p < 0 or q <= 0:
@@ -196,8 +198,13 @@ def expand_rational(p: int, q: int) -> CFExpansion:
             if z < low:
                 break
             append(a)
-            x, y = y, z
-            u0, u1 = u1, u0 - a * u1
+            x, u0 = z, u0 - a * u1
+            a, z = divmod(y, x)
+            if z < low:
+                x, y, u0, u1 = y, x, u1, u0
+                break
+            append(a)
+            y, u1 = z, u1 - a * u0
         stop = len(coeffs)
         if stop > start:
             v0, v1 = (x - u0 * x0) // y0, (y - u1 * x0) // y0
@@ -212,10 +219,14 @@ def expand_rational(p: int, q: int) -> CFExpansion:
         append(a)
         p, q = q, r
     while q:
-        a, r = divmod(p, q)
+        a, p = divmod(p, q)
         append(a)
-        p, q = q, r
-    return CFExpansion._from_euclid(coeffs, p, batches)
+        if not p:
+            p = q
+            break
+        a, q = divmod(q, p)
+        append(a)
+    return CFExpansion._trusted(coeffs, p, batches)
 
 
 # Quotients whose matrices convergent_matrix multiplies one at a time.

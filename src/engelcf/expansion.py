@@ -27,17 +27,20 @@ Two mechanisms produce the coefficients:
     The intervals nest, so each advance resumes where the last one
     stopped (Gosper, HAKMEM item 101, 1972). The stream keeps the product
     M of the matrices [[a, 1], [1, 0]] of the c emitted coefficients, with
-    det M = (-1)^c, and maps the lower endpoint, as an integer pair with
-    no gcd, through M^-1. A mapped pair (A, B) with A > B > 0 proves that
-    it expands as the emitted prefix followed by the expansion of A/B,
-    which Euclid computes, along with the tail's convergent matrix T (from
-    the products of its batches) and gcd(A, B). The upper endpoint is
-    neither mapped nor expanded: with s = z_{n+1}*x_n it is s*lo + (2, 0)
-    exactly, so at each point of the lower tail its mapped pair is s times
-    lo's Euclid remainders plus twice a column of the convergent matrix
-    there. A walk back from the tail's end finds, within two steps, a point
-    where that pair is ordered, and divmod steps from there find where the
-    upper endpoint's expansion leaves the lower one's (see _walk). The newly
+    det M = (-1)^c, and maps the lower endpoint lo, an integer pair with no
+    gcd, through M^-1. The store builds lo_n = s'*lo_{n-1} + (1, 0) with
+    s' = z_n*x_{n-1}, so the image is s'*M^-1 lo_{n-1} + M^-1 (1, 0), on
+    half-size operands. A mapped pair (A, B) with A > B > 0 proves that lo
+    expands as the emitted prefix followed by the expansion of A/B, which
+    Euclid computes, with g = gcd(A, B) and the second column of the tail's
+    convergent matrix T. F = M*T maps (g, 0) to lo, so only F's second
+    column is multiplied out. The upper endpoint is neither mapped nor
+    expanded: with s = z_{n+1}*x_n it is s*lo + (2, 0) exactly, so at each
+    point of the lower tail its mapped pair is s times lo's Euclid
+    remainders plus twice a column of the convergent matrix there. A walk
+    back from the tail's end finds, within two steps, a point where that
+    pair is ordered, and divmod steps from there find where the upper
+    endpoint's expansion leaves the lower one's (see _walk). The newly
     certified block extends the emitted prefix in place, and M becomes the
     convergent matrix the walk passed at its end. The checks cannot fail
     on a state the stream built (see EngelStream._advance_oracle), so a
@@ -55,8 +58,6 @@ from .cf import (
     Matrix,
     _merge_zeros,
     expand_rational,
-    matrix_mul,
-    normalize_zeros,
 )
 from .exceptions import IdentityViolation, InvalidSpec
 from .sequences import (  # SeriesSource and SourceLike are re-exported from here
@@ -118,9 +119,9 @@ def partial_cf(source: SourceLike, n: int) -> CFExpansion:
     if n == 1:
         return CFExpansion((1,))
     cur = _folded(src.factors_through(n))
-    if _split_representative(src, n):
-        return CFExpansion(tuple(cur))
-    return normalize_zeros(cur)
+    if cur[-1] == 1 and not _split_representative(src, n):  # zero-free: merge a final 1 only
+        cur[-2:] = [cur[-2] + 1]
+    return CFExpansion._trusted(cur)
 
 
 def partial_lengths(source: SourceLike, n_max: int) -> list[int]:
@@ -216,15 +217,17 @@ class EngelStream:
     def _advance_oracle(self):
         """Advance the interval oracle by one partial sum, resuming from M.
 
-        No check in _walk fails on a state built here. det M = (-1)^c, as M
-        is the product of the c emitted coefficients' matrices. The
-        enclosures nest: for n >= 2, x_{n+1} = z_{n+1} x_n^2 >= 2 x_n puts
-        [S_n, S_n + 2/x_{n+1}] inside [S_{n-1}, S_{n-1} + 2/x_n]. The emitted
-        prefix is an earlier advance's shared prefix less its last shared
-        coefficient, so M maps the tails (1, inf) onto an interval holding
-        both of that advance's endpoints, hence every point between them:
-        lo, and hi at k = 0, map to ordered pairs. The first advance has
-        M = I and lo = S_2 > 1. So a failed check is a broken invariant.
+        lo = S_n is mapped as s'*lo_{n-1} + (1, 0) from the store's S_{n-1},
+        and F*(g, 0) = lo gives F's first column. No check in _walk fails on
+        a state built here. det M = (-1)^c, as M is the product of the c
+        emitted coefficients' matrices. The enclosures nest: for n >= 2,
+        x_{n+1} = z_{n+1} x_n^2 >= 2 x_n puts [S_n, S_n + 2/x_{n+1}] inside
+        [S_{n-1}, S_{n-1} + 2/x_n]. The emitted prefix is an earlier
+        advance's shared prefix less its last shared coefficient, so M maps
+        the tails (1, inf) onto an interval holding both of that advance's
+        endpoints, hence every point between them: lo, and hi at k = 0, map
+        to ordered pairs. The first advance has M = I and lo = S_2 > 1. So a
+        failed check is a broken invariant.
         """
         n = self._n = self._n + 1
         src = self._src
@@ -232,8 +235,9 @@ class EngelStream:
         # lo = S_n as a pair; hi = S_n + 2/x_{n+1} is s*lo + (2, 0).
         lo = (src.numerator(n), src.x(n))
         s = src.factor(n + 1) * lo[1]
+        prev = (src.factor(n) * src.x(n - 1), src.numerator(n - 1), src.x(n - 1))
         c = len(self.emitted)
-        walk = _walk(self._m, c, lo, s)
+        walk = _walk(self._m, c, lo, s, prev)
         if walk is None:
             raise IdentityViolation(f"the interval oracle's resume state fails its check at n = {n}")
         tail, _, shared, f = walk
@@ -253,16 +257,23 @@ def _step_back(f: Matrix, a: int) -> Matrix:
     return p2, p - a * p2, q2, q - a * q2
 
 
-def _walk(m: Matrix, c: int, lo: tuple[int, int], s: int):
+def _mapped(m: Matrix, det: int, s1: int, num: int, den: int) -> tuple[int, int]:
+    # M^-1 (s1*(num, den) + (1, 0)) as s1*M^-1 (num, den) + M^-1 (1, 0), det M = det.
+    p, p2, q, q2 = m
+    return det * (s1 * (q2 * num - p2 * den) + q2), det * (s1 * (p * den - q * num) - q)
+
+
+def _walk(m: Matrix, c: int, lo: tuple[int, int], s: int, prev: tuple[int, int, int]):
     """One advance of the interval oracle from M = m, the product of the
     matrices [[a, 1], [1, 0]] of c emitted coefficients: (tail, start,
     shared, F), or None when a check fails.
 
-    With det M = (-1)^c and lo = (N_n, x_n) mapped to 0 < B < A, lo
-    expands as the emitted prefix followed by tail, Euclid's expansion of
-    A/B. shared counts the leading tail quotients that are also those of
-    hi = S_n + 2/x_{n+1}, and F is M times the matrices of the first
-    max(shared - 1, 0) of them.
+    lo = (N_n, x_n) = s'*lo_{n-1} + (1, 0) with prev = (s', N_{n-1},
+    x_{n-1}) (or (1, N - 1, x) for any lo) maps to (A, B) = s'*M^-1 lo_{n-1}
+    + M^-1 (1, 0). With det M = (-1)^c and 0 < B < A, lo expands as the
+    emitted prefix followed by tail, Euclid's expansion of A/B. shared counts
+    the leading tail quotients that are also those of hi = S_n + 2/x_{n+1},
+    and F is M times the matrices of the first max(shared - 1, 0) of them.
 
     hi is never mapped through M^-1: x_{n+1} = s*x_n and N_{n+1} =
     s*N_n + 1, so hi = s*lo + (2, 0). At point k of the tail, F_k =
@@ -270,10 +281,12 @@ def _walk(m: Matrix, c: int, lo: tuple[int, int], s: int):
     D = (-1)^(c+k) and maps lo to Euclid's remainders (r_k, r_{k+1}) of
     A/B, so it maps hi to H_k = s*(r_k, r_{k+1}) + 2D*(q', -q). The walk
     starts at k = len(tail), where the remainders are (g, 0) with
-    g = gcd(A, B) and F = M*T for the tail's convergent matrix T. The
-    Euclid pass that expands A/B yields both g and T, so no quotient is
-    multiplied out twice. The walk steps back (r <- a*r + r',
-    F <- F*[[0, 1], [1, -a]]) until H_k is ordered, 0 < H_k[1] < H_k[0]. As in
+    g = gcd(A, B) and F = M*T for the tail's convergent matrix T. As
+    M (A, B) = lo, F*(g, 0) = lo: F's first column is lo/g, exactly, and
+    only its second, M times T's, is multiplied. Euclid's pass over A/B
+    yields g and T's second column, so no quotient is multiplied out
+    twice. The walk steps back (r <- a*r + r', F <- F*[[0, 1], [1, -a]])
+    until H_k is ordered, 0 < H_k[1] < H_k[0]. As in
     expand_rational, hi then shares the first k tail quotients. For k up
     to the shared count H_k is hi's own Euclid pair, ordered unless hi's
     expansion ends at k, so the walk stops at that count or one before
@@ -292,12 +305,13 @@ def _walk(m: Matrix, c: int, lo: tuple[int, int], s: int):
     det = -1 if c % 2 else 1
     if p * q2 - p2 * q != det:
         return None
-    num, den = lo
-    a, b = det * (q2 * num - p2 * den), det * (p * den - q * num)
+    a, b = _mapped(m, det, *prev)
     if not 0 < b < a:
         return None
     euclid = expand_rational(a, b)
-    tail, f, r, r2 = euclid.coeffs, matrix_mul(m, euclid.matrix), euclid.gcd, 0
+    tail, r, r2 = euclid.coeffs, euclid.gcd, 0
+    t, t2 = euclid.penultimate
+    f = lo[0] // r, p * t + p2 * t2, lo[1] // r, q * t + q2 * t2
     k = len(tail)
     sign = -det if k % 2 else det
     while True:

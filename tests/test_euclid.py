@@ -3,9 +3,9 @@ quotients, against a plain divmod loop.
 
 Each expand_rational test runs at the module's window and again at a
 16-bit window, where inputs past 64 bits already take accepted batches,
-rejected batches and single-step fallbacks. It also checks the convergent
-matrix and gcd that the same pass yields, and that neither is part of the
-expansion's value.
+rejected batches and single-step fallbacks. It also checks the penultimate
+convergent and gcd that the same pass yields, and that neither is part of
+the expansion's value.
 """
 
 import pickle
@@ -41,8 +41,9 @@ def check(p: int, q: int, window: int):
         got = expand_rational(p, q)
     coeffs = euclid_reference(p, q)
     assert got.coeffs == coeffs
-    assert got.matrix == convergent_matrix(coeffs)
-    assert (got.gcd * got.matrix[0], got.gcd * got.matrix[2]) == (p, q)
+    full = convergent_matrix(coeffs)
+    assert got.penultimate == full[1::2]
+    assert (got.gcd * full[0], got.gcd * full[2]) == (p, q)
     plain = CFExpansion(coeffs)
     assert (got, hash(got), repr(got)) == (plain, hash(plain), repr(plain))
     assert pickle.dumps(got) == pickle.dumps(plain)

@@ -6,12 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from engelcf import cf, expansion
-from engelcf.cf import convergent_matrix, convergents, expand_rational, matrix_mul, normalize_zeros
+from engelcf.cf import (
+    CFExpansion,
+    convergent_matrix,
+    convergents,
+    expand_rational,
+    matrix_mul,
+    normalize_zeros,
+)
 from engelcf.exceptions import IdentityViolation, InsufficientFactors, InvalidSpec
 from engelcf.expansion import (
     EngelStream,
     SeriesSource,
     _fold,
+    _folded,
     _split_representative,
     enclosure,
     partial_cf,
@@ -123,6 +131,26 @@ def test_fold_matches_euclid_on_every_class(zs):
         assert len(folded) % 2 == 1
         assert evaluate(folded) == src.partial_sum(n)
         cur = folded
+
+
+@given(st.one_of(_FOLD_SOURCES, st.sampled_from(
+    (AFFINE, lift_spec(AFFINE), ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1)))))))
+@settings(max_examples=60, deadline=None)
+def test_partial_cf_is_the_normalized_fold(zs):
+    # partial_cf builds its expansion without normalize_zeros' rescan or
+    # __init__'s checks; it is still what both of them give, and Euclid.
+    src = SeriesSource(zs)
+    for n in range(2, 8):
+        got = partial_cf(src, n)
+        want = normalize_zeros(_folded(src.factors_through(n)))
+        s_n = src.partial_sum(n)
+        assert want == expand_rational(s_n.numerator, s_n.denominator)
+        if _split_representative(src, n):
+            assert got.coeffs == want.coeffs[:-1] + (want.coeffs[-1] - 1, 1)
+        else:
+            assert got == want
+        assert (got, got.gcd, got.penultimate) == (CFExpansion(got.coeffs), 1,
+                                                   convergent_matrix(got.coeffs)[1::2])
 
 
 def test_stream_examples():
@@ -462,9 +490,12 @@ def _direct_checks(m, c, lo, hi):
     return pairs[1]
 
 
-def _check_walk(m, c, lo, hi, s):
-    # The walk against the follow of hi's explicitly mapped pair.
-    out = expansion._walk(m, c, lo, s)
+def _check_walk(m, c, lo, hi, s, prev=None):
+    # The walk against the follow of hi's explicitly mapped pair. lo is
+    # prev = (s', N, x) mapped to s'*(N, x) + (1, 0); any lo is (1, N - 1, x).
+    prev = prev or (1, lo[0] - 1, lo[1])
+    assert lo == (prev[0] * prev[1] + 1, prev[0] * prev[2])
+    out = expansion._walk(m, c, lo, s, prev)
     hi_pair = _direct_checks(m, c, lo, hi)
     assert (out is None) == (hi_pair is None)
     if out is not None:
@@ -505,7 +536,8 @@ def test_the_walk_from_the_end_finds_the_follows_count(case):
         n = max(es._n + 1, 2)
         lo, hi = (src.numerator(n), src.x(n)), (src.numerator(n + 1) + 1, src.x(n + 1))
         s = src.factor(n + 1) * src.x(n)
-        tail, start, _, _ = _check_walk(es._m, len(es.emitted), lo, hi, s)
+        prev = (src.factor(n) * src.x(n - 1), src.numerator(n - 1), src.x(n - 1))
+        tail, start, _, _ = _check_walk(es._m, len(es.emitted), lo, hi, s, prev)
         assert len(tail) - start <= 2
         es._advance()
 
@@ -527,6 +559,31 @@ def test_the_walk_is_the_direct_check_for_any_multiplier(data):
     out = _check_walk(m, c, (num, den), (s * num + 2, s * den), s)
     if out is not None and s >= den and m == convergent_matrix(coeffs[:c]):
         assert len(out[0]) - out[1] <= 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_half_size_image_is_the_direct_image(data):
+    # _walk maps lo = s'*lo_{n-1} + (1, 0) as s'*M^-1 lo_{n-1} + M^-1 (1, 0).
+    # That is a linear identity: the same pair as M^-1 lo for any M, a
+    # corrupted one included, so every check reaches the same verdict.
+    den1 = data.draw(st.integers(1, 1 << 120))
+    num1 = data.draw(st.integers(den1, 1 << 121))
+    s1 = data.draw(st.one_of(st.integers(1, 64), st.integers(den1, 4 * den1)))
+    num, den = s1 * num1 + 1, s1 * den1
+    coeffs = expand_rational(num, den).coeffs
+    c = data.draw(st.integers(0, len(coeffs)))
+    m = convergent_matrix(coeffs[:c])
+    if c >= 2 and data.draw(st.booleans()):
+        m = data.draw(st.sampled_from(list(_corruptions(m, list(coeffs[:c])))))
+    elif data.draw(st.booleans()):
+        m = tuple(data.draw(st.integers(-(1 << 130), 1 << 130)) for _ in range(4))
+    p, p2, q, q2 = m
+    det = -1 if c % 2 else 1
+    direct = det * (q2 * num - p2 * den), det * (p * den - q * num)
+    assert expansion._mapped(m, det, s1, num1, den1) == direct
+    s = data.draw(st.one_of(st.integers(1, 64), st.integers(den, 4 * den)))
+    _check_walk(m, c, (num, den), (s * num + 2, s * den), s, (s1, num1, den1))
 
 
 def test_the_walk_on_small_pairs_where_hi_ends_inside_the_tail():
