@@ -124,13 +124,21 @@ def partial_cf(source: SourceLike, n: int) -> CFExpansion:
     return CFExpansion._trusted(cur)
 
 
+def _euclid_cf(src: SeriesSource, n: int) -> tuple[int, ...]:
+    # Euclid's expansion of S_n = N_n/x_n in the representative partial_cf
+    # reports, which `cf --check oracle` compares coefficient for coefficient.
+    coeffs = expand_rational(src.numerator(n), src.x(n)).coeffs
+    if _split_representative(src, n):
+        return coeffs[:-1] + (coeffs[-1] - 1, 1)
+    return coeffs
+
+
 def partial_lengths(source: SourceLike, n_max: int) -> list[int]:
     """Lengths of the partial-sum expansions for n = 1..n_max, computed from
-    the Euclidean oracle (plus the u = 2 representative convention)."""
+    the Euclidean oracle in the reported representative."""
     n_max = operator.index(n_max)
     src = as_store(source)
-    return [len(expand_rational(src.numerator(n), src.x(n))) + _split_representative(src, n)
-            for n in range(1, n_max + 1)]
+    return [len(_euclid_cf(src, n)) for n in range(1, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +213,14 @@ class EngelStream:
             self._n += 1
             self._cur = _fold(self._cur, self._src.factors_through(self._n)[-1])
         cur = self._cur
-        split = cur[-1] == 1  # the canonical form of S_n is one shorter
-        self.lengths.append(len(cur) - split)
+        ends_in_one = cur[-1] == 1  # the canonical form of S_n is one shorter
+        self.lengths.append(len(cur) - ends_in_one)
         self.n_used = self._n
         z_next = self._src.factor(self._n + 1)
         if z_next is not None:
             self._set_emitted(cur + [z_next - 1])
         else:
-            self._set_emitted(cur[:-2] if split else cur)
+            self._set_emitted(cur[:-2] if ends_in_one else cur)
 
     def _advance_oracle(self):
         """Advance the interval oracle by one partial sum, resuming from M.

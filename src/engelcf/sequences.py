@@ -46,6 +46,9 @@ class BudgetMeter:
     """Charges generated terms against ``bits`` in all, and half of it per term."""
 
     def __init__(self, bits: int):
+        bits = operator.index(bits)
+        if bits < 1:
+            raise InvalidSpec(f"the bit budget must be at least 1, got {bits}")
         self.single, self.total = max(1, bits >> 1), bits
         self.total_bits = 0
 
@@ -584,9 +587,12 @@ def closed_form_numerator(z: Sequence[int], n: int) -> int:
     ``z[0]`` is z_2. Independent of the naive summation path; partial_sum
     checks the two against each other.
     """
+    n = operator.index(n)
     if n < 1:
         raise InvalidSpec("n must be >= 1")
     z = tuple(map(operator.index, z))
+    if len(z) < n - 1:
+        raise InvalidSpec(f"S_{n} needs z_2..z_{n}; z_{len(z) + 2} is missing")
     total = 1
     for j in range(1, n):
         term = 1

@@ -776,20 +776,42 @@ def test_terms_past_the_digit_limit_print(capsys, default_digit_limit):
     assert parse_cf_text(stream_out).coeffs == tuple(stream(AFFINE, 400).certified[:400])
 
 
-@pytest.mark.parametrize("source", [["--u", "3", "--n", "8"], ["--z", "5,1,2,1", "--n", "5"]])
-def test_cf_oracle_check_catches_a_bad_fold(capsys, monkeypatch, source):
+_FOLD = expansion._fold
+
+
+def _fold_one_more(cur, z):
+    # The fold with a_1 one larger: a coefficient that changes the value.
+    out = _FOLD(cur, z)
+    out[1] += 1
+    return out
+
+
+def _reported(rewrite):
+    # partial_cf with its coefficients rewritten, built unchecked as
+    # partial_cf builds its own.
+    def patched(src, n):
+        return cf.CFExpansion._trusted(rewrite(list(partial_cf(src, n).coeffs)))
+    return patched
+
+
+@pytest.mark.parametrize("source, owner, name, bad", [
+    (["--u", "3", "--n", "8"], expansion, "_fold", _fold_one_more),
+    (["--z", "5,1,2,1", "--n", "5"], expansion, "_fold", _fold_one_more),
+    # The value kept, the representative wrong: an interior zero pair
+    # [a, 0, 0, b] for [a, b], a split final quotient where the canonical
+    # form is reported, and the canonical form where u = 2 reports the split.
+    (["--z", "3,2,2", "--n", "4"], cli, "partial_cf", _reported(lambda c: c[:2] + [0, 0] + c[2:])),
+    (["--z", "3,2,2", "--n", "4"], cli, "partial_cf", _reported(lambda c: c[:-1] + [c[-1] - 1, 1])),
+    (["--u", "2", "--n", "6"], cli, "partial_cf",
+     _reported(lambda c: list(cf.normalize_zeros(c).coeffs))),
+], ids=["fold-u3", "fold-mixed", "interior-zeros", "split-generic", "canonical-u2"])
+def test_cf_oracle_check_catches_a_bad_fold(capsys, monkeypatch, source, owner, name, bad):
     # Ones-tail and mixed sources fold, so the Euclidean oracle is an
-    # independent check on them: one corrupted coefficient must exit 4.
+    # independent check on every class. It compares the printed
+    # coefficients, not only the value: each corruption must exit 4.
     code, _, _ = run(capsys, "cf", *source, "--check", "oracle")
     assert code == 0
-    fold = expansion._fold
-
-    def bad_fold(cur, z):
-        out = fold(cur, z)
-        out[1] += 1
-        return out
-
-    monkeypatch.setattr(expansion, "_fold", bad_fold)
+    monkeypatch.setattr(owner, name, bad)
     code, out, err = run(capsys, "cf", *source, "--check", "oracle")
     assert (code, out) == (4, "")
     assert "disagrees with the Euclidean oracle" in err

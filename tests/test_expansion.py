@@ -18,9 +18,9 @@ from engelcf.exceptions import IdentityViolation, InsufficientFactors, InvalidSp
 from engelcf.expansion import (
     EngelStream,
     SeriesSource,
+    _euclid_cf,
     _fold,
     _folded,
-    _split_representative,
     enclosure,
     partial_cf,
     partial_lengths,
@@ -135,20 +135,19 @@ def test_fold_matches_euclid_on_every_class(zs):
 
 @given(st.one_of(_FOLD_SOURCES, st.sampled_from(
     (AFFINE, lift_spec(AFFINE), ThirdOrderSpec(1, 2, ((0, 1, 2), (1, 0, 1)))))))
+@example(ones_tail(2))
 @settings(max_examples=60, deadline=None)
 def test_partial_cf_is_the_normalized_fold(zs):
     # partial_cf builds its expansion without normalize_zeros' rescan or
-    # __init__'s checks; it is still what both of them give, and Euclid.
+    # __init__'s checks; it is still what both of them give, and Euclid's
+    # expansion in the reported representative, coefficient for coefficient.
     src = SeriesSource(zs)
     for n in range(2, 8):
         got = partial_cf(src, n)
-        want = normalize_zeros(_folded(src.factors_through(n)))
+        assert got.coeffs == _euclid_cf(src, n)
         s_n = src.partial_sum(n)
-        assert want == expand_rational(s_n.numerator, s_n.denominator)
-        if _split_representative(src, n):
-            assert got.coeffs == want.coeffs[:-1] + (want.coeffs[-1] - 1, 1)
-        else:
-            assert got == want
+        want = normalize_zeros(_folded(src.factors_through(n)))
+        assert want == normalize_zeros(got.coeffs) == expand_rational(s_n.numerator, s_n.denominator)
         assert (got, got.gcd, got.penultimate) == (CFExpansion(got.coeffs), 1,
                                                    convergent_matrix(got.coeffs)[1::2])
 
@@ -310,6 +309,7 @@ def test_u2_split_representative():
     assert part.coeffs == (1, 1, 4, 2, 1)
     assert evaluate(part) == Fraction(29, 16)
     assert expand_rational(29, 16).coeffs == (1, 1, 4, 3)
+    assert _euclid_cf(SeriesSource(ones_tail(2)), 4) == part.coeffs
     assert partial_cf(ones_tail(2), 3).coeffs == (1, 1, 3)
 
 
@@ -412,7 +412,7 @@ def reference_oracle_stream(source, count):
         shared = 0
         while shared < min(len(a), len(b)) and a[shared] == b[shared]:
             shared += 1
-        lengths.append(len(a) + _split_representative(src, n))
+        lengths.append(len(_euclid_cf(src, n)))
         if shared - 1 >= len(emitted):
             assert list(a[:len(emitted)]) == emitted
             emitted = list(a[:shared - 1])

@@ -299,6 +299,9 @@ def test_closed_form_numerator_small():
     lambda: from_factors(AFFINE, 0),
     lambda: generate_recurrence(AFFINE, 0),
     lambda: closed_form_numerator([3, 2], 0),
+    lambda: closed_form_numerator([2], 3),
+    lambda: SeriesSource(ones_tail(3), 0),
+    lambda: SeriesSource(ones_tail(3), -5),
     lambda: partial_sum([1, 3, 18], 0),
     lambda: partial_sum([1, 3, 18], 4),
     lambda: partial_cf(FactorSequence((3, 2)), 0),
