@@ -19,9 +19,9 @@ below 2^-63. Terms here carry millions of bits; full-precision logs would
 be wasted. So the logs and bit lengths of x_n come from the term store's
 head, which certifies the bit length and top 64 bits by running the step
 identities on bounded-precision brackets. The corrections a_k come from
-the same brackets, kept only when they round to the Decimals of the exact
-terms (see _alpha). A report forms only the few small x_k whose bracket
-runs stay exact, the ones the constant C reads, whatever n_max is.
+formed terms, but only where x_k is small: the sums for C and L_n stop
+once a_k falls below the working precision, so a report forms only the
+first few x_k (x_1..x_6 for G = 2x + 1 at 50 digits), whatever n_max is.
 
 All functions take the working precision in decimal digits, ``dps``, and
 run in one explicit ``decimal.Context`` of dps + 10 digits made for the
@@ -38,7 +38,6 @@ from decimal import (
     Context,
     Decimal,
     DivisionByZero,
-    Inexact,
     InvalidOperation,
     Overflow,
     Underflow,
@@ -82,7 +81,7 @@ def log_big(x, dps: int = DEFAULT_DPS) -> Decimal:
     than 2^-63 absolutely, far below every tolerance used here.
     """
     ctx = _context(dps)
-    bits, top = _int_head(x) if isinstance(x, int) else x
+    bits, top = _int_head(x) if isinstance(x, int) else map(operator.index, x)
     if top < 1:
         raise InvalidSpec("log_big needs a positive integer")
     return ctx.add(ctx.multiply(bits - top.bit_length(), _ln2(ctx.prec)), ctx.ln(top))
@@ -97,47 +96,17 @@ def dominant_root(d1: int, d2: int, dps: int = DEFAULT_DPS) -> Decimal:
     return ctx.divide(ctx.add(b, ctx.sqrt(b * b - 4)), 2)
 
 
-_ALPHA_GUARD_BITS = 64  # bits above the working precision in the first bracket run of a_k
-
-
-def _bits(ctx: Context) -> int:
-    # ctx's precision in bits, rounded up: 10/3 > log2(10).
-    return -(-ctx.prec * 10 // 3)
-
-
-def _alpha(spec: SecondOrderSpec, x_k, ctx: Context):
+def _alpha(spec: SecondOrderSpec, x_k: int, ctx: Context) -> Decimal:
     # a_k = log(G(x)/(c x^d2)) = log1p(B(x)/(c x^d2)) with B the sub-leading
-    # part of G, from x_k or a _Bracket of it. B(x) and c x^d2 are each
-    # rounded to ctx once. Rounding is monotone, so when both ends of a
-    # bracket round to one Decimal, the exact value rounds to it too and a_k
-    # is the exact term's; when they round apart, the result is None.
+    # part of G, from the formed x_k. B(x_k) and c x_k^d2 are each rounded
+    # to ctx once.
     den = spec.c * x_k**spec.d2
     num = 0
     for coeff in reversed(spec.g[:-1]):
         num = num * x_k + coeff
     if num == 0:
         return Decimal(0)
-    num, den = _rounded(num, ctx), _rounded(den, ctx)
-    if num is None or den is None:
-        return None
-    return _log1p(ctx.divide(num, den), ctx)
-
-
-def _rounded(v, ctx: Context):
-    # An int, or a _Bracket lo * 2^e <= v <= hi * 2^e, rounded once to ctx;
-    # None when the bracket's ends round apart.
-    if isinstance(v, int):
-        return ctx.create_decimal(v)
-    lo = _scaled(v.lo, v.e, ctx)
-    return lo if lo == _scaled(v.hi, v.e, ctx) else None
-
-
-def _scaled(m: int, e: int, ctx: Context) -> Decimal:
-    # m * 2^e (e >= 0, as in every bracket) rounded once to ctx. The power
-    # and the product are exact in a context that holds all their digits
-    # (1/3 > log10 2); Inexact would raise.
-    exact = Context(prec=(m.bit_length() + e) // 3 + 2, Emax=MAX_EMAX, traps=[Inexact])
-    return ctx.plus(exact.multiply(m, exact.power(2, e)))
+    return _log1p(ctx.divide(ctx.create_decimal(num), ctx.create_decimal(den)), ctx)
 
 
 def _log1p(r: Decimal, ctx: Context) -> Decimal:
@@ -154,10 +123,9 @@ def _log1p(r: Decimal, ctx: Context) -> Decimal:
 
 
 def _alphas(spec: SecondOrderSpec, store: SeriesSource, ctx: Context):
-    # a_k by k, each computed once, at ctx. The term store certifies a_k
-    # from brackets of x_k, formed only as a last resort.
-    read = functools.partial(_alpha, spec, ctx=ctx)
-    return functools.cache(lambda k: store._certify(k, read, _bits(ctx) + _ALPHA_GUARD_BITS))
+    # a_k by k, each computed once, at ctx, from x_k as the store forms and
+    # charges it. The cut sums read a_k only where x_k is small.
+    return functools.cache(lambda k: _alpha(spec, store.x(k), ctx))
 
 
 def _half_ulp(v: Decimal, ctx: Context) -> Decimal:
@@ -346,8 +314,8 @@ class AsymptoticsReport(NamedTuple):
 def full_report(source: SourceLike, n_max: int = 10, dps: int = DEFAULT_DPS) -> AsymptoticsReport:
     """Aggregate diagnostics for a second-order spec, or a store of one, up
     to index n_max; the root, each a_k and each log x_n are computed once.
-    The heads, and the a_k past the few terms that C forms, come from
-    bracket runs."""
+    The a_k come from the few small terms the cut sums read; the heads come
+    from bracket runs."""
     ctx = _context(dps)
     n_max = operator.index(n_max)
     if n_max < 3:

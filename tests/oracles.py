@@ -271,8 +271,10 @@ def _mp_rounded(v):
 
 def mp_full_report(spec: SecondOrderSpec, n_max: int, dps: int = DEFAULT_DPS):
     """(lam, C, log x_n, reconstructed L_n, [(n, lower, upper)]) for
-    n = 0..n_max, as mpf. The a_k come from brackets 64 bits wider than
-    the working precision, as in the package."""
+    n = 0..n_max, as mpf. Every a_k comes from brackets 64 bits wider than
+    the working precision, through ``SeriesSource._certify``, where the
+    package forms the few x_k its cut sums read: this sum reads every
+    k < n, and forming x_k that far would cost too much."""
     store = SeriesSource(spec)
     with workdps(dps + 10):
         b = spec.d1 + spec.d2

@@ -6,13 +6,12 @@ import pytest
 from decimal import Context, Decimal, Inexact
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engelcf import asymptotics, sequences
 from engelcf.asymptotics import (
     DEFAULT_DPS,
-    _alpha,
     _alphas,
     _context,
     _digits_text,
@@ -34,7 +33,7 @@ from engelcf.sequences import (
     lift_spec,
     ones_tail,
 )
-from oracles import lift_growth_constant, spec_or_none
+from oracles import lift_growth_constant
 from test_sequences import second_order_specs
 
 CUBIC3 = SecondOrderSpec(3, (3,))
@@ -221,24 +220,24 @@ def test_full_report_shape():
 
 
 def test_full_report_forms_no_term_it_does_not_read():
-    # The constant C reads a_1..a_5, whose bracket runs stay exact, so
-    # x_1..x_5 are formed (x_5 has 113 bits, 153 are charged in all);
-    # every later a_k and every log comes from brackets. So a budget of 226
-    # bits, whose single-term cap of 113 admits x_5 but not x_6 (420 bits),
-    # changes nothing, even at n = 40, and 224 bits (cap 112) still raise.
+    # The cut sums read a_1..a_6 from formed terms, so x_1..x_6 are formed
+    # (x_6 has 420 bits, 573 are charged in all); every log comes from
+    # brackets. So a budget of 840 bits, whose single-term cap of 420
+    # admits x_6 but not x_7 (1568 bits), changes nothing, even at n = 40,
+    # and 838 bits (cap 419) raise on x_6.
     for n in (8, 11, 40):
-        store = SeriesSource(AFFINE, 226)
+        store = SeriesSource(AFFINE, 840)
         assert full_report(store, n) == full_report(AFFINE, n)
-    with pytest.raises(BitBudgetExceeded, match="x_5"):
-        full_report(SeriesSource(AFFINE, 224), 11)
+    with pytest.raises(BitBudgetExceeded, match="x_6"):
+        full_report(SeriesSource(AFFINE, 838), 11)
 
 
 def test_a_report_runs_each_bracket_precision_once(monkeypatch):
-    # Heads and a_k read brackets of x_k at a few precisions (four at
-    # n = 100). Each precision's run is kept and extended, so a report
-    # through n takes a few n steps, where restarting every read from the
-    # last formed term took about n^2/2 per precision (17161 steps in all
-    # at n = 100).
+    # Heads read brackets of x_k at a few precisions, each head's
+    # precision doubled from _HEAD_PRECISION. Each precision's run is kept
+    # and extended, so a report through n takes a few n steps, where
+    # restarting every read from the last formed term took about n^2/2 per
+    # precision (17161 steps in all at n = 100).
     steps = []
     step = sequences._second_order_step
     monkeypatch.setattr(sequences, "_second_order_step",
@@ -249,6 +248,8 @@ def test_a_report_runs_each_bracket_precision_once(monkeypatch):
         full_report(store, n)
         assert len(steps) <= 4 * (n + 2)
         assert len(store._runs) <= 4
+        assert all(prec % sequences._HEAD_PRECISION == 0
+                   and (prec // sequences._HEAD_PRECISION).bit_count() == 1 for prec in store._runs)
 
 
 def test_growth_table_script_prints_full_report(capsys, monkeypatch):
@@ -265,62 +266,6 @@ def test_growth_table_script_prints_full_report(capsys, monkeypatch):
                  f"   C      = {_digits_text(report.C, 15)}  (tail bound {_digits_text(report.C_bound, 2)})"]
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith(("   lambda", "   C "))] == want
-
-
-@given(
-    st.builds(spec_or_none, st.just(SecondOrderSpec), st.integers(3, 6),
-              st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)).filter(bool),
-    st.integers(2, 9),
-    st.integers(1, 4),
-    st.sampled_from([5, 40]),
-    st.sampled_from([asymptotics._ALPHA_GUARD_BITS, 0]),
-)
-@settings(max_examples=60, deadline=None)
-def test_bracket_alpha_matches_the_exact_term(spec, k, lag, dps, guard):
-    # a_k from brackets of x_k, with x_1..x_{k-lag} in the store, is the
-    # Decimal that the formed x_k gives, digit for digit, at 15 and 50
-    # digits (dps + 10). Without guard bits the
-    # first bracket often rounds apart, so the doubling runs too. A term of
-    # 64 bits or fewer never leaves the exact run; one past 2^17 bits costs
-    # too much to form.
-    exact = SeriesSource(spec)
-    assume(64 < exact.head(k)[0] <= 1 << 17)
-    store = SeriesSource(spec)
-    store.x(max(k - lag, 1))
-    saved, asymptotics._ALPHA_GUARD_BITS = asymptotics._ALPHA_GUARD_BITS, guard
-    ctx = _context(dps)
-    try:
-        got = _alphas(spec, store, ctx)(k)
-        want = _alpha(spec, exact.x(k), ctx)
-    finally:
-        asymptotics._ALPHA_GUARD_BITS = saved
-    assert got.as_tuple() == want.as_tuple()
-
-
-def test_alpha_doubles_its_precision_then_forms_the_term(monkeypatch):
-    # At 60 digits (200 bits) and a first bracket run of 16 bits, a_7
-    # (x_7 has 1568 bits) settles at 256 bits without forming x_7. a_5 is
-    # still open at 64 bits, and 128 would cover x_5 (113 bits), so a_5 is
-    # read from x_5 formed through the store instead.
-    precisions = []
-    original = SeriesSource._bracket_term
-
-    def bracket_term(self, n, prec):
-        precisions.append(prec)
-        return original(self, n, prec)
-
-    monkeypatch.setattr(SeriesSource, "_bracket_term", bracket_term)
-    exact = SeriesSource(AFFINE)
-    for k, formed, tried, formed_after in ((7, 5, [16, 32, 64, 128, 256], 5),
-                                           (5, 4, [16, 32, 64], 5)):
-        store = SeriesSource(AFFINE)
-        store.x(formed)
-        precisions.clear()
-        monkeypatch.setattr(asymptotics, "_ALPHA_GUARD_BITS", 16 - asymptotics._bits(CTX))
-        got = _alphas(AFFINE, store, CTX)(k)
-        assert got == _alpha(AFFINE, exact.x(k), CTX)
-        assert precisions == tried
-        assert len(store._terms) - store._pad == formed_after
 
 
 @pytest.mark.parametrize("call, message", [

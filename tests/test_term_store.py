@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelcf.asymptotics import estimate_C, full_report, roth_exponents
+from engelcf.asymptotics import estimate_C, full_report, log_big, roth_exponents
 from engelcf.cli import main
 from engelcf import sequences
 from engelcf.exceptions import BitBudgetExceeded, InsufficientFactors
@@ -405,7 +405,9 @@ def test_indices_are_checked_before_anything_is_formed(read, error):
     lambda s: full_report(s, 5.5),
     lambda s: roth_exponents(s, 3.5),
     lambda s: partial_lengths(s, 5.5),
-], ids=["full_report", "roth_exponents", "partial_lengths"])
+    lambda s: log_big((10, 3.5)),
+    lambda s: log_big((10.5, 3)),
+], ids=["full_report", "roth_exponents", "partial_lengths", "log_big top", "log_big bits"])
 def test_diagnostic_counts_are_checked_before_anything_is_formed(read):
     store = SeriesSource(AFFINE)
     with pytest.raises(TypeError):
