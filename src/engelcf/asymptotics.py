@@ -49,6 +49,7 @@ from .sequences import (
     SecondOrderSpec,
     SeriesSource,
     SourceLike,
+    _HEAD_BITS,
     _int_head,
     as_store,
 )
@@ -82,8 +83,8 @@ def log_big(x, dps: int = DEFAULT_DPS) -> Decimal:
     """
     ctx = _context(dps)
     bits, top = _int_head(x) if isinstance(x, int) else map(operator.index, x)
-    if top < 1:
-        raise InvalidSpec("log_big needs a positive integer")
+    if top < 1 or top.bit_length() != min(bits, _HEAD_BITS):
+        raise InvalidSpec("log_big needs a positive integer or its head")
     return ctx.add(ctx.multiply(bits - top.bit_length(), _ln2(ctx.prec)), ctx.ln(top))
 
 

@@ -42,13 +42,13 @@ class InvalidSpec(EngelError, ValueError):
 
 
 class BitBudgetExceeded(EngelError, RuntimeError):
-    """Doubly-exponential growth passed the configured bit cap."""
+    """Doubly-exponential growth passed the configured bit cap: ``bits`` is
+    the exact size of the refused term, or of the running total."""
 
-    def __init__(self, bits: int, cap: int, what: str = "term", at_least: bool = False):
+    def __init__(self, bits: int, cap: int, what: str = "term"):
         self.bits = bits
         self.cap = cap
-        need = "at least " if at_least else ""
-        super().__init__(f"{what} needs {need}{bits} bits, cap is {cap}")
+        super().__init__(f"{what} needs {bits} bits, cap is {cap}")
 
 
 class InsufficientFactors(EngelError, ValueError):

@@ -20,9 +20,10 @@ recurrence's step identities write z_{k+1} as a product of integer powers,
 so nothing is divided; the tests keep the dividing recurrence as the
 oracle and run the same runner on residues mod a 61-bit prime.
 
-Terms grow doubly exponentially, so the term store charges each term it
-forms against an explicit bit budget instead of letting memory blow up
-silently. The budget is set on the store (SeriesSource) and nowhere else.
+Terms grow doubly exponentially, so the term store charges the exact
+size of each term a call forms, read from the term's head, against an
+explicit bit budget before the call forms any of them. The budget is set
+on the store (SeriesSource) and nowhere else; reading a head is free.
 """
 
 import enum
@@ -52,20 +53,18 @@ class BudgetMeter:
         self.single, self.total = max(1, bits >> 1), bits
         self.total_bits = 0
 
-    def check_bound(self, bits: int, what: str = "term", at_least: bool = True):
-        """Raise when charging ``bits`` bits would pass a cap; ``at_least``
-        marks a lower bound, checked before the value is formed."""
-        if bits > self.single:
-            raise BitBudgetExceeded(bits, self.single, what, at_least)
-        if self.total_bits + bits > self.total:
-            raise BitBudgetExceeded(self.total_bits + bits, self.total,
-                                    "cumulative size", at_least)
-
-    def charge(self, value: int, what: str = "term"):
-        # A refused value is not counted.
-        bits = value.bit_length()
-        self.check_bound(bits, what, at_least=False)
-        self.total_bits += bits
+    def charge(self, sizes):
+        """Charge the (what, bits) pairs of ``sizes`` in order: each against
+        the single-term cap, then the running sum against the total. All of
+        them are charged or, when one passes a cap, none."""
+        total = self.total_bits
+        for what, bits in sizes:
+            if bits > self.single:
+                raise BitBudgetExceeded(bits, self.single, what)
+            total += bits
+            if total > self.total:
+                raise BitBudgetExceeded(total, self.total, "cumulative size")
+        self.total_bits = total
 
 
 class SeriesClass(enum.Enum):
@@ -398,8 +397,9 @@ class SeriesSource:
     Accepts explicit factors or a recurrence spec (terms re-indexed so that
     x_1 = 1); factors_from_sequence turns a built sequence into factors.
     ``rule`` is the factor list or spec the terms come from. _run steps it
-    in a number kind: _exact forms each term once, charged to the store's
-    bit budget, and the bracket kind encloses terms it does not form.
+    in a number kind: _exact forms each term once, after _grow has charged
+    its exact size to the store's bit budget, and the bracket kind encloses
+    terms it does not form.
     Functions that accept a ``SourceLike`` share a store's terms and budget.
     """
 
@@ -427,23 +427,24 @@ class SeriesSource:
 
     def _run(self, xs: list, zs: list, count: int, form):
         # The one step loop, on raw lists: the step rule gives z_{k+1} and
-        # the number kind form(z_{k+1}, x_k, k) the (z_{k+1}, x_{k+1}) to append.
+        # the number kind form(z_{k+1}, x_k) the (z_{k+1}, x_{k+1}) to append.
         while len(xs) < count:
-            z, x = form(self._step(self.rule, xs, zs), xs[-1], len(xs) - self._pad)
+            z, x = form(self._step(self.rule, xs, zs), xs[-1])
             xs.append(x)
             zs.append(z)
 
-    def _exact(self, z: int, x: int, k: int) -> tuple[int, int]:
-        # The exact kind: x_{k+1}, charged; a formed term ends the bracket runs.
-        what = f"x_{k + 1}"
-        # z * x_k^2 has at least this many bits: refuse before multiplying.
-        self._meter.check_bound(z.bit_length() + 2 * x.bit_length() - 2, what)
-        nxt = z * x ** 2
-        self._meter.charge(nxt, what)
+    def _exact(self, z: int, x: int) -> tuple[int, int]:
+        # The exact kind: x_{k+1}; a formed term ends the bracket runs.
         self._runs.clear()
-        return z, nxt
+        return z, z * x ** 2
 
     def _grow(self, count: int):
+        # The one place a term is refused or formed. The meter charges the
+        # heads' exact sizes before anything is formed, read lazily and in
+        # order, so a short factor list fails at the term a run would reach.
+        first = len(self._terms) + 1 - self._pad
+        self._meter.charge((f"x_{n}", self.head(n)[0])
+                           for n in range(first, count + 1 - self._pad))
         self._run(self._terms, self._factors, count, self._exact)
 
     def _raw(self, n: int, first: int = 1) -> int:
@@ -462,39 +463,31 @@ class SeriesSource:
     def head(self, n: int) -> tuple[int, int]:
         """(bit_length, top) of x_n, with top = x_n >> max(bit_length - 64, 0).
 
-        A term the store does not hold yet is not formed: see ``_certify``,
-        which returns the head once both ends of x_n's bracket give the
-        same bit length and top bits.
+        A term the store does not hold is never formed, and nothing is
+        charged: see ``_certify``, which returns the head once both ends of
+        x_n's bracket give the same bit length and top bits.
         """
         return self._certify(n, _bracket_head, _HEAD_PRECISION)
 
     def _certify(self, n: int, read, prec: int):
-        """read(x_n) without forming x_n where brackets suffice (Ziv's
-        strategy, ACM TOMS 17(3), 1991).
+        """read(x_n) without forming x_n (Ziv's strategy, ACM TOMS 17(3),
+        1991).
 
         ``read`` takes an exact int or a ``_Bracket`` and returns None when
         the bracket is too wide to settle its value. A term the store holds
-        is read exactly. Otherwise _run steps brackets of prec bits
-        from the last formed terms, and prec doubles until ``read``
-        accepts. A run that stays exact, or a prec that would cover the
-        whole term, forms (and charges) x_n in the store instead. The
-        bracket runs neither grow the store nor charge the budget.
+        is read exactly. Otherwise _run steps brackets of prec bits from the
+        last formed terms, and prec doubles until ``read`` accepts. That
+        ends: a run of prec bits keeps every value of at most prec bits an
+        exact int, and no value a step forms exceeds the term it forms, so
+        once prec covers x_n the whole run is exact. The bracket runs
+        neither grow the store nor charge the budget.
         """
         i = self._raw(n)
         if i < len(self._terms):
             return read(self._terms[i])
-        while True:
-            v = self._bracket_term(i, prec)
-            if not isinstance(v, _Bracket):
-                break
-            value = read(v)
-            if value is not None:
-                return value
+        while (value := read(self._bracket_term(i, prec))) is None:
             prec *= 2
-            if prec >= v.hi.bit_length() + v.e:
-                break
-        self._grow(i + 1)
-        return read(self._terms[i])
+        return value
 
     def _bracket_term(self, i: int, prec: int):
         # The term at raw index i, by _run with the bracket kind on copies of
@@ -508,7 +501,7 @@ class SeriesSource:
                 self._factors[:-3] + [_enclose(v, prec) for v in self._factors[-3:]],
             )
 
-        def form(z, x, _):
+        def form(z, x):
             z = _enclose(z, prec)
             return z, _enclose(z * x ** 2, prec)
 

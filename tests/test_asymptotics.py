@@ -284,6 +284,8 @@ def test_invalid_arguments_raise_invalid_spec():
     lam = dominant_root(3, 1)
     calls = [
         lambda: log_big((3, 0)),
+        lambda: log_big((3, 100)),
+        lambda: log_big((200, 5)),
         lambda: full_report(AFFINE, 2),
         lambda: roth_exponents(AFFINE, 0),
         lambda: growth_report([1, 2, 3, 4], lam),

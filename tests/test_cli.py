@@ -71,9 +71,9 @@ def test_gen_budget_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("cf --d1 3 --G 1,2 --n 12 --bits 4096", "x_8 needs at least 5852 bits, cap is 2048"),
-    ("stream --u 3 --K 60000 --bits 4096", "x_13 needs at least 3247 bits, cap is 2048"),
-    ("asymp --d1 3 --G 1,2 --n 11 --bits 100", "x_5 needs at least 111 bits, cap is 50"),
+    ("cf --d1 3 --G 1,2 --n 12 --bits 4096", "x_8 needs 5854 bits, cap is 2048"),
+    ("stream --u 3 --K 60000 --bits 4096", "x_13 needs 3247 bits, cap is 2048"),
+    ("asymp --d1 3 --G 1,2 --n 11 --bits 100", "x_5 needs 113 bits, cap is 50"),
 ])
 def test_bits_reaches_the_term_store(capsys, argv, message):
     assert run(capsys, *argv.split()) == (3, "", f"error: {message}\n")

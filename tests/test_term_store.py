@@ -156,7 +156,7 @@ def residue_shadow(spec, n: int):
             p = next_prime(p)
     xs = [Residue(v, p) for v in store._terms]
     zs = [Residue(v, p) for v in store._factors]
-    store._run(xs, zs, count, lambda z, x, _: (z, z * x * x))
+    store._run(xs, zs, count, lambda z, x: (z, z * x * x))
     return p, xs, zs, want
 
 
@@ -221,7 +221,9 @@ def test_terms_and_heads_pass_through_the_one_runner(monkeypatch):
     monkeypatch.setattr(SeriesSource, "_run", run)
     store = SeriesSource(AFFINE)
     store.x(6)
-    assert kinds == [store._exact]
+    # The heads of x_2..x_6 size the charge, then the exact kind forms them.
+    assert kinds[-1] == store._exact and kinds[:-1]
+    assert store._exact not in kinds[:-1]
     kinds.clear()
     store = SeriesSource(AFFINE)
     assert store.head(12) == want
@@ -267,16 +269,16 @@ def test_head_matches_the_formed_term(source, precision):
                         store.head(n)
                     continue
                 assert store.head(n) == want
-                # Only the fallback grows the store, and never past x_n.
-                assert len(store._terms) in (size, n + store._pad)
+                # A head never grows the store.
+                assert len(store._terms) == size
     finally:
         sequences._HEAD_PRECISION = saved
 
 
-def test_head_doubles_its_precision_then_forms_the_term(monkeypatch):
+def test_head_doubles_its_precision_then_settles(monkeypatch):
     # From 4 bits the brackets of x_5 (113 bits) and x_9 (21846 bits) need
-    # doubling. x_9 settles at 128 bits; x_5 is still open at 64, and 128
-    # would cover it, so head forms it through the store instead.
+    # doubling. x_9 settles at 128 bits; x_5 is still open at 64, and at 128
+    # the run is exact, so it settles there too. Neither head forms a term.
     monkeypatch.setattr(sequences, "_HEAD_PRECISION", 4)
     precisions = []
     original = SeriesSource._bracket_term
@@ -287,22 +289,27 @@ def test_head_doubles_its_precision_then_forms_the_term(monkeypatch):
 
     monkeypatch.setattr(SeriesSource, "_bracket_term", bracket_term)
     exact = SeriesSource(AFFINE)
-    for n, formed_after in ((5, 5), (9, 4)):
+    for n in (5, 9):
         store = SeriesSource(AFFINE)
         store.x(4)
+        want = _exact_head(exact.x(n))
         precisions.clear()
-        assert store.head(n) == _exact_head(exact.x(n))
-        assert precisions[:2] == [4, 8]
-        assert len(store._terms) - store._pad == formed_after
+        assert store.head(n) == want
+        assert precisions == [4, 8, 16, 32, 64, 128]
+        assert len(store._terms) - store._pad == 4
+        # The 128-bit run holds x_5 exactly.
+        assert store._runs[128][0][store._raw(5)] == exact.x(5)
 
 
-def _record_charges(monkeypatch) -> list[int]:
+def _record_charges(monkeypatch) -> list[str]:
+    # The name of every term passed to the meter, charged or refused.
     charged = []
     original = BudgetMeter.charge
 
-    def charge(self, value, what="term"):
-        charged.append(value)
-        return original(self, value, what)
+    def charge(self, sizes):
+        sizes = list(sizes)
+        charged.extend(what for what, _ in sizes)
+        return original(self, sizes)
 
     monkeypatch.setattr(BudgetMeter, "charge", charge)
     return charged
@@ -354,13 +361,20 @@ TINY = 128
     pytest.param(AFFINE, lambda s: enclosure(s, Fraction(1, 10**40)), id="enclosure"),
     pytest.param(AFFINE, estimate_C, id="estimate_C"),
     pytest.param(AFFINE, lambda s: full_report(s, 5), id="full_report"),
-    pytest.param(AFFINE, lambda s: roth_exponents(s, 3), id="roth_exponents"),
 ])
 def test_every_reader_charges_the_budget_of_the_store(spec, read):
     # The budget is set on the store alone; each function that reads a
     # source must charge it when it forms x_5.
     with pytest.raises(BitBudgetExceeded, match="x_5 needs"):
         read(SeriesSource(spec, TINY))
+
+
+def test_reading_heads_charges_nothing():
+    # roth_exponents reads only heads, through x_5 at depth 3: brackets,
+    # which neither form nor charge a term, so TINY is no obstacle.
+    store = SeriesSource(AFFINE, TINY)
+    assert roth_exponents(store, 3) == roth_exponents(AFFINE, 3)
+    assert store._meter.total_bits == 0 and len(store._terms) == 1 + store._pad
 
 
 def test_check_instance_forms_each_term_once(monkeypatch):
@@ -421,21 +435,20 @@ def test_cf_past_a_finite_factor_list_is_a_validation_error(capsys):
 
 
 def test_budget_refuses_a_term_before_forming_it(monkeypatch):
-    # x_8 = 3^64 has at least bits(z_8) + 2*bits(x_7) - 2 = 1 + 2*51 - 2 = 101
-    # bits, and x_2..x_7 have charged 103. One number sets both caps: half of
-    # it for a single term (100 at 200 bits, which x_8 exceeds; 101 at 202,
-    # which it meets) and all of it for the cumulative size (202, which
-    # 103 + 101 exceeds). The store raises without multiplying and keeps
-    # x_1..x_7.
-    # Where the bound passes, the exact size is charged: x_3 = 1023^3 has 30
-    # bits (bound 28) against the single cap of 28 at 57 bits, and x_7 of
-    # (2, 1, 1, 1, 3, 1, 63) has 36 bits (bound 35) on top of the 37 that
-    # x_2..x_6 charged, at 72. The refused term is neither kept nor
-    # counted, so asking again gives the same refusal.
+    # x_8 = 3^64 has 102 bits, and x_2..x_7 have charged 103. One number
+    # sets both caps: half of it for a single term (100 at 200 bits, which
+    # x_8 exceeds; 102 at 204, which it meets) and all of it for the
+    # cumulative size (204, which 103 + 102 exceeds). x_3 = 1023^3 has 30
+    # bits against the single cap of 28 at 57 bits, and x_7 of
+    # (2, 1, 1, 1, 3, 1, 63) has 36 bits on top of the 37 that x_2..x_6
+    # charged, at 72. The exact size is read from the head, so the store
+    # raises without multiplying and keeps x_1..x_{n-1}; the refused term
+    # is not counted, so asking again gives the same refusal.
     charged = _record_charges(monkeypatch)
+    formed = _record_formed(monkeypatch)
     for source, bits, n, message in [
-        (ones_tail(3), 200, 8, "x_8 needs at least 101 bits, cap is 100"),
-        (ones_tail(3), 202, 8, "cumulative size needs at least 204 bits, cap is 202"),
+        (ones_tail(3), 200, 8, "x_8 needs 102 bits, cap is 100"),
+        (ones_tail(3), 204, 8, "cumulative size needs 205 bits, cap is 204"),
         (FactorSequence((1023, 1023)), 57, 3, "x_3 needs 30 bits, cap is 28"),
         (FactorSequence((2, 1, 1, 1, 3, 1, 63)), 72, 7,
          "cumulative size needs 73 bits, cap is 72"),
@@ -445,8 +458,91 @@ def test_budget_refuses_a_term_before_forming_it(monkeypatch):
         total = store._meter.total_bits
         for _ in range(2):
             charged.clear()
+            formed.clear()
             with pytest.raises(BitBudgetExceeded) as exc:
                 store.x(n)
             assert str(exc.value) == message
-            assert len(charged) == (0 if "at least" in message else 1)
+            assert charged == [f"x_{n}"] and formed == []
             assert len(store._terms) == n - 1 and store._meter.total_bits == total
+
+
+def _record_formed(monkeypatch) -> list[int]:
+    # One entry per term the exact kind forms.
+    formed = []
+    exact = SeriesSource._exact
+
+    def spy(self, *args):
+        formed.append(args[0])
+        return exact(self, *args)
+
+    monkeypatch.setattr(SeriesSource, "_exact", spy)
+    return formed
+
+
+@pytest.mark.parametrize("argv", ["gen --d1 3 --G 1,2 --n 16", "cf --d1 3 --G 1,2 --n 15"])
+def test_a_refused_run_forms_nothing(monkeypatch, capsys, argv):
+    # x_15 is refused on its head's exact size before any term is formed;
+    # forming x_2..x_14 and z_15 first would take about 14 s.
+    formed = _record_formed(monkeypatch)
+    assert main(argv.split()) == 3
+    assert capsys.readouterr() == ("", "error: x_15 needs 59027587 bits, cap is 33554432\n")
+    assert formed == []
+
+
+def _refusal(sizes, bits: int, total: int = 0):
+    # The message of the first of (what, size) that the caps of a budget of
+    # ``bits`` refuse, with ``total`` already charged, or None.
+    for what, size in sizes:
+        if size > max(1, bits >> 1):
+            return f"{what} needs {size} bits, cap is {max(1, bits >> 1)}"
+        total += size
+        if total > bits:
+            return f"cumulative size needs {total} bits, cap is {bits}"
+    return None
+
+
+MERSENNE_FACTORS = st.lists(
+    st.one_of(st.integers(1, 9), st.integers(2, 300).map(lambda k: 2**k - 1)),
+    min_size=1, max_size=5,
+).map(lambda z: FactorSequence((max(z[0], 2),) + tuple(z[1:])))
+
+
+@given(st.one_of(SECOND_ORDER, third_order_specs().filter(bool), MERSENNE_FACTORS,
+                 st.integers(2, 9).map(ones_tail)),
+       st.integers(2, 9), st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_budget_refuses_the_first_term_over_a_cap(source, n, data):
+    # The oracle sizes x_2..x_n, formed in a store with room for them all
+    # (n is cut where a term passes 2^16 bits). A budget refuses the first
+    # term over half of it, or the first whose running sum passes it,
+    # naming that term and its exact size. A factor list that runs out
+    # raises InsufficientFactors unless an earlier term is refused. A
+    # refused call forms and charges nothing; x_m is formed first, so the
+    # call to x_n starts from a charged store.
+    free = SeriesSource(source, 1 << 40)
+    sizes = []
+    for k in range(2, n + 1):
+        try:
+            if free.head(k)[0] > 1 << 16:
+                n = k - 1
+                break
+            sizes.append((f"x_{k}", free.x(k).bit_length()))
+        except InsufficientFactors:
+            break
+    total = sum(size for _, size in sizes)
+    bits = data.draw(st.integers(1, 4 * total + 2), label="bits")
+    store = SeriesSource(source, bits)
+    for m in (data.draw(st.integers(1, n), label="m"), n):
+        held = len(store._terms) - store._pad
+        before = len(store._terms), store._meter.total_bits
+        new = sizes[held - 1:m - 1]
+        want = _refusal(new, bits, before[1])
+        if want is None and len(new) == max(m - held, 0):
+            assert store.x(m) == free.x(m)
+            assert store._meter.total_bits == before[1] + sum(size for _, size in new)
+            continue
+        with pytest.raises(BitBudgetExceeded if want else InsufficientFactors) as exc:
+            store.x(m)
+        assert want is None or str(exc.value) == want
+        assert (len(store._terms), store._meter.total_bits) == before
+        return
