@@ -12,7 +12,6 @@ from .cf import (
     cf_text,
     convergents,
     expand_rational,
-    normalize_zeros,
 )
 from .exceptions import (
     BitBudgetExceeded,
@@ -23,7 +22,6 @@ from .exceptions import (
     InsufficientFactors,
     InvalidSpec,
     NegativeGap,
-    TrailingZero,
     ZeroCoefficient,
 )
 from .sequences import (

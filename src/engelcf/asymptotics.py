@@ -68,9 +68,9 @@ def _context(dps) -> Context:
 
 
 @functools.cache
-def _ln2(prec: int) -> Decimal:
-    # ln 2 at prec digits, formed once per precision: every log reads it.
-    return Context(prec=prec, rounding=ROUND_HALF_EVEN).ln(2)
+def _ln(v: int, prec: int) -> Decimal:
+    # ln v at prec digits, formed once per (v, prec): ln 2 and ln c are reread.
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN).ln(v)
 
 
 def log_big(x, dps: int = DEFAULT_DPS) -> Decimal:
@@ -85,7 +85,7 @@ def log_big(x, dps: int = DEFAULT_DPS) -> Decimal:
     bits, top = _int_head(x) if isinstance(x, int) else map(operator.index, x)
     if top < 1 or top.bit_length() != min(bits, _HEAD_BITS):
         raise InvalidSpec("log_big needs a positive integer or its head")
-    return ctx.add(ctx.multiply(bits - top.bit_length(), _ln2(ctx.prec)), ctx.ln(top))
+    return ctx.add(ctx.multiply(bits - top.bit_length(), _ln(2, ctx.prec)), ctx.ln(top))
 
 
 def dominant_root(d1: int, d2: int, dps: int = DEFAULT_DPS) -> Decimal:
@@ -152,7 +152,7 @@ def _lambda_exacts(spec: SecondOrderSpec, lam, alpha, n_max: int, ctx: Context):
     denom = ctx.subtract(lam, lami)
     weights = [None] + [ctx.divide(ctx.subtract(ctx.power(lam, j), ctx.power(lam, -j)), denom)
                         for j in range(1, n_max)]
-    log_c = ctx.ln(spec.c)
+    log_c = _ln(spec.c, ctx.prec)
     # Particular solution K = -log(c)/(d1+d2-2) for the constant forcing
     # term; zero initial data L_0 = L_1 = 0 then fix the homogeneous
     # coefficients, giving K * (1 - (lam^n + lam^(1-n))/(1 + lam)), which
@@ -214,7 +214,7 @@ def _estimate_C(spec: SecondOrderSpec, lam, alpha, ctx: Context):
     lami = ctx.divide(1, lam)
     denom = ctx.subtract(lam, lami)
     eps = Decimal((0, (1,), 1 - ctx.prec))
-    c_value = ctx.divide(ctx.multiply(ctx.divide(ctx.ln(spec.c), spec.d1 + spec.d2 - 2),
+    c_value = ctx.divide(ctx.multiply(ctx.divide(_ln(spec.c, ctx.prec), spec.d1 + spec.d2 - 2),
                                       ctx.subtract(1, lami)), denom)
 
     def term(k):
@@ -357,7 +357,7 @@ def roth_exponents(source: SourceLike, depth: int, dps: int = DEFAULT_DPS) -> Ro
 def _roth(heads, logs, depth: int, ctx: Context) -> RothReport:
     # The body of roth_exponents from heads[n] = SeriesSource.head(n) and
     # logs[n] = log x_n.
-    log2 = _ln2(ctx.prec)
+    log2 = _ln(2, ctx.prec)
     records = []
     for n in range(2, depth + 2):
         log_q, log_next = logs[n], logs[n + 1]

@@ -2,7 +2,8 @@
 
 Convergents by 2x2 integer matrix products, the canonical Euclidean
 expansion of a non-negative rational, and the zero-removal rule
-[..., a, 0, b, ...] -> [..., a+b, ...] for repairing degenerate expansions.
+[..., a, 0, b, ...] -> [..., a+b, ...] (_merge_zeros), which repairs the
+junction of expansion._fold.
 
 The Euclidean expansion batches its quotients on large operands (Lehmer,
 1938): Euclid on the leading bits proposes many quotients at once, four
@@ -38,13 +39,13 @@ import operator
 from typing import Sequence, Union
 
 from ._value import _Value
-from .exceptions import InvalidSpec, TrailingZero, ZeroCoefficient
+from .exceptions import InvalidSpec, ZeroCoefficient
 
 
 class CFExpansion(_Value):
     """A finite continued fraction [a_0; a_1, ..., a_m] with no zero entries
     after a_0. Raw coefficient lists that may contain zeros stay plain
-    sequences; see normalize_zeros.
+    sequences; _merge_zeros removes their interior zeros.
 
     Besides its value, the coeffs, an expansion carries the pair it stands
     for, ``gcd`` times its last convergent, and the penultimate convergent.
@@ -263,31 +264,6 @@ def _product(mats: list[Matrix]) -> Matrix:
         return mats[0]
     mid = len(mats) // 2
     return matrix_mul(_product(mats[:mid]), _product(mats[mid:]))
-
-
-def normalize_zeros(raw: Sequence[int]) -> CFExpansion:
-    """Remove interior zeros from a raw coefficient list and canonicalize.
-
-    Applies [..., a, 0, b, ...] -> [..., a+b, ...] left to right until no
-    interior zero remains (each application shortens the list by exactly 2),
-    then merges a trailing unit quotient [..., a, 1] -> [..., a+1] so the
-    result is the canonical representative. The exact value is unchanged
-    throughout.
-
-    Left-to-right order is fixed for determinism; for the inputs arising
-    here the fixed point does not depend on it.
-    """
-    coeffs = list(map(operator.index, raw))
-    if not coeffs:
-        raise InvalidSpec("empty continued fraction")
-    if coeffs[-1] == 0 and len(coeffs) > 1:
-        raise TrailingZero("zero in final position cannot be removed")
-    _merge_zeros(coeffs)
-    if coeffs[-1] == 0 and len(coeffs) > 1:
-        raise TrailingZero("zero migrated to final position; irreducible input")
-    if len(coeffs) > 1 and coeffs[-1] == 1:
-        coeffs[-2:] = [coeffs[-2] + 1]
-    return CFExpansion(tuple(coeffs))
 
 
 def _merge_zeros(coeffs: list[int]):

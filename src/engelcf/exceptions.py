@@ -13,10 +13,6 @@ class ZeroCoefficient(EngelError, ValueError):
     """A continued fraction coefficient a_j (j >= 1) is zero."""
 
 
-class TrailingZero(EngelError, ValueError):
-    """A zero at the final position of a raw coefficient list; irreducible."""
-
-
 class DivisibilityViolation(EngelError, ArithmeticError):
     """x_{n-1}^2 does not divide x_n where the square-divisibility is required."""
 

@@ -76,7 +76,7 @@ from .sequences import (  # SeriesSource and SourceLike are re-exported from her
 def _fold(cur: list[int], z: int) -> list[int]:
     # The odd-length representative of S_n to that of S_{n+1}: fold and
     # remove the junction's zeros. Only z-1 and a_l-1 can be 0, and
-    # [a, 0, b] -> [a+b] never forms a 0, so normalize_zeros' rule repairs
+    # [a, 0, b] -> [a+b] never forms a 0, so _merge_zeros repairs
     # the window [a_l, z-1, 1, a_l-1, a_{l-1}]. From L = len(cur) entries
     # and m merges the result has (L-1) + (5-2m) + (L-3) = 2L+1-2m: odd.
     window = [cur[-1], z - 1, 1, cur[-1] - 1, cur[-2]]
@@ -239,10 +239,9 @@ class EngelStream:
         """
         n = self._n = self._n + 1
         src = self._src
-        src.x(n + 1)  # raises when the factor list ends
-        # lo = S_n as a pair; hi = S_n + 2/x_{n+1} is s*lo + (2, 0).
+        # lo = S_n as a pair; hi = S_n + 2/x_{n+1} is s*lo + (2, 0): x_{n+1} is never formed.
         lo = (src.numerator(n), src.x(n))
-        s = src.factor(n + 1) * lo[1]
+        s = src.factors_through(n + 1)[-1] * lo[1]  # raises when the factor list ends
         prev = (src.factor(n) * src.x(n - 1), src.numerator(n - 1), src.x(n - 1))
         c = len(self.emitted)
         walk = _walk(self._m, c, lo, s, prev)

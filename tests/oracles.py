@@ -12,7 +12,7 @@ from mpmath import mp, workdps
 
 from engelcf.asymptotics import DEFAULT_DPS, _context, dominant_root, log_big
 from engelcf.cf import _LEAF, CFExpansion, convergent_matrix, matrix_mul
-from engelcf.exceptions import InvalidSpec, TrailingZero
+from engelcf.exceptions import InvalidSpec
 from engelcf.expansion import EngelStream
 from engelcf.sequences import RecurrenceSpec, SecondOrderSpec, SeriesSource
 
@@ -26,7 +26,7 @@ def evaluate(cf) -> Fraction:
 def fold_value(coeffs) -> Fraction:
     """Right fold of a raw list; tolerates interior zeros, not a final one."""
     if coeffs[-1] == 0 and len(coeffs) > 1:
-        raise TrailingZero("cannot evaluate a raw expansion ending in 0")
+        raise InvalidSpec("cannot evaluate a raw expansion ending in 0")
     value = Fraction(coeffs[-1])
     for a in reversed(coeffs[:-1]):
         value = a + 1 / value

@@ -232,6 +232,15 @@ def test_full_report_forms_no_term_it_does_not_read():
         full_report(SeriesSource(AFFINE, 838), 11)
 
 
+def test_a_report_computes_each_constant_log_once():
+    # ln 2 (every log_big and the Roth bounds) and ln c (the closed-form L_n
+    # and C) are each formed once per precision, and read again after that.
+    asymptotics._ln.cache_clear()
+    full_report(SecondOrderSpec(3, (1, 3)), 11)
+    info = asymptotics._ln.cache_info()
+    assert info.misses == info.currsize == 2 and info.hits >= 1
+
+
 def test_a_report_runs_each_bracket_precision_once(monkeypatch):
     # Heads read brackets of x_k at a few precisions, each head's
     # precision doubled from _HEAD_PRECISION. Each precision's run is kept

@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from engelcf.cf import CFExpansion, cf_text, convergents, expand_rational, normalize_zeros
-from engelcf.exceptions import InvalidSpec, TrailingZero, ZeroCoefficient
+from engelcf.cf import CFExpansion, _merge_zeros, cf_text, convergents, expand_rational
+from engelcf.exceptions import InvalidSpec, ZeroCoefficient
 from engelcf.sequences import FactorSequence, from_factors
 from oracles import evaluate, fold_value, parse_cf_text
 
@@ -58,29 +58,6 @@ def test_expand_rational_rejects_negative():
         expand_rational(Fraction(3, 2))
 
 
-def test_normalize_zeros_examples():
-    assert normalize_zeros([1, 2, 0, 3]).coeffs == (1, 5)
-    assert evaluate([1, 5]) == Fraction(6, 5)
-    assert normalize_zeros([1, 1, 1, 0, 2]).coeffs == (1, 1, 3)
-
-
-def test_normalize_zeros_trailing_zero_rejected():
-    with pytest.raises(TrailingZero):
-        normalize_zeros([1, 2, 0])
-
-
-def test_normalize_zeros_consecutive():
-    raw = [1, 0, 0, 2]
-    assert normalize_zeros(raw).coeffs == (1, 2)
-    assert fold_value(raw) == evaluate([1, 2])
-
-
-def test_normalize_zeros_merges_trailing_unit():
-    # The final replacement [..., a, 1] -> [..., a+1] keeps results canonical.
-    assert normalize_zeros([1, 1]).coeffs == (2,)
-    assert normalize_zeros([1, 2, 1]).coeffs == (1, 3)
-
-
 def test_cfexpansion_validation():
     with pytest.raises(ZeroCoefficient):
         CFExpansion((1, 0, 2))
@@ -90,8 +67,6 @@ def test_cfexpansion_validation():
         CFExpansion((-1, 2))
     with pytest.raises(InvalidSpec):
         CFExpansion((1, -2))
-    with pytest.raises(InvalidSpec):
-        normalize_zeros([])
     with pytest.raises(InvalidSpec):
         cf_text([])
 
@@ -143,19 +118,32 @@ def test_determinant_fuzz_1000():
             assert p * qp - pp * q == (-1) ** (j + 1)
 
 
-@given(canonical_cfs(), st.data())
-@settings(max_examples=60)
-def test_normalize_zeros_preserves_value_and_length(cf, data):
-    # Split coefficients into a, 0, b pairs; normalization must undo every
-    # split (length drops by 2 each) and keep the value fixed.
-    coeffs = list(cf.coeffs)
+@st.composite
+def split_cfs(draw):
+    # A canonical expansion and a raw list made from it by splitting some
+    # a_j >= 2, j >= 1, into [a, 0, a_j - a] with a >= 1: one zero per split.
+    coeffs = draw(canonical_cfs()).coeffs
     splittable = [j for j in range(1, len(coeffs)) if coeffs[j] >= 2]
-    if not splittable:
-        return
-    j = data.draw(st.sampled_from(splittable))
-    a = data.draw(st.integers(1, coeffs[j] - 1))
-    raw = coeffs[:j] + [a, 0, coeffs[j] - a] + coeffs[j + 1 :]
-    normalized = normalize_zeros(raw)
-    assert len(normalized) == len(raw) - 2
-    assert evaluate(normalized) == fold_value(raw)
-    assert normalized.coeffs == cf.coeffs
+    raw = list(coeffs)
+    js = draw(st.lists(st.sampled_from(splittable), unique=True)) if splittable else []
+    for j in sorted(js, reverse=True):
+        a = draw(st.integers(1, coeffs[j] - 1))
+        raw[j:j + 1] = [a, 0, coeffs[j] - a]
+    return coeffs, raw, len(js)
+
+
+@given(split_cfs())
+# [1, 0, 0, 2] is [1; 2] with a_0 split as [1, 0, 0]: one merge takes both zeros.
+@example(((1, 2), [1, 0, 0, 2], 1))
+@example(((1, 5), [1, 2, 0, 3], 1))
+@example(((1, 1, 3), [1, 1, 1, 0, 2], 1))
+@settings(max_examples=60)
+def test_merge_zeros_preserves_value_and_length(case):
+    # The zero rule must undo every split (length drops by 2 each), keep the
+    # value fixed and give back the canonical list.
+    coeffs, raw, splits = case
+    merged = list(raw)
+    _merge_zeros(merged)
+    assert len(merged) == len(raw) - 2 * splits
+    assert evaluate(merged) == fold_value(raw)
+    assert tuple(merged) == coeffs

@@ -11,8 +11,8 @@ from engelcf.cf import (
     convergent_matrix,
     convergents,
     expand_rational,
+    _merge_zeros,
     matrix_mul,
-    normalize_zeros,
 )
 from engelcf.exceptions import IdentityViolation, InsufficientFactors, InvalidSpec
 from engelcf.expansion import (
@@ -81,8 +81,12 @@ def test_z2eq2_equals_normalized_raw_recursion():
     # this raw S_5 with one interior zero; removing it and merging the
     # trailing unit lands on the 20-coefficient z_2 = 2 form.
     raw5 = [1, 1, 1, 2, 2, 3, 1, 1, 2, 1, 1, 4, 1, 0, 1, 2, 1, 1, 3, 2, 2, 1, 1]
-    assert normalize_zeros(raw5).coeffs == partial_cf(FactorSequence((2, 3, 4, 5)), 5).coeffs
-    assert len(normalize_zeros(raw5)) == 20
+    coeffs = list(raw5)
+    _merge_zeros(coeffs)
+    assert coeffs[-1] == 1
+    coeffs[-2:] = [coeffs[-2] + 1]
+    assert tuple(coeffs) == partial_cf(FactorSequence((2, 3, 4, 5)), 5).coeffs
+    assert len(coeffs) == 20
 
 
 def test_oracle_equivalence_small():
@@ -114,14 +118,12 @@ _FOLD_SOURCES = st.one_of(
 @given(_FOLD_SOURCES)
 @settings(max_examples=80, deadline=None)
 def test_fold_matches_euclid_on_every_class(zs):
-    # Canonical forms agree with Euclid. A fold of L entries with m zero
-    # merges (one for z = 1, one for a final 1) returns 2L+1-2m entries,
-    # an odd length, and the value S_{n+1}.
+    # The reported expansions agree with Euclid's. A fold of L entries with
+    # m zero merges (one for z = 1, one for a final 1) returns 2L+1-2m
+    # entries, an odd length, and the value S_{n+1}.
     src = SeriesSource(zs)
     for n in range(1, 9):
-        got = normalize_zeros(partial_cf(src, n).coeffs).coeffs
-        s_n = src.partial_sum(n)
-        assert got == expand_rational(s_n.numerator, s_n.denominator).coeffs, (zs, n)
+        assert partial_cf(src, n).coeffs == _euclid_cf(src, n), (zs, n)
     z = src.factors_through(8)
     cur = [1, z[0] - 1, 1]
     for n, z_next in enumerate(z[1:], start=3):
@@ -138,16 +140,14 @@ def test_fold_matches_euclid_on_every_class(zs):
 @example(ones_tail(2))
 @settings(max_examples=60, deadline=None)
 def test_partial_cf_is_the_normalized_fold(zs):
-    # partial_cf builds its expansion without normalize_zeros' rescan or
-    # __init__'s checks; it is still what both of them give, and Euclid's
-    # expansion in the reported representative, coefficient for coefficient.
+    # partial_cf builds its expansion from the fold without __init__'s
+    # checks; it is still Euclid's expansion in the reported representative,
+    # coefficient for coefficient, and the fold has the value S_n.
     src = SeriesSource(zs)
     for n in range(2, 8):
         got = partial_cf(src, n)
         assert got.coeffs == _euclid_cf(src, n)
-        s_n = src.partial_sum(n)
-        want = normalize_zeros(_folded(src.factors_through(n)))
-        assert want == normalize_zeros(got.coeffs) == expand_rational(s_n.numerator, s_n.denominator)
+        assert evaluate(_folded(src.factors_through(n))) == evaluate(got) == src.partial_sum(n)
         assert (got, got.gcd, got.penultimate) == (CFExpansion(got.coeffs), 1,
                                                    convergent_matrix(got.coeffs)[1::2])
 
@@ -617,6 +617,17 @@ def test_resumed_oracle_expands_each_coefficient_about_once(monkeypatch):
     monkeypatch.setattr(expansion, "expand_rational", counting)
     got = stream(ones_tail(3), 15000)
     assert len(got.certified) <= sum(returned) <= 2 * len(got.certified)
+
+
+def test_the_oracle_forms_no_term_past_the_partial_sum_it_reads():
+    # An advance to S_n reads z_{n+1} but never forms x_{n+1}: the upper
+    # endpoint is s*lo + (2, 0) with s = z_{n+1} x_n. So a budget that
+    # admits x_{n_used} but not x_{n_used+1} (x_13 of 3247 bits at a cap of
+    # 2048) certifies what no budget does.
+    store = SeriesSource(ones_tail(3))
+    got = stream(store, 15000)
+    assert got.n_used == 16 and len(store._terms) == 16
+    assert stream(SeriesSource(ones_tail(3), 4096), 1000) == stream(ones_tail(3), 1000)
 
 
 def test_the_oracle_multiplies_out_under_half_of_its_quotients(monkeypatch):

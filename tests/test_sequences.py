@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from engelcf import sequences
 from engelcf.asymptotics import growth_report
-from engelcf.cf import CFExpansion, normalize_zeros
+from engelcf.cf import CFExpansion
 from engelcf.exceptions import (
     BitBudgetExceeded,
     DivisibilityViolation,
@@ -323,7 +323,6 @@ def test_input_validation_raises_invalid_spec(bad):
     lambda: ThirdOrderSpec(2, 2.5, ((0, 0, 1), (1, 1, 2))),
     lambda: ThirdOrderSpec(2, 2, ((0, 0, 1), (1, 1, 2.0))),
     lambda: CFExpansion((1, 2.5)),
-    lambda: normalize_zeros([1, 2.7]),
     lambda: strip_leading_ones([1, 1, 3.0]),
     lambda: factors_from_sequence([1, 3.2, 9.9]),
     lambda: partial_sum([1, 3.7, 90.2], 3),
