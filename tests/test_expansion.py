@@ -152,6 +152,14 @@ def test_partial_cf_is_the_normalized_fold(zs):
                                                    convergent_matrix(got.coeffs)[1::2])
 
 
+@pytest.mark.parametrize("zs, n", [((2,), 2), ((3,), 2), ((2, 1, 2), 4)])
+def test_partial_cf_merges_a_final_unit(zs, n):
+    # The fold ends in 1 here; partial_cf reports [..., a, 1] as [..., a+1].
+    folded = _folded(list(zs))
+    assert folded[-1] == 1
+    assert partial_cf(FactorSequence(zs), n).coeffs == tuple(folded[:-2] + [folded[-2] + 1])
+
+
 def test_stream_examples():
     assert list(stream(AFFINE, 11).certified) == [
         1, 2, 1, 20, 3, 23876, 1, 2, 20, 1, 2, 7697947188058154,

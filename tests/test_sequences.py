@@ -323,6 +323,7 @@ def test_input_validation_raises_invalid_spec(bad):
     lambda: ThirdOrderSpec(2, 2.5, ((0, 0, 1), (1, 1, 2))),
     lambda: ThirdOrderSpec(2, 2, ((0, 0, 1), (1, 1, 2.0))),
     lambda: CFExpansion((1, 2.5)),
+    lambda: partial_cf(FactorSequence((3, 2)), 1.5),
     lambda: strip_leading_ones([1, 1, 3.0]),
     lambda: factors_from_sequence([1, 3.2, 9.9]),
     lambda: partial_sum([1, 3.7, 90.2], 3),
