@@ -20,10 +20,11 @@ matrix [[u0, v0], [u1, v1]]: (-1)^k [[v1, -v0], [-u1, u0]] for k
 quotients. expand_rational records that product for every kept batch and
 returns the gcd g of its pair (p, q). The convergent matrix maps (g, 0)
 to (p, q), so the oracle reads only its second column, the penultimate
-convergent (CFExpansion.penultimate), formed on each read as a balanced
-product of the batches' products and of convergent_matrix over the single
-divmod steps between them, whose right spine carries only that column;
-callers that read only the coefficients pay nothing.
+convergent (CFExpansion.penultimate), and combines it with denominators
+alone. It is formed on each read as a balanced product of the batches'
+products and of convergent_matrix over the divmod steps between them,
+whose right spine carries only that column; callers that read only
+coefficients pay nothing.
 
 Everything here is a pure function of immutable values and safe to call
 concurrently.

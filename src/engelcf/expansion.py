@@ -25,26 +25,16 @@ Two mechanisms produce the coefficients:
     over tighter ones for auditability.
 
     The intervals nest, so each advance resumes where the last one
-    stopped (Gosper, HAKMEM item 101, 1972). The stream keeps the product
-    M of the matrices [[a, 1], [1, 0]] of the c emitted coefficients, with
-    det M = (-1)^c, and maps the lower endpoint lo, an integer pair with no
-    gcd, through M^-1. The store builds lo_n = s'*lo_{n-1} + (1, 0) with
-    s' = z_n*x_{n-1}, so the image is s'*M^-1 lo_{n-1} + M^-1 (1, 0), on
-    half-size operands. A mapped pair (A, B) with A > B > 0 proves that lo
-    expands as the emitted prefix followed by the expansion of A/B, which
-    Euclid computes, with g = gcd(A, B) and the second column of the tail's
-    convergent matrix T. F = M*T maps (g, 0) to lo, so only F's second
-    column is multiplied out. The upper endpoint is neither mapped nor
-    expanded: with s = z_{n+1}*x_n it is s*lo + (2, 0) exactly, so at each
-    point of the lower tail its mapped pair is s times lo's Euclid
-    remainders plus twice a column of the convergent matrix there. A walk
-    back from the tail's end finds, within two steps, a point where that
-    pair is ordered, and divmod steps from there find where the upper
-    endpoint's expansion leaves the lower one's (see _walk). The newly
-    certified block extends the emitted prefix in place, and M becomes the
-    convergent matrix the walk passed at its end. The checks cannot fail
-    on a state the stream built (see EngelStream._advance_oracle), so a
-    failed one raises IdentityViolation.
+    stopped (Gosper, HAKMEM item 101, 1972). Of the product M of the
+    emitted coefficients' matrices the stream keeps only the second row,
+    and R = M^-1 S_{n-1} as a pair: the small remainder pair at the cut of
+    the last tail's Euclid. From them it maps S_n to (A, B) = M^-1 S_n,
+    forming neither M^-1 nor S_n's numerator, and Euclid expands only the
+    tail A/B. The upper endpoint is neither mapped nor expanded: a walk
+    back from the tail's end places it against the tail's remainders (see
+    _walk). The checks cannot fail on a state the stream built (see
+    EngelStream._advance_oracle), so a failed one raises
+    IdentityViolation.
 
 Partial-sum constructions are pure; a stream is a stateful single-consumer
 object (distinct streams are independent).
@@ -53,12 +43,7 @@ object (distinct streams are independent).
 import operator
 from typing import NamedTuple
 
-from .cf import (
-    CFExpansion,
-    Matrix,
-    _merge_zeros,
-    expand_rational,
-)
+from .cf import CFExpansion, _merge_zeros, expand_rational
 from .exceptions import IdentityViolation, InvalidSpec
 from .sequences import (  # SeriesSource and SourceLike are re-exported from here
     SeriesClass,
@@ -164,11 +149,11 @@ class EngelStream:
     representative, less a split final 1 and the coefficient before it.
     Every other class emits the interval oracle's common prefix; the class
     alone makes that choice, once per stream. The oracle resumes from the
-    matrix of the emitted prefix: it expands only the tail of S_n past that
-    prefix and places the upper endpoint against those quotients from their
-    last remainders (_walk). Emitted coefficients never change: the checks
-    prove it on every advance, and a failed check raises
-    IdentityViolation.
+    emitted prefix's denominators and the remainder pair at its cut: it
+    expands only the tail of S_n past that prefix and places the upper
+    endpoint against those quotients from their last remainders (_walk).
+    Emitted coefficients never change: the checks prove it on every
+    advance, and a failed check raises IdentityViolation.
     """
 
     def __init__(self, source: SourceLike):
@@ -180,9 +165,8 @@ class EngelStream:
         self.n_used = 0
         self._cur: list[int] | None = None
         self._n = 1
-        # The oracle's resume state: the product of the matrices
-        # [[a, 1], [1, 0]] of the emitted coefficients.
-        self._m = (1, 0, 0, 1)
+        # The oracle's resume state (row, R), see _walk: M = I, S_1 = 1/1.
+        self._row, self._rem = (0, 1), (1, 1)
 
     def take(self, count: int) -> list[int]:
         """Advance until at least ``count`` coefficients are certified and
@@ -211,7 +195,7 @@ class EngelStream:
             self._n, self._cur = 3, _folded(self._src.factors_through(3))
         else:
             self._n += 1
-            self._cur = _fold(self._cur, self._src.factors_through(self._n)[-1])
+            self._cur = _fold(self._cur, self._src.require(self._n))
         cur = self._cur
         ends_in_one = cur[-1] == 1  # the canonical form of S_n is one shorter
         self.lengths.append(len(cur) - ends_in_one)
@@ -223,82 +207,76 @@ class EngelStream:
             self._set_emitted(cur[:-2] if ends_in_one else cur)
 
     def _advance_oracle(self):
-        """Advance the interval oracle by one partial sum, resuming from M.
+        """Advance the interval oracle by one partial sum, resuming from the
+        state (row, R) of the c emitted coefficients (see _walk).
 
-        lo = S_n is mapped as s'*lo_{n-1} + (1, 0) from the store's S_{n-1},
-        and F*(g, 0) = lo gives F's first column. No check in _walk fails on
-        a state built here. det M = (-1)^c, as M is the product of the c
-        emitted coefficients' matrices. The enclosures nest: for n >= 2,
-        x_{n+1} = z_{n+1} x_n^2 >= 2 x_n puts [S_n, S_n + 2/x_{n+1}] inside
-        [S_{n-1}, S_{n-1} + 2/x_n]. The emitted prefix is an earlier
-        advance's shared prefix less its last shared coefficient, so M maps
-        the tails (1, inf) onto an interval holding both of that advance's
-        endpoints, hence every point between them: lo, and hi at k = 0, map
-        to ordered pairs. The first advance has M = I and lo = S_2 > 1. So a
-        failed check is a broken invariant.
+        No check in _walk fails on a state built here. The first advance
+        starts from M = I and S_1 = 1/1: row (0, 1) and R = (1, 1). An
+        advance that keeps j tail quotients leaves the row of F_j, M times
+        their matrices, with det (-1)^(c+j), and R = Euclid's remainders
+        there, which F_j maps to lo_n: the next advance's equation holds.
+        The enclosures nest: for n >= 2, x_{n+1} = z_{n+1} x_n^2 >= 2 x_n
+        puts [S_n, S_n + 2/x_{n+1}] inside [S_{n-1}, S_{n-1} + 2/x_n]. The
+        emitted prefix is an earlier advance's shared prefix less its last
+        shared coefficient, so M maps the tails (1, inf) onto an interval
+        holding both of that advance's endpoints, hence every point between
+        them: lo, and hi at k = 0, map to ordered pairs. The first advance
+        maps lo = S_2 > 1 itself. So a failed check is a broken invariant.
         """
         n = self._n = self._n + 1
         src = self._src
-        # lo = S_n as a pair; hi = S_n + 2/x_{n+1} is s*lo + (2, 0): x_{n+1} is never formed.
-        lo = (src.numerator(n), src.x(n))
-        s = src.factors_through(n + 1)[-1] * lo[1]  # raises when the factor list ends
-        prev = (src.factor(n) * src.x(n - 1), src.numerator(n - 1), src.x(n - 1))
+        # hi = S_n + 2/x_{n+1} is s*lo + (2, 0): x_{n+1} is never formed.
+        x1, x = src.x(n - 1), src.x(n)
+        s = src.require(n + 1) * x  # raises when the factor list ends
         c = len(self.emitted)
-        walk = _walk(self._m, c, lo, s, prev)
+        walk = _walk(self._row, self._rem, c, src.factor(n) * x1, x1, x, s)
         if walk is None:
             raise IdentityViolation(f"the interval oracle's resume state fails its check at n = {n}")
-        tail, _, shared, f = walk
+        tail, _, shared, self._row, self._rem = walk
         self.lengths.append(c + len(tail) + _split_representative(src, n))
         self.n_used = n
         if shared > 1:
-            # M is the matrix of the c emitted coefficients, and _walk's
-            # checks proved that lo's expansion continues them: the new
-            # coefficients extend them in place.
+            # The state was M's, and _walk's checks proved that lo's
+            # expansion continues the emitted prefix: the new coefficients
+            # extend it in place.
             self.emitted += tail[:shared - 1]
-            self._m = f
 
 
-def _step_back(f: Matrix, a: int) -> Matrix:
-    # F * [[a, 1], [1, 0]]^-1 = F * [[0, 1], [1, -a]]: drop the last coefficient.
-    p, p2, q, q2 = f
-    return p2, p - a * p2, q2, q - a * q2
+def _walk(row: tuple[int, int], rem: tuple[int, int], c: int, s1: int, x1: int, x: int, s: int):
+    """One advance of the interval oracle from the state (row, R) of c
+    emitted coefficients: (tail, start, shared, row', R'), or None when a
+    check fails.
 
-
-def _mapped(m: Matrix, det: int, s1: int, num: int, den: int) -> tuple[int, int]:
-    # M^-1 (s1*(num, den) + (1, 0)) as s1*M^-1 (num, den) + M^-1 (1, 0), det M = det.
-    p, p2, q, q2 = m
-    return det * (s1 * (q2 * num - p2 * den) + q2), det * (s1 * (p * den - q * num) - q)
-
-
-def _walk(m: Matrix, c: int, lo: tuple[int, int], s: int, prev: tuple[int, int, int]):
-    """One advance of the interval oracle from M = m, the product of the
-    matrices [[a, 1], [1, 0]] of c emitted coefficients: (tail, start,
-    shared, F), or None when a check fails.
-
-    lo = (N_n, x_n) = s'*lo_{n-1} + (1, 0) with prev = (s', N_{n-1},
-    x_{n-1}) (or (1, N - 1, x) for any lo) maps to (A, B) = s'*M^-1 lo_{n-1}
-    + M^-1 (1, 0). With det M = (-1)^c and 0 < B < A, lo expands as the
-    emitted prefix followed by tail, Euclid's expansion of A/B. shared counts
-    the leading tail quotients that are also those of hi = S_n + 2/x_{n+1},
-    and F is M times the matrices of the first max(shared - 1, 0) of them.
+    M = [[p, p'], [q, q']] is the product of the emitted coefficients'
+    matrices [[a, 1], [1, 0]], det M = (-1)^c; row = (q, q') and
+    R = M^-1 lo_{n-1} for lo_{n-1} = (N_{n-1}, x_{n-1}), x1 = x_{n-1}. The
+    store builds lo = (N_n, x_n) = s1*lo_{n-1} + (1, 0), s1 = z_n x_{n-1},
+    and x = x_n = s1*x1, so (A, B) = M^-1 lo = s1*R + (-1)^c (q', -q). The
+    first check is the state's own equation q R_0 + q' R_1 = x_{n-1}, the
+    second row of M R = lo_{n-1}. It is cheap, as R is small, and it gives
+    q A + q' B = s1 x_{n-1} = x_n, so g = gcd(A, B) divides x_n. With
+    0 < B < A, lo expands as the emitted prefix followed by tail, Euclid's
+    expansion of A/B. shared counts the leading tail quotients that are
+    also those of hi = S_n + 2/x_{n+1}, and (row', R') is the state after
+    the first max(shared - 1, 0) of them, at lo.
 
     hi is never mapped through M^-1: x_{n+1} = s*x_n and N_{n+1} =
     s*N_n + 1, so hi = s*lo + (2, 0). At point k of the tail, F_k =
     [[p, p'], [q, q']], M times the first k tail matrices, has det
-    D = (-1)^(c+k) and maps lo to Euclid's remainders (r_k, r_{k+1}) of
-    A/B, so it maps hi to H_k = s*(r_k, r_{k+1}) + 2D*(q', -q). The walk
-    starts at k = len(tail), where the remainders are (g, 0) with
-    g = gcd(A, B) and F = M*T for the tail's convergent matrix T. As
-    M (A, B) = lo, F*(g, 0) = lo: F's first column is lo/g, exactly, and
-    only its second, M times T's, is multiplied. Euclid's pass over A/B
-    yields g and T's second column, so no quotient is multiplied out
-    twice. The walk steps back (r <- a*r + r', F <- F*[[0, 1], [1, -a]])
-    until H_k is ordered, 0 < H_k[1] < H_k[0]. As in
-    expand_rational, hi then shares the first k tail quotients. For k up
-    to the shared count H_k is hi's own Euclid pair, ordered unless hi's
-    expansion ends at k, so the walk stops at that count or one before
-    it, and one divmod step from H_k settles which. A step back keeps a
-    pair ordered, so a walk that passes k = 0 is hi's failed check.
+    D = (-1)^(c+k) and maps Euclid's remainders (r_k, r_{k+1}) of A/B to
+    lo, so it maps hi to H_k = s*(r_k, r_{k+1}) + 2D*(q', -q): H_k reads
+    F_k's second row alone. The walk starts at k = len(tail), where the
+    remainders are (g, 0) and F = M*T for the tail's convergent matrix
+    T = [[., t], [., t']]. Since F*(g, 0) = lo, F's second row is
+    (x_n/g, q t + q' t'), exactly, and Euclid's pass over A/B yields g and
+    (t, t'), so no quotient is multiplied out twice. The walk steps back
+    (r <- a*r + r', row <- row*[[0, 1], [1, -a]]) until H_k is ordered,
+    0 < H_k[1] < H_k[0]. As in expand_rational, hi then shares the first
+    k tail quotients. For k up to the shared count H_k is hi's own Euclid
+    pair, ordered unless hi's expansion ends at k, so the walk stops at
+    that count or one before it, and one divmod step from H_k settles
+    which. A step back keeps a pair ordered, so a walk that passes k = 0
+    is hi's failed check.
 
     When M is a prefix of lo's expansion (no negative entries), the walk
     stops by start = L - 2, L = len(tail) >= 2. The last quotient is at
@@ -308,32 +286,35 @@ def _walk(m: Matrix, c: int, lo: tuple[int, int], s: int, prev: tuple[int, int, 
     >= x_n > 2(q + q') when q > 0, and q = 0 forces D = p*q' = 1: either
     way H_{L-2} is ordered.
     """
-    p, p2, q, q2 = m
-    det = -1 if c % 2 else 1
-    if p * q2 - p2 * q != det:
+    q, q2 = row
+    if q * rem[0] + q2 * rem[1] != x1:
         return None
-    a, b = _mapped(m, det, *prev)
+    sign = -1 if c % 2 else 1
+    a, b = s1 * rem[0] + sign * q2, s1 * rem[1] - sign * q
     if not 0 < b < a:
         return None
     euclid = expand_rational(a, b)
     tail, r, r2 = euclid.coeffs, euclid.gcd, 0
     t, t2 = euclid.penultimate
-    f = lo[0] // r, p * t + p2 * t2, lo[1] // r, q * t + q2 * t2
+    q, q2 = x // r, q * t + q2 * t2
     k = len(tail)
-    sign = -det if k % 2 else det
+    if k % 2:
+        sign = -sign
     while True:
-        hp, hq = s * r + 2 * sign * f[3], s * r2 - 2 * sign * f[2]
+        hp, hq = s * r + 2 * sign * q2, s * r2 - 2 * sign * q
         if 0 < hq < hp:
             break
         if not k:
             return None
         k -= 1
-        r, r2 = tail[k] * r + r2, r
-        f = _step_back(f, tail[k])
+        a = tail[k]
+        r, r2, q, q2 = a * r + r2, r, q2, q - a * q2
         sign = -sign
-    if k < len(tail) and hp // hq == tail[k]:
-        return tail, k, k + 1, f
-    return tail, k, k, _step_back(f, tail[k - 1]) if k else f
+    shared = k + (k < len(tail) and hp // hq == tail[k])
+    if k and shared == k:  # the state keeps k - 1 quotients: one more step back
+        a = tail[k - 1]
+        r, r2, q, q2 = a * r + r2, r, q2, q - a * q2
+    return tail, k, shared, (q, q2), (r, r2)
 
 
 def stream(source: SourceLike, count: int) -> StreamResult:

@@ -516,11 +516,15 @@ class SeriesSource:
         self._grow(i + 1)
         return self._factors[i]
 
+    def require(self, j: int) -> int:
+        """z_j for j >= 2; raises InsufficientFactors past a finite list."""
+        if isinstance(self.rule, FactorSequence):
+            return self.rule.require(self._raw(j, 2) + 1)  # a factor list has no pad
+        return self.factor(j)
+
     def factors_through(self, j_max: int) -> list[int]:
         """z_2..z_{j_max}; raises InsufficientFactors past a finite list."""
-        if isinstance(self.rule, FactorSequence):
-            return [self.rule.require(j) for j in range(2, j_max + 1)]
-        return [self.factor(j) for j in range(2, j_max + 1)]
+        return [self.require(j) for j in range(2, j_max + 1)]
 
     def numerator(self, n: int) -> int:
         """N_n with S_n = N_n / x_n, maintained incrementally:

@@ -450,9 +450,24 @@ def test_resumed_oracle_matches_restarted_oracle(case):
     assert (got.certified, got.lengths, got.n_used) == reference_oracle_stream(source, count)
 
 
+@given(_ORACLE_SOURCES)
+@settings(max_examples=60, deadline=None)
+def test_the_resume_state_is_the_projection_of_the_full_matrix_state(case):
+    # After every advance the oracle holds the second row of
+    # M = convergent_matrix(emitted) and R = M^-1 (N_n, x_n), formed here
+    # from both rows of M.
+    source, count = case
+    es = OracleStream(source)
+    while len(es.emitted) < count:
+        es._advance()
+        lo = es._src.numerator(es._n), es._src.x(es._n)
+        assert (es._row, es._rem) == _projected(convergent_matrix(es.emitted), len(es.emitted), *lo)
+
+
 def _corruptions(m, emitted):
+    # Each kind changes M's second row, so each also corrupts the oracle's row.
     p, p2, q, q2 = m
-    yield p + 1, p2, q, q2  # det no longer +-1
+    yield p, p2, q + 1, q2  # det no longer +-1
     yield p2, p, q2, q  # columns swapped: det changes sign
     yield -p, -p2, -q, -q2  # det kept, tails negative
     # A column doubled: det is +-2, and the tails' ratio halves or doubles
@@ -467,12 +482,30 @@ def _corruptions(m, emitted):
             yield p, p2, q, q2
 
 
-@pytest.mark.parametrize("source", [ones_tail(3), ones_tail(2), FactorSequence((5, 1, 2, 1), True)])
+def _state_corruptions(row, rem, emitted):
+    # The oracle's state (row, R) with one of them corrupted: the row as
+    # each kind of _corruptions leaves it, then R off by one, swapped, moved
+    # along (q', -q) either way (which keeps the state's equation) and doubled.
+    m = convergent_matrix(emitted)
+    assert row == m[2:]
+    for bad in _corruptions(m, emitted):
+        yield bad[2:], rem
+    (q, q2), (r, r2) = row, rem
+    yield row, (r + 1, r2)
+    yield row, (r2, r)
+    yield row, (r + q2, r2 - q)
+    yield row, (r - q2, r2 + q)
+    yield row, (2 * r, 2 * r2)
+
+
+@pytest.mark.parametrize("source", [ones_tail(3), ones_tail(2), ones_tail(7),
+                                    FactorSequence((5, 1, 2, 1), True)])
 def test_corrupted_resume_state_never_emits_a_wrong_coefficient(source):
     clean = EngelStream(source)
     for _ in range(5):
         clean._advance()
-    corruptions = list(_corruptions(clean._m, clean.emitted))
+    corruptions = list(_state_corruptions(clean._row, clean._rem, clean.emitted))
+    assert len(corruptions) >= 11
     want = clean.take(400)
     # Each corruption fails one of _walk's checks on the next advance,
     # which raises before anything is emitted.
@@ -481,36 +514,49 @@ def test_corrupted_resume_state_never_emits_a_wrong_coefficient(source):
         for _ in range(5):
             es._advance()
         emitted = list(es.emitted)
-        es._m = bad
+        es._row, es._rem = bad
         with pytest.raises(IdentityViolation):
             es.take(400)
         assert es.emitted == emitted == want[:len(emitted)], bad
+
+
+def _projected(m, c, num, den):
+    # The oracle's state for M = m at lo_{n-1} = (num, den): M's second row,
+    # and R = (-1)^c [[q', -p'], [-q, p]] (num, den), which is M^-1 (num, den)
+    # when det M = (-1)^c, from both rows of m.
+    p, p2, q, q2 = m
+    det = -1 if c % 2 else 1
+    return (q, q2), (det * (q2 * num - p2 * den), det * (p * den - q * num))
 
 
 def _direct_checks(m, c, lo, hi):
     # Both endpoints mapped through M^-1 directly: hi's pair, or None when
     # det M != (-1)^c or either mapped pair fails 0 < B < A.
     p, p2, q, q2 = m
-    det = -1 if c % 2 else 1
-    pairs = [(det * (q2 * num - p2 * den), det * (p * den - q * num)) for num, den in (lo, hi)]
-    if p * q2 - p2 * q != det or not all(0 < b < a for a, b in pairs):
+    pairs = [_projected(m, c, *point)[1] for point in (lo, hi)]
+    if p * q2 - p2 * q != (-1 if c % 2 else 1) or not all(0 < b < a for a, b in pairs):
         return None
     return pairs[1]
 
 
 def _check_walk(m, c, lo, hi, s, prev=None):
-    # The walk against the follow of hi's explicitly mapped pair. lo is
-    # prev = (s', N, x) mapped to s'*(N, x) + (1, 0); any lo is (1, N - 1, x).
-    prev = prev or (1, lo[0] - 1, lo[1])
-    assert lo == (prev[0] * prev[1] + 1, prev[0] * prev[2])
-    out = expansion._walk(m, c, lo, s, prev)
+    # The walk from m's projected state against the follow of hi's
+    # explicitly mapped pair. lo is prev = (s', N, x) mapped to
+    # s'*(N, x) + (1, 0); any lo is (1, N - 1, x). The state it returns is
+    # checked against the full matrix F of the kept prefix: its row is F's
+    # second row, and F maps its R to lo in both rows.
+    s1, num1, den1 = prev = prev or (1, lo[0] - 1, lo[1])
+    assert lo == (s1 * num1 + 1, s1 * den1)
+    out = expansion._walk(*_projected(m, c, num1, den1), c, s1, den1, lo[1], s)
     hi_pair = _direct_checks(m, c, lo, hi)
     assert (out is None) == (hi_pair is None)
     if out is not None:
-        tail, start, shared, f = out
+        tail, start, shared, row, rem = out
         assert shared == ProductTree(tail).follow(*hi_pair)
         assert start <= shared <= start + 1
-        assert f == matrix_mul(m, convergent_matrix(tail[:max(shared - 1, 0)]))
+        f = matrix_mul(m, convergent_matrix(tail[:max(shared - 1, 0)]))
+        assert row == f[2:]
+        assert (f[0] * rem[0] + f[1] * rem[1], f[2] * rem[0] + f[3] * rem[1]) == lo
     return out
 
 
@@ -545,7 +591,8 @@ def test_the_walk_from_the_end_finds_the_follows_count(case):
         lo, hi = (src.numerator(n), src.x(n)), (src.numerator(n + 1) + 1, src.x(n + 1))
         s = src.factor(n + 1) * src.x(n)
         prev = (src.factor(n) * src.x(n - 1), src.numerator(n - 1), src.x(n - 1))
-        tail, start, _, _ = _check_walk(es._m, len(es.emitted), lo, hi, s, prev)
+        tail, start, _, _, _ = _check_walk(convergent_matrix(es.emitted), len(es.emitted),
+                                           lo, hi, s, prev)
         assert len(tail) - start <= 2
         es._advance()
 
@@ -572,9 +619,11 @@ def test_the_walk_is_the_direct_check_for_any_multiplier(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_the_half_size_image_is_the_direct_image(data):
-    # _walk maps lo = s'*lo_{n-1} + (1, 0) as s'*M^-1 lo_{n-1} + M^-1 (1, 0).
-    # That is a linear identity: the same pair as M^-1 lo for any M, a
-    # corrupted one included, so every check reaches the same verdict.
+    # _walk maps lo = s'*lo_{n-1} + (1, 0) as s'*R + (-1)^c (q', -q). That
+    # is a linear identity: M^-1 lo for any M with det M = (-1)^c, a
+    # corrupted one included. For any other M the state's equation
+    # q R_0 + q' R_1 = x_{n-1} fails, as _direct_checks' det check does, so
+    # every check reaches the same verdict.
     den1 = data.draw(st.integers(1, 1 << 120))
     num1 = data.draw(st.integers(den1, 1 << 121))
     s1 = data.draw(st.one_of(st.integers(1, 64), st.integers(den1, 4 * den1)))
@@ -586,10 +635,6 @@ def test_the_half_size_image_is_the_direct_image(data):
         m = data.draw(st.sampled_from(list(_corruptions(m, list(coeffs[:c])))))
     elif data.draw(st.booleans()):
         m = tuple(data.draw(st.integers(-(1 << 130), 1 << 130)) for _ in range(4))
-    p, p2, q, q2 = m
-    det = -1 if c % 2 else 1
-    direct = det * (q2 * num - p2 * den), det * (p * den - q * num)
-    assert expansion._mapped(m, det, s1, num1, den1) == direct
     s = data.draw(st.one_of(st.integers(1, 64), st.integers(den, 4 * den)))
     _check_walk(m, c, (num, den), (s * num + 2, s * den), s, (s1, num1, den1))
 
@@ -625,6 +670,41 @@ def test_resumed_oracle_expands_each_coefficient_about_once(monkeypatch):
     monkeypatch.setattr(expansion, "expand_rational", counting)
     got = stream(ones_tail(3), 15000)
     assert len(got.certified) <= sum(returned) <= 2 * len(got.certified)
+
+
+def test_the_oracle_reads_no_numerator_and_one_quotient_per_coefficient(monkeypatch):
+    # The oracle's state holds no numerator, so no N_n is formed. Euclid
+    # takes 16413 quotients for 16383 certified coefficients: the
+    # benchmark's self-test reads cf.euclid_steps >= expansion.certified
+    # on this input.
+    numerators, returned = [0], []
+    numerator, original = SeriesSource.numerator, expansion.expand_rational
+
+    def counting_numerator(self, n):
+        numerators[0] += 1
+        return numerator(self, n)
+
+    def counting(*args):
+        out = original(*args)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(SeriesSource, "numerator", counting_numerator)
+    monkeypatch.setattr(expansion, "expand_rational", counting)
+    got = stream(ones_tail(3), 15000)
+    assert (numerators[0], len(returned), sum(returned), len(got.certified)) == (0, 15, 16413, 16383)
+
+
+def test_the_oracle_reads_the_next_factor_by_one_lookup(monkeypatch):
+    # z_{n+1} is read by itself, not as the last of z_2..z_{n+1}; past a
+    # finite list it raises as a list of factors does.
+    def refuse(self, j_max):
+        raise AssertionError("factors_through called")
+
+    monkeypatch.setattr(SeriesSource, "factors_through", refuse)
+    assert len(stream(ones_tail(3), 2000).certified) >= 2000
+    with pytest.raises(InsufficientFactors, match=r"^need z_6 but only 4 factors given$"):
+        stream(FactorSequence((5, 1, 2, 1)), 12)
 
 
 def test_the_oracle_forms_no_term_past_the_partial_sum_it_reads():
