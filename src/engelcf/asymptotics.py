@@ -98,13 +98,11 @@ def dominant_root(d1: int, d2: int, dps: int = DEFAULT_DPS) -> Decimal:
 
 
 def _alpha(spec: SecondOrderSpec, x_k: int, ctx: Context) -> Decimal:
-    # a_k = log(G(x)/(c x^d2)) = log1p(B(x)/(c x^d2)) with B the sub-leading
-    # part of G, from the formed x_k. B(x_k) and c x_k^d2 are each rounded
-    # to ctx once.
+    # a_k = log(G(x)/(c x^d2)) = log1p(B(x)/(c x^d2)) with B = G - c x^d2
+    # the sub-leading part of G, from the formed x_k. B(x_k) and c x_k^d2
+    # are each rounded to ctx once.
     den = spec.c * x_k**spec.d2
-    num = 0
-    for coeff in reversed(spec.g[:-1]):
-        num = num * x_k + coeff
+    num = spec.G(x_k) - den
     if num == 0:
         return Decimal(0)
     return _log1p(ctx.divide(ctx.create_decimal(num), ctx.create_decimal(den)), ctx)
@@ -316,7 +314,7 @@ def full_report(source: SourceLike, n_max: int = 10, dps: int = DEFAULT_DPS) -> 
     """Aggregate diagnostics for a second-order spec, or a store of one, up
     to index n_max; the root, each a_k and each log x_n are computed once.
     The a_k come from the few small terms the cut sums read; the heads come
-    from bracket runs."""
+    from the store's bracket run."""
     ctx = _context(dps)
     n_max = operator.index(n_max)
     if n_max < 3:

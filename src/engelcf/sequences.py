@@ -316,7 +316,7 @@ def _third_order_step(spec: ThirdOrderSpec, xs: list[int], zs: list[int]) -> int
             * spec.H(xs[-2], xs[-1]))
 
 
-_HEAD_PRECISION = 128  # bits kept by head's first bracket evaluation
+_HEAD_PRECISION = 128  # bits of a store's first bracket run
 _HEAD_BITS = 64  # top bits of a term that head returns, as log_big reads them
 
 
@@ -423,7 +423,7 @@ class SeriesSource:
             raise TypeError(f"cannot stream from {type(source).__name__}")
         self._factors = [1] * len(self._terms)
         self._pad = len(self._terms) - 1
-        self._runs: dict[int, tuple[list, list]] = {}  # bracket runs by prec, see _bracket_term
+        self._bracket = None  # the bracket run (prec, xs, zs), see _bracket_term
 
     def _run(self, xs: list, zs: list, count: int, form):
         # The one step loop, on raw lists: the step rule gives z_{k+1} and
@@ -434,8 +434,8 @@ class SeriesSource:
             zs.append(z)
 
     def _exact(self, z: int, x: int) -> tuple[int, int]:
-        # The exact kind: x_{k+1}; a formed term ends the bracket runs.
-        self._runs.clear()
+        # The exact kind: x_{k+1}; a formed term ends the bracket run.
+        self._bracket = None
         return z, z * x ** 2
 
     def _grow(self, count: int):
@@ -463,50 +463,41 @@ class SeriesSource:
     def head(self, n: int) -> tuple[int, int]:
         """(bit_length, top) of x_n, with top = x_n >> max(bit_length - 64, 0).
 
-        A term the store does not hold is never formed, and nothing is
-        charged: see ``_certify``, which returns the head once both ends of
-        x_n's bracket give the same bit length and top bits.
-        """
-        return self._certify(n, _bracket_head, _HEAD_PRECISION)
-
-    def _certify(self, n: int, read, prec: int):
-        """read(x_n) without forming x_n (Ziv's strategy, ACM TOMS 17(3),
-        1991).
-
-        ``read`` takes an exact int or a ``_Bracket`` and returns None when
-        the bracket is too wide to settle its value. A term the store holds
-        is read exactly. Otherwise _run steps brackets of prec bits from the
-        last formed terms, and prec doubles until ``read`` accepts. That
-        ends: a run of prec bits keeps every value of at most prec bits an
-        exact int, and no value a step forms exceeds the term it forms, so
-        once prec covers x_n the whole run is exact. The bracket runs
-        neither grow the store nor charge the budget.
+        A term the store holds is read exactly. Any other is never formed,
+        and nothing is charged: the store's bracket run is stepped to x_n,
+        and its precision doubles until both ends of x_n's bracket give the
+        same bit length and top bits (Ziv's strategy, ACM TOMS 17(3), 1991).
+        That ends: a run of prec bits keeps every value of at most prec bits
+        an exact int, and no value a step forms exceeds the term it forms,
+        so once prec covers x_n the whole run is exact. A head starts at the
+        precision of the run the store holds, so it never falls within a run.
         """
         i = self._raw(n)
         if i < len(self._terms):
-            return read(self._terms[i])
-        while (value := read(self._bracket_term(i, prec))) is None:
+            return _int_head(self._terms[i])
+        prec = self._bracket[0] if self._bracket else _HEAD_PRECISION
+        while (value := _bracket_head(self._bracket_term(i, prec))) is None:
             prec *= 2
         return value
 
     def _bracket_term(self, i: int, prec: int):
         # The term at raw index i, by _run with the bracket kind on copies of
         # the term lists, which keep their length; the rules read at most
-        # the last three entries. The run of each prec is kept until the exact
-        # kind appends a term, so reads through n take n steps in all.
-        run = self._runs.get(prec)
-        if run is None:
-            run = self._runs[prec] = (
-                self._terms[:-3] + [_enclose(v, prec) for v in self._terms[-3:]],
-                self._factors[:-3] + [_enclose(v, prec) for v in self._factors[-3:]],
-            )
+        # the last three entries. The store holds one run, restarted from the
+        # formed terms at another prec and ended when the exact kind appends
+        # a term, so reads through n at one prec take n steps in all.
+        if self._bracket is None or self._bracket[0] != prec:
+            self._bracket = (prec,
+                             self._terms[:-3] + [_enclose(v, prec) for v in self._terms[-3:]],
+                             self._factors[:-3] + [_enclose(v, prec) for v in self._factors[-3:]])
+        _, xs, zs = self._bracket
 
         def form(z, x):
             z = _enclose(z, prec)
             return z, _enclose(z * x ** 2, prec)
 
-        self._run(*run, i + 1, form)
-        return run[0][i]
+        self._run(xs, zs, i + 1, form)
+        return xs[i]
 
     def factor(self, j: int) -> int | None:
         """z_j for j >= 2, or None when a finite factor list is exhausted."""

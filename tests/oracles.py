@@ -3,7 +3,8 @@ fraction, the parser of cf_text's grammar and the writer of parse_spec_line's,
 a spec built from random arguments, a stream that runs the interval oracle on
 every class, a product tree that checks known quotients against a rational,
 residues modulo a prime, the lift's growth constant read off its terms' heads,
-and the growth report and asymp payload computed in mpmath."""
+and the growth report and asymp payload computed in mpmath, which reads its
+corrections a_k off the term store's brackets with a doubling loop of its own."""
 
 import functools
 from fractions import Fraction
@@ -271,16 +272,23 @@ def _mp_rounded(v):
 
 def mp_full_report(spec: SecondOrderSpec, n_max: int, dps: int = DEFAULT_DPS):
     """(lam, C, log x_n, reconstructed L_n, [(n, lower, upper)]) for
-    n = 0..n_max, as mpf. Every a_k comes from brackets 64 bits wider than
-    the working precision, through ``SeriesSource._certify``, where the
-    package forms the few x_k its cut sums read: this sum reads every
-    k < n, and forming x_k that far would cost too much."""
+    n = 0..n_max, as mpf. Every a_k is read off a bracket of x_k from
+    ``SeriesSource._bracket_term``, 64 bits wider than the working precision
+    and doubled until both ends of B(x_k) and of c x_k^d2 round to the same
+    mpf. The package forms the few x_k its cut sums read; this sum reads
+    every k < n, and forming x_k that far would cost too much."""
     store = SeriesSource(spec)
+
+    @functools.cache
+    def alpha(k):
+        prec = mp.prec + 64
+        while (value := _mp_alpha(spec, store._bracket_term(store._raw(k), prec))) is None:
+            prec *= 2
+        return value
+
     with workdps(dps + 10):
         b = spec.d1 + spec.d2
         lam = (b + mp.sqrt(mp.mpf(b) * b - 4)) / 2
-        alpha = functools.cache(
-            lambda k: store._certify(k, functools.partial(_mp_alpha, spec), mp.prec + 64))
         lami = 1 / lam
         denom = lam - lami
         m = spec.d1 + spec.d2 - 2

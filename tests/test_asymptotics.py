@@ -241,24 +241,32 @@ def test_a_report_computes_each_constant_log_once():
     assert info.misses == info.currsize == 2 and info.hits >= 1
 
 
-def test_a_report_runs_each_bracket_precision_once(monkeypatch):
-    # Heads read brackets of x_k at a few precisions, each head's
-    # precision doubled from _HEAD_PRECISION. Each precision's run is kept
-    # and extended, so a report through n takes a few n steps, where
-    # restarting every read from the last formed term took about n^2/2 per
-    # precision (17161 steps in all at n = 100).
-    steps = []
+def test_a_report_steps_one_bracket_run(monkeypatch):
+    # Heads read brackets of x_k from the store's one run. A head starts at
+    # the precision of the run the store holds, so between two formed terms
+    # the precision never falls and the run restarts only when it doubles:
+    # a report through n = 1000 takes under 2 (n + 2) steps.
+    steps, precisions = [], []
     step = sequences._second_order_step
     monkeypatch.setattr(sequences, "_second_order_step",
                         lambda *args: steps.append(1) or step(*args))
-    for n in (40, 100):
-        steps.clear()
-        store = SeriesSource(AFFINE)
-        full_report(store, n)
-        assert len(steps) <= 4 * (n + 2)
-        assert len(store._runs) <= 4
-        assert all(prec % sequences._HEAD_PRECISION == 0
-                   and (prec // sequences._HEAD_PRECISION).bit_count() == 1 for prec in store._runs)
+    bracket_term = SeriesSource._bracket_term
+
+    def spy(self, i, prec):
+        precisions.append((len(self._terms), prec))
+        return bracket_term(self, i, prec)
+
+    monkeypatch.setattr(SeriesSource, "_bracket_term", spy)
+    n = 1000
+    store = SeriesSource(AFFINE)
+    full_report(store, n)
+    assert len(steps) <= 2 * (n + 2)
+    # The heads of the terms past the formed ones, through x_{n+1}, are
+    # read after the last formed term.
+    formed = len(store._terms)
+    assert sum(count == formed for count, _ in precisions) >= n + 1 - (formed - store._pad)
+    for (count, prec), (next_count, next_prec) in zip(precisions, precisions[1:]):
+        assert count != next_count or prec <= next_prec
 
 
 def test_growth_table_script_prints_full_report(capsys, monkeypatch):

@@ -200,7 +200,8 @@ def test_the_bracket_kind_encloses_the_exact_values(source):
             store = SeriesSource(source)
             store.x(formed)
             store._bracket_term(store._raw(9), prec)
-            xs, zs = store._runs[prec]
+            assert store._bracket[0] == prec
+            _, xs, zs = store._bracket
             assert len(xs) == len(zs) == len(exact._terms)
             for got, want in zip(xs + zs, exact._terms + exact._factors):
                 if isinstance(got, int):
@@ -297,8 +298,9 @@ def test_head_doubles_its_precision_then_settles(monkeypatch):
         assert store.head(n) == want
         assert precisions == [4, 8, 16, 32, 64, 128]
         assert len(store._terms) - store._pad == 4
-        # The 128-bit run holds x_5 exactly.
-        assert store._runs[128][0][store._raw(5)] == exact.x(5)
+        # The store holds the 128-bit run, and it has x_5 exactly.
+        prec, xs, _ = store._bracket
+        assert prec == 128 and xs[store._raw(5)] == exact.x(5)
 
 
 def _record_charges(monkeypatch) -> list[str]:
